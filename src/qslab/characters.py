@@ -1,15 +1,14 @@
 """Exact character tables for the supported 2-group family.
 
-Tables are computed by the class-matrix method: the central characters
-are found as common eigenvectors of the class multiplication matrices
-over a prime field F_p, degrees are recovered from the second
-orthogonality relation, and values are lifted to exact cyclotomic
-integers through root-of-unity multiplicities.  The lifted table is
-certified by checking both orthogonality relations exactly.
+Every group of the family is N x| Q with N and Q elementary abelian, so
+each irreducible character is induced from a linear character of a
+little group N x| Q_v (the Wigner-Mackey construction).  The values are
+rational integers computed in bit arithmetic, and the table is certified
+by checking both orthogonality relations as exact integer identities.
 
-Scalars live in Q(i): every group of the family has exponent dividing 4
-(squares of all elements land in the elementary abelian normal part), so
-Q(zeta_exponent) always embeds in Q(i).
+Values are still held as Gaussian rationals (``ExactScalar``) so that
+class functions, fixtures and caches share one scalar type; a table
+passes certification only if every value is a Gaussian integer.
 """
 
 from __future__ import annotations
@@ -19,10 +18,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import product
+from operator import mul
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .groups import FiniteGroup, GroupElement
+from .groups import BitVector, FiniteGroup, GroupElement, _mat_apply
 
 REFERENCE_FORMAT = "qslab-chartable-ref/1"
 CACHE_FORMAT = "qslab-chartable-cache/1"
@@ -34,7 +35,7 @@ _SCALAR_PATTERN = re.compile(
 
 
 class CharacterTableError(RuntimeError):
-    """The modular computation or its exact certification failed."""
+    """A character table failed its exact certification or lacks the trivial row."""
 
 
 class AlignmentError(ValueError):
@@ -161,7 +162,6 @@ class ExactScalar:
 
 ZERO = ExactScalar()
 ONE = ExactScalar(Fraction(1))
-I_UNIT = ExactScalar(Fraction(0), Fraction(1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,272 +274,95 @@ class CharacterTable:
         return tuple(i for i, deg in enumerate(self.degrees) if deg == d)
 
     def verify_orthogonality(self) -> bool:
-        """Both orthogonality relations, checked exactly."""
-        rows, group = self.rows, self.group
-        for i, a in enumerate(rows):
-            for j, b in enumerate(rows):
-                expected = ONE if i == j else ZERO
-                if inner_product(a, b) != expected:
-                    return False
-        classes = group.conjugacy_classes()
-        for i in range(len(classes)):
-            for j in range(len(classes)):
-                total = ZERO
-                for row in rows:
-                    total = total + row.values[i] * row.values[j].conjugate()
-                expected = (
-                    ExactScalar(Fraction(group.order, classes[i].size))
-                    if i == j
-                    else ZERO
-                )
-                if total != expected:
-                    return False
-        return True
+        """Both orthogonality relations, as exact identities over Z[i].
 
-
-def class_mult_coefficient(group: FiniteGroup, i: int, j: int, k: int) -> int:
-    """Number of pairs (x, y) in K_i x K_j with x*y = z, for a fixed z in K_k.
-
-    The count is independent of the choice of z; the class representative
-    is used.
-    """
-    classes = group.conjugacy_classes()
-    z = group.index(classes[k].representative)
-    inv, mul = group._inv, group._mul
-    count = 0
-    for x in classes[i].elements:
-        xi = group.index(x)
-        y = mul[inv[xi]][z]
-        if group._class_of[y] == j:
-            count += 1
-    return count
-
-
-# -- modular linear algebra helpers ------------------------------------
-
-
-def _rref(matrix: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Row-reduce a matrix over F_p; returns (rows, pivot column list)."""
-    rows = [row[:] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                factor = rows[i][c]
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right nullspace over F_p, one vector per free column."""
-    ncols = len(matrix[0])
-    rows, pivots = _rref(matrix, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rows[r][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def _solve_in_span(basis: list[list[int]], targets: list[list[int]], p: int) -> list[list[int]]:
-    """Coordinates of each target vector in the span of ``basis``.
-
-    ``basis`` holds d independent vectors of length k; each target must
-    lie in their span.  Returns the d x t coordinate matrix X with
-    B X = T columnwise.
-    """
-    d, k, t = len(basis), len(basis[0]), len(targets)
-    aug = [[basis[j][r] for j in range(d)] + [tg[r] for tg in targets] for r in range(k)]
-    rows, pivots = _rref(aug, p)
-    if pivots != list(range(d)):
-        raise CharacterTableError("basis vectors are not independent")
-    if len(rows) > d and any(any(row[d:]) for row in rows[d:]):
-        raise CharacterTableError("target outside invariant subspace")
-    coords = [[0] * t for _ in range(d)]
-    for r in range(d):
-        for c in range(t):
-            coords[r][c] = rows[r][d + c]
-    return coords
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+        Rows: sum over classes of |K| a(K) conj(b(K)) = |G| delta(a, b).
+        Columns: sum over rows of chi(c) conj(chi(d)) = |G|/|K_c| delta(c, d).
+        False if any value is not a Gaussian integer.
+        """
+        values = [v for row in self.rows for v in row.values]
+        if any(v.re.denominator != 1 or v.im.denominator != 1 for v in values):
             return False
-        f += 1
+        order = self.group.order
+        sizes = [cls.size for cls in self.group.conjugacy_classes()]
+        xs = [[v.re.numerator for v in row.values] for row in self.rows]
+        ys = [[v.im.numerator for v in row.values] for row in self.rows]
+        columns = range(len(sizes))
+        return _is_diagonal_gram(xs, ys, sizes, [order] * len(xs)) and _is_diagonal_gram(
+            [[row[c] for row in xs] for c in columns],
+            [[row[c] for row in ys] for c in columns],
+            [1] * len(xs),
+            [order // s for s in sizes],
+        )
+
+
+def _is_diagonal_gram(
+    xs: list[list[int]], ys: list[list[int]], weights: list[int], diagonal: list[int]
+) -> bool:
+    """Whether sum_t w_t a_t conj(b_t) = diagonal[i] * delta(i, j) for all i, j.
+
+    Vector i has Gaussian-integer entries xs[i][t] + ys[i][t] * i.
+    """
+    wxs = [list(map(mul, weights, x)) for x in xs]
+    wys = [list(map(mul, weights, y)) for y in ys]
+    for i, (wx, wy) in enumerate(zip(wxs, wys)):
+        for j, (x, y) in enumerate(zip(xs, ys)):
+            real = sum(map(mul, wx, x)) + sum(map(mul, wy, y))
+            imag = sum(map(mul, wy, x)) - sum(map(mul, wx, y))
+            if real != (diagonal[i] if i == j else 0) or imag != 0:
+                return False
     return True
 
 
-def _choose_prime(order: int, exponent: int) -> int:
-    """Smallest p = 1 mod exponent with p > 2 * ceil(sqrt(order))^2."""
-    bound = 1
-    while bound * bound < order:
-        bound += 1
-    p = 2 * bound * bound + 1
-    while not (_is_prime(p) and p % exponent == 1):
-        p += 1
-    return p
-
-
-def _primitive_root_of_unity(p: int, e: int) -> int:
-    if e == 1:
-        return 1
-    proper = {e // r for r in (2, 3, 5, 7) if e % r == 0}
-    for x in range(2, p):
-        if pow(x, e, p) == 1 and all(pow(x, d, p) != 1 for d in proper):
-            return x
-    raise CharacterTableError(f"no primitive {e}-th root of unity mod {p}")
+def _dot(u: BitVector, v: BitVector) -> int:
+    return sum(a & b for a, b in zip(u, v)) & 1
 
 
 def compute_character_table(group: FiniteGroup) -> CharacterTable:
-    """The full irreducible character table, computed and certified exactly."""
+    """The full irreducible character table, computed and certified exactly.
+
+    Little-group construction (Serre, Linear Representations of Finite
+    Groups, 8.2, Prop. 25).  The characters of N are psi_v(n) = (-1)^(v.n),
+    and q sends psi_v to psi_w with w = Phi_q^T v.  For each Q-orbit O of
+    v, with stabilizer Q_v, and each linear character rho of Q_v, the
+    induced character takes the value rho(q) * sum_{w in O} (-1)^(w.n) at
+    (n, q) when q lies in Q_v, and 0 otherwise.
+    """
     if group._char_table_cache is not None:
         return group._char_table_cache
 
-    classes = group.conjugacy_classes()
-    k = len(classes)
-    order = group.order
-    e = group.exponent()
-    p = _choose_prime(order, e)
-    omega = _primitive_root_of_unity(p, e)
-    omega_inv = pow(omega, p - 2, p)
+    dual = {q: tuple(zip(*phi)) for q, phi in group._phi_by_q.items()}
+    reps = [cls.representative for cls in group.conjugacy_classes()]
+    grid = []
+    seen: set[BitVector] = set()
+    for v in product((0, 1), repeat=group.spec.n_rank):
+        if v in seen:
+            continue
+        orbit = {_mat_apply(t, v) for t in dual.values()}
+        seen |= orbit
+        stabilizer = [q for q, t in dual.items() if _mat_apply(t, v) == v]
+        orbit_sums = [sum(1 - 2 * _dot(w, g.n) for w in orbit) for g in reps]
+        restrictions = {
+            tuple(_dot(u, q) for q in stabilizer)
+            for u in product((0, 1), repeat=group.spec.q_rank)
+        }
+        for signs in restrictions:
+            rho = {q: 1 - 2 * s for q, s in zip(stabilizer, signs)}
+            grid.append(
+                tuple(
+                    rho[g.q] * total if g.q in rho else 0
+                    for g, total in zip(reps, orbit_sums)
+                )
+            )
 
-    reps = [group.index(cls.representative) for cls in classes]
-    sizes = [cls.size for cls in classes]
-    mul, inv = group._mul, group._inv
-    class_of = [group.class_index_of(g) for g in group.elements]
-
-    # Class multiplication tensor, with the fixed-z convention z = rep(l).
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for l in range(k):
-        z = reps[l]
-        for i in range(k):
-            for x in classes[i].elements:
-                y = mul[inv[group.index(x)]][z]
-                a[i][class_of[y]][l] += 1
-
-    matrices = [[[a[i][j][l] % p for l in range(k)] for j in range(k)] for i in range(k)]
-
-    # Split the common eigenspaces; subspace bases are rows in RREF so the
-    # whole walk is deterministic.
-    spaces: list[list[list[int]]] = [
-        [[1 if c == r else 0 for c in range(k)] for r in range(k)]
-    ]
-    for i in range(1, k):
-        mat = matrices[i]
-        next_spaces: list[list[list[int]]] = []
-        for basis in spaces:
-            if len(basis) == 1:
-                next_spaces.append(basis)
-                continue
-            images = [
-                [sum(mat[r][c] * vec[c] for c in range(k)) % p for r in range(k)]
-                for vec in basis
-            ]
-            restriction = _solve_in_span(basis, images, p)
-            d = len(basis)
-            for lam in range(p):
-                shifted = [
-                    [(restriction[r][c] - (lam if r == c else 0)) % p for c in range(d)]
-                    for r in range(d)
-                ]
-                null = _nullspace(shifted, p)
-                if not null:
-                    continue
-                sub = [
-                    [
-                        sum(coeff[j] * basis[j][c] for j in range(d)) % p
-                        for c in range(k)
-                    ]
-                    for coeff in null
-                ]
-                reduced, _ = _rref(sub, p)
-                next_spaces.append(reduced)
-        if sum(len(b) for b in next_spaces) != k:
-            raise CharacterTableError("eigenspace split lost dimensions")
-        spaces = next_spaces
-    if any(len(b) != 1 for b in spaces):
-        raise CharacterTableError("class matrices failed to separate characters")
-
-    inverse_class = [class_of[inv[r]] for r in reps]
-    inv_sizes = [pow(s, p - 2, p) for s in sizes]
-
-    # Power-map classes for the root-of-unity lift.
-    power_class = []
-    for r in reps:
-        row, acc = [], 0
-        for _ in range(e):
-            row.append(class_of[acc])
-            acc = mul[acc][r]
-        power_class.append(row)
-
-    zeta = {1: ONE, 2: -ONE, 4: I_UNIT}[e]
-    zeta_pow = [ONE]
-    for _ in range(1, e):
-        zeta_pow.append(zeta_pow[-1] * zeta)
-
-    e_inv = pow(e, p - 2, p)
-    rows = []
-    for basis in spaces:
-        w = basis[0]
-        if w[0] == 0:
-            raise CharacterTableError("central character vanishes on the identity class")
-        scale = pow(w[0], p - 2, p)
-        w = [(v * scale) % p for v in w]
-        s = sum(w[l] * w[inverse_class[l]] * inv_sizes[l] for l in range(k)) % p
-        if s == 0:
-            raise CharacterTableError("degree recovery hit a zero denominator")
-        d_squared = (order * pow(s, p - 2, p)) % p
-        degree = next(
-            (d for d in range(1, int(order) + 1) if d * d <= order and (d * d) % p == d_squared),
-            None,
-        )
-        if degree is None:
-            raise CharacterTableError("no admissible degree for a central character")
-        chi_bar = [(degree * w[l] * inv_sizes[l]) % p for l in range(k)]
-        values = []
-        for l in range(k):
-            mults = []
-            for t in range(e):
-                acc = 0
-                for j in range(e):
-                    acc += chi_bar[power_class[l][j]] * pow(omega_inv, (j * t) % e, p)
-                mults.append((acc * e_inv) % p)
-            if sum(mults) != degree:
-                raise CharacterTableError("root-of-unity multiplicities do not sum to the degree")
-            val = ZERO
-            for t, m in enumerate(mults):
-                val = val + zeta_pow[t] * m
-            values.append(val)
-        if values[0] != ExactScalar(Fraction(degree)):
-            raise CharacterTableError("lifted identity value disagrees with the degree")
-        rows.append(ClassFunction(group, tuple(values)))
-
-    rows.sort(key=lambda row: (row.at_identity().sort_key(), [v.sort_key() for v in row.values]))
-    table = CharacterTable(group=group, rows=tuple(rows))
-    if sum(d * d for d in table.degrees) != order:
+    grid.sort(key=lambda values: (values[0], values))
+    scalars = {x: ExactScalar(x) for x in {x for values in grid for x in values}}
+    rows = tuple(ClassFunction(group, tuple(scalars[x] for x in values)) for values in grid)
+    table = CharacterTable(group=group, rows=rows)
+    if sum(d * d for d in table.degrees) != group.order:
         raise CharacterTableError("degree squares do not sum to the group order")
     if not table.verify_orthogonality():
-        raise CharacterTableError("lifted table fails orthogonality")
+        raise CharacterTableError("induced table fails orthogonality")
     group._char_table_cache = table
     return table
 

@@ -15,6 +15,7 @@ from typing import Callable
 
 from . import builtin
 from .characters import (
+    _split_word,
     align_to_reference,
     compute_character_table,
     decompose,
@@ -270,7 +271,7 @@ def verify_paper(
         )
 
     expected_partition = sorted(
-        sorted(word(_split(w)).word() for w in members) for members in EXPECTED_CLASSES
+        sorted(word(_split_word(w)).word() for w in members) for members in EXPECTED_CLASSES
     )
     run(
         "class-membership",
@@ -281,14 +282,14 @@ def verify_paper(
     run(
         "center",
         "published conjugacy class list",
-        sorted(word(_split(w)).word() for w in EXPECTED_CENTER),
+        sorted(word(_split_word(w)).word() for w in EXPECTED_CENTER),
         lambda: sorted(g.word() for g in group.center().elements),
     )
 
     expected_normals = sorted(
         sorted(
             x.word()
-            for x in group.subgroup_closure(word(_split(w)) for w in gens).elements
+            for x in group.subgroup_closure(word(_split_word(w)) for w in gens).elements
         )
         for gens in EXPECTED_NORMAL_SUBGROUPS
     )
@@ -514,12 +515,6 @@ def verify_paper(
     )
 
     return VerificationReport(checks=tuple(battery.checks))
-
-
-def _split(word: str) -> tuple[str, ...]:
-    if word == "1":
-        return ()
-    return tuple(word.split("*"))
 
 
 # -- rendering ----------------------------------------------------------

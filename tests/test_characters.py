@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from qslab.builtin import build_g32_27
 from qslab.characters import (
     AlignmentError,
+    CharacterTable,
     ClassFunction,
     ExactScalar,
     ReferenceTable,
-    _choose_prime,
     align_to_reference,
-    class_mult_coefficient,
     compute_character_table,
     decompose,
     inner_product,
@@ -19,7 +19,7 @@ from qslab.characters import (
     table_from_cache_dict,
     table_to_cache_dict,
 )
-from qslab.groups import GroupSpec, build_group
+from qslab.groups import GroupSpec, _mat_identity, _mat_mul, build_group
 
 I = ExactScalar(0, 1)
 
@@ -28,6 +28,46 @@ def cyclic2():
     return build_group(
         GroupSpec(n_rank=1, q_rank=0, action=(), generator_names=(("a", ((1,), ())),))
     )
+
+
+def d4():
+    # Z2^2 twisted by the swap matrix
+    return build_group(
+        GroupSpec(
+            n_rank=2,
+            q_rank=1,
+            action=(((0, 1), (1, 0)),),
+            generator_names=(("r", ((1, 0), (0,))), ("s", ((0, 0), (1,)))),
+        )
+    )
+
+
+# A basis change of F2^4 and its inverse.
+BASIS = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
+BASIS_INV = ((1, 1, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1))
+
+
+def family_member(k, m, basis=None, basis_inv=None):
+    """action_j = I + E_{(j+m) mod k, j}, optionally conjugated by a basis change."""
+    action = []
+    for j in range(m):
+        a = [list(row) for row in _mat_identity(k)]
+        a[(j + m) % k][j] ^= 1
+        a = tuple(tuple(row) for row in a)
+        if basis is not None:
+            a = _mat_mul(_mat_mul(basis, a), basis_inv)
+        action.append(a)
+    names = tuple(
+        (f"n{i}", (tuple(int(t == i) for t in range(k)), (0,) * m)) for i in range(k)
+    ) + tuple((f"q{j}", ((0,) * k, tuple(int(t == j) for t in range(m)))) for j in range(m))
+    return build_group(GroupSpec(k, m, tuple(action), names))
+
+
+def abelianization_order(group):
+    """|G:G'| with G' closed from all commutators a^-1 b^-1 a b."""
+    elems = group.elements
+    commutators = {a.inverse() * b.inverse() * a * b for a in elems for b in elems}
+    return group.order // group.subgroup_closure(commutators).order
 
 
 # -- scalars ------------------------------------------------------------
@@ -122,44 +162,75 @@ def test_row_orthonormality(table):
     assert table.verify_orthogonality()
 
 
-# -- class multiplication coefficients ----------------------------------
-
-
-def test_class_mult_identity_row(g32):
-    for j in range(14):
-        for k in range(14):
-            assert class_mult_coefficient(g32, 0, j, k) == (1 if j == k else 0)
-
-
-def test_class_mult_matches_pair_count(g32):
-    classes = g32.conjugacy_classes()
-    for i in range(14):
-        for j in range(14):
-            for k in range(14):
-                z = classes[k].representative
-                pairs = sum(
-                    1
-                    for x in classes[i].elements
-                    for y in classes[j].elements
-                    if x * y == z
-                )
-                assert class_mult_coefficient(g32, i, j, k) == pairs
-
-
-def test_class_mult_frozen_example(g32):
-    c_g2 = g32.class_index_of(g32.generator("g2"))
-    c_g4 = g32.class_index_of(g32.generator("g4"))
-    assert class_mult_coefficient(g32, c_g2, c_g2, c_g4) == 2
-
-
 # -- table computation --------------------------------------------------
 
 
-def test_prime_choice():
-    assert _choose_prime(32, 4) == 73
-    assert _choose_prime(16, 4) == 37
-    assert _choose_prime(8, 2) == 19
-    assert _choose_prime(4, 2) == 11
+def test_basis_change_conjugates_the_action():
+    assert _mat_mul(BASIS, BASIS_INV) == _mat_identity(4)
+    assert (
+        family_member(4, 1, BASIS, BASIS_INV).spec.action
+        != family_member(4, 1).spec.action
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: family_member(3, 0),
+        d4,
+        build_g32_27,
+        lambda: family_member(4, 2),
+        lambda: family_member(4, 1, BASIS, BASIS_INV),
+        lambda: family_member(5, 2),
+    ],
+    ids=["q-rank-0", "d4", "g32-27", "n4q2", "n4q1-conjugated", "n5q2-order-128"],
+)
+def test_little_group_table_invariants(make):
+    g = make()
+    table = compute_character_table(g)
+    assert len(table.rows) == len(g.conjugacy_classes())
+    assert sum(d * d for d in table.degrees) == g.order
+    assert all(v.is_integer() for row in table.rows for v in row.values)
+    assert len(table.linear_indices()) == abelianization_order(g)
+    assert table.verify_orthogonality()
+
+
+def test_n4q2_has_degree_four_rows():
+    assert compute_character_table(family_member(4, 2)).indices_of_degree(4)
+
+
+def test_d4_grid_is_pinned():
+    g = d4()
+    assert [c.size for c in g.conjugacy_classes()] == [1, 1, 2, 2, 2]
+    grid = [[v.to_json() for v in row.values] for row in compute_character_table(g).rows]
+    assert grid == [
+        [1, 1, -1, -1, 1],
+        [1, 1, -1, 1, -1],
+        [1, 1, 1, -1, -1],
+        [1, 1, 1, 1, 1],
+        [2, -2, 0, 0, 0],
+    ]
+
+
+def _with_row(table, i, row):
+    rows = list(table.rows)
+    rows[i] = row
+    return CharacterTable(group=table.group, rows=tuple(rows))
+
+
+def test_orthogonality_rejects_a_sign_flip(table):
+    row = table.rows[0]
+    flipped = ClassFunction(table.group, row.values[:-1] + (-row.values[-1],))
+    assert not _with_row(table, 0, flipped).verify_orthogonality()
+
+
+def test_orthogonality_rejects_a_halved_row(table):
+    assert not _with_row(table, 3, table.rows[3] * Fraction(1, 2)).verify_orthogonality()
+
+
+def test_orthogonality_rejects_a_dropped_row(table):
+    short = CharacterTable(group=table.group, rows=table.rows[:-1])
+    assert not short.verify_orthogonality()
 
 
 def test_table_shape(table):
@@ -208,15 +279,7 @@ def test_elementary_abelian_cube_table():
 
 def test_quaternion_like_twist_table():
     # a nonabelian order-8 check: Z4 acting is out of scope, but D4 fits
-    # as Z2^2 twisted by the swap matrix
-    g = build_group(
-        GroupSpec(
-            n_rank=2,
-            q_rank=1,
-            action=(((0, 1), (1, 0)),),
-            generator_names=(("r", ((1, 0), (0,))), ("s", ((0, 0), (1,)))),
-        )
-    )
+    g = d4()
     assert g.order == 8
     table = compute_character_table(g)
     assert sorted(table.degrees) == [1, 1, 1, 1, 2]
