@@ -514,13 +514,26 @@ def table_to_cache_dict(table: CharacterTable) -> dict:
 
 
 def table_from_cache_dict(group: FiniteGroup, data: dict) -> CharacterTable:
-    """Rebuild a cached table; the caller must revalidate orthogonality."""
+    """Rebuild a cached table; the caller must revalidate orthogonality.
+
+    Raises ValueError for every malformed payload.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"cache payload is a {type(data).__name__}, not an object")
     if data.get("format") != CACHE_FORMAT:
         raise ValueError(f"unsupported cache format {data.get('format')!r}")
     if data.get("spec_hash") != group.spec.content_hash():
         raise ValueError("cached table belongs to a different group spec")
-    rows = tuple(
-        ClassFunction(group, tuple(ExactScalar.from_json(v) for v in row))
-        for row in data["rows"]
+    rows = data.get("rows")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("cached rows are not a list of lists")
+    k = len(group.conjugacy_classes())
+    if len(rows) != k:
+        raise ValueError(f"cached table has {len(rows)} rows, expected {k}")
+    return CharacterTable(
+        group=group,
+        rows=tuple(
+            ClassFunction(group, tuple(ExactScalar.from_json(v) for v in row))
+            for row in rows
+        ),
     )
-    return CharacterTable(group=group, rows=rows)

@@ -150,22 +150,29 @@ def _structure_args(args, count):
 def _table_for(group: FiniteGroup, cache_dir: str | None) -> CharacterTable:
     if cache_dir is None:
         return compute_character_table(group)
-    path = os.path.join(cache_dir, f"chartable-{group.spec.content_hash()}.json")
+    name = f"chartable-{group.spec.content_hash()}.json"
+    path = os.path.join(cache_dir, name)
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         table = table_from_cache_dict(group, payload)
         if table.verify_orthogonality():
             return table
-    except FileNotFoundError:
-        pass
-    except Exception:
-        pass  # corrupt or stale cache entry; recompute and overwrite below
+    except (OSError, ValueError):
+        pass  # missing, corrupt or stale cache entry; recompute and overwrite below
     table = compute_character_table(group)
     os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_cache_dict(table), fh, sort_keys=True)
-        fh.write("\n")
+    # Write beside the entry, then rename over it: readers never see a
+    # partial file.
+    tmp = os.path.join(cache_dir, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(table_to_cache_dict(table), fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return table
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import CharacterTable, ClassFunction, ExactScalar
+from .characters import CharacterTable, ClassFunction, ExactScalar, inner_product
 from .groups import FiniteGroup, GroupElement, Subgroup
 
 
@@ -29,6 +29,9 @@ class IdentityFixedPoints(ValueError):
 class SphericalSystem:
     group: FiniteGroup = field(repr=False)
     entries: tuple[GroupElement, ...]
+    # Derived data, computed once per system: cyclic entry subgroups with
+    # their right transversals, and the fixed point table.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def signature(self) -> tuple[int, ...]:
@@ -106,9 +109,24 @@ def curve_genus(system: SphericalSystem) -> int:
     return genus_from_type(system.group.order, system.signature)
 
 
-def _cyclic_entries(system: SphericalSystem) -> list[Subgroup]:
-    group = system.group
-    return [group.subgroup_closure([t]) for t in system.entries]
+def _cyclic_entries(system: SphericalSystem) -> tuple[Subgroup, ...]:
+    memo = system._memo
+    if "cyclic" not in memo:
+        group = system.group
+        memo["cyclic"] = tuple(group.subgroup_closure([t]) for t in system.entries)
+    return memo["cyclic"]
+
+
+def _cyclic_transversals(
+    system: SphericalSystem,
+) -> tuple[tuple[Subgroup, tuple[GroupElement, ...]], ...]:
+    memo = system._memo
+    if "transversals" not in memo:
+        group = system.group
+        memo["transversals"] = tuple(
+            (sub, group.right_transversal(sub)) for sub in _cyclic_entries(system)
+        )
+    return memo["transversals"]
 
 
 def fixed_point_count(system: SphericalSystem, g: GroupElement) -> int:
@@ -121,8 +139,8 @@ def fixed_point_count(system: SphericalSystem, g: GroupElement) -> int:
     if g.is_identity():
         raise IdentityFixedPoints("the identity fixes the whole curve")
     count = 0
-    for sub in _cyclic_entries(system):
-        for t in group.right_transversal(sub):
+    for sub, transversal in _cyclic_transversals(system):
+        for t in transversal:
             if t * g * t.inverse() in sub:
                 count += 1
     return count
@@ -148,15 +166,16 @@ def fixed_point_count_by_membership(system: SphericalSystem, g: GroupElement) ->
 
 def fixed_point_table(system: SphericalSystem) -> tuple[int | None, ...]:
     """Per-class fixed point counts in canonical class order; None marks
-    the identity class (whole curve)."""
-    group = system.group
-    out: list[int | None] = []
-    for cls in group.conjugacy_classes():
-        if cls.representative.is_identity():
-            out.append(None)
-        else:
-            out.append(fixed_point_count(system, cls.representative))
-    return tuple(out)
+    the identity class (whole curve).  Computed once per system."""
+    memo = system._memo
+    if "fixed_points" not in memo:
+        memo["fixed_points"] = tuple(
+            None
+            if cls.representative.is_identity()
+            else fixed_point_count(system, cls.representative)
+            for cls in system.group.conjugacy_classes()
+        )
+    return memo["fixed_points"]
 
 
 def canonical_character(system: SphericalSystem, table: CharacterTable) -> ClassFunction:
@@ -164,27 +183,31 @@ def canonical_character(system: SphericalSystem, table: CharacterTable) -> Class
 
     Requires every irreducible character of the group to be real valued;
     then the Lefschetz relation fix(g) = 2 - 2 chi(g) inverts to exact
-    integer values, with chi(1) the curve genus.
+    integer values, with chi(1) the curve genus.  Computed once per
+    (system, table).
     """
+    memo = system._memo
+    key = ("canonical", table)
+    if key in memo:
+        return memo[key]
     if not table.is_real():
         raise ValueError(
             "canonical character requires a real character table; "
             "this table has nonreal values"
         )
-    group = system.group
     genus = curve_genus(system)
     values = []
-    for cls in group.conjugacy_classes():
-        if cls.representative.is_identity():
+    for fix in fixed_point_table(system):
+        if fix is None:
             values.append(ExactScalar(Fraction(genus)))
             continue
-        fix = fixed_point_count(system, cls.representative)
         if fix % 2:
             raise RuntimeError(
                 f"odd fixed point count {fix} contradicts a real-valued action"
             )
         values.append(ExactScalar(Fraction(2 - fix, 2)))
-    return ClassFunction(group, tuple(values))
+    memo[key] = ClassFunction(system.group, tuple(values))
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -206,8 +229,6 @@ def covering_curve(system: SphericalSystem, table: CharacterTable) -> CoveringCu
     canonical = canonical_character(system, table)
     if canonical.at_identity() != ExactScalar(Fraction(genus)):
         raise RuntimeError("canonical character identity value disagrees with the genus")
-    from .characters import inner_product
-
     if not inner_product(canonical, table.trivial()).is_zero():
         raise RuntimeError("canonical character has invariants on a spherical covering")
     return CoveringCurve(
@@ -266,14 +287,15 @@ def quotient_genus_by_character(
     system: SphericalSystem, sub: Subgroup, table: CharacterTable
 ) -> int:
     """Independent route: average the canonical character over the subgroup."""
-    canonical = canonical_character(system, table)
-    total = ExactScalar()
-    for h in sub.elements:
-        total = total + canonical.value_at(h)
-    avg = total / sub.order
-    if not avg.is_integer() or avg.as_integer() < 0:
-        raise RuntimeError(f"canonical character average {avg} is not a genus")
-    return avg.as_integer()
+    group = system.group
+    values = [v.as_integer() for v in canonical_character(system, table).values]
+    total = sum(values[group.class_index_of(h)] for h in sub.elements)
+    genus, rem = divmod(total, sub.order)
+    if rem or genus < 0:
+        raise RuntimeError(
+            f"canonical character average {Fraction(total, sub.order)} is not a genus"
+        )
+    return genus
 
 
 @dataclass(frozen=True)
@@ -303,7 +325,7 @@ def fiber_orbit_structure(
         raise ValueError(
             f"branch index {branch_index} out of range 1..{len(system.entries)}"
         )
-    cyclic = group.subgroup_closure([system.entries[branch_index - 1]])
+    cyclic = _cyclic_entries(system)[branch_index - 1]
     reps, coset_of = _coset_action(group, cyclic)
     hidx = [group.index(h) for h in sub.elements]
     seen = [False] * len(reps)

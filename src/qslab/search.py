@@ -2,23 +2,26 @@
 
 Cohomology of a sheaf on the product modulo the diagonal action is
 computed by the Kunneth formula at the level of characters: each factor
-contributes a pair (h0 character, h1 character), the twist contributes a
-linear character, and taking diagonal invariants is an inner product
-with the trivial character.  A twist is admissible for a pair of
-degree-2 bundle parameters when the h0 and h2 invariants both vanish.
+contributes a pair (h0 character, h1 character) and the twist contributes
+a linear character.  The dimension of the diagonal invariants of a
+product of class functions f_1, ..., f_r is the exact integer sum
+
+    sum over classes K of |K| * f_1(K) * ... * f_r(K), divided by |G|.
+
+Every character of the supported family is integer valued (Serre, Linear
+Representations of Finite Groups, 8.2, Prop. 25), so these sums run on
+plain ints.  A twist is admissible for a pair of degree-2 bundle
+parameters when the h0 and h2 invariants both vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import prod
 
-from .characters import (
-    CharacterTable,
-    ClassFunction,
-    ExactScalar,
-    decompose,
-    inner_product,
-)
+from .characters import CharacterTable, ClassFunction
+from .groups import FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,45 @@ def structure_sheaf(table: CharacterTable, canonical: ClassFunction) -> BundleCo
     return BundleCohomology(h0=table.trivial(), h1=canonical.conjugate())
 
 
+def _integers(f: ClassFunction) -> tuple[int, ...]:
+    """Class values as ints; raises ValueError on any non-integer value."""
+    return tuple(v.as_integer() for v in f.values)
+
+
+def _class_sizes(group: FiniteGroup) -> tuple[int, ...]:
+    return tuple(cls.size for cls in group.conjugacy_classes())
+
+
+def _invariants(sizes: tuple[int, ...], order: int, *factors: tuple[int, ...]) -> int:
+    """sum_K |K| * prod_i f_i(K) / |G| for int-valued class functions f_i.
+
+    This is the multiplicity of the trivial character in the pointwise
+    product; raises when the sum is not divisible by the group order.
+    """
+    total = sum(map(prod, zip(sizes, *factors)))
+    m, rem = divmod(total, order)
+    if rem:
+        raise ValueError(f"invariant multiplicity {Fraction(total, order)} is not integral")
+    return m
+
+
 def invariant_dimension(f: ClassFunction) -> int:
     """Multiplicity of the trivial character; errors when not integral."""
-    group = f.group
-    ones = ClassFunction(group, tuple(ExactScalar(1) for _ in f.values))
-    m = inner_product(f, ones)
-    if not m.is_integer():
-        raise ValueError(f"invariant multiplicity {m} is not integral")
-    return m.as_integer()
+    return _invariants(_class_sizes(f.group), f.group.order, _integers(f))
+
+
+def _dims(sizes, order, c0, c1, d0, d1, twist) -> tuple[int, int, int]:
+    """(h0, h1, h2) invariants of (c0 + c1) x (d0 + d1) twisted, on int tuples."""
+    mixed = tuple(a * d + b * c for a, b, c, d in zip(c0, c1, d0, d1))
+    return (
+        _invariants(sizes, order, c0, d0, twist),
+        _invariants(sizes, order, mixed, twist),
+        _invariants(sizes, order, c1, d1, twist),
+    )
+
+
+def _difference(f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(f, h))
 
 
 def cohomology_dims(
@@ -60,19 +94,32 @@ def cohomology_dims(
     twist: ClassFunction,
 ) -> tuple[int, int, int]:
     """Kunneth invariant dimensions (h0, h1, h2) of the twisted product bundle."""
-    h0 = invariant_dimension(factor_c.h0 * factor_d.h0 * twist)
-    h1 = invariant_dimension(
-        (factor_c.h0 * factor_d.h1 + factor_c.h1 * factor_d.h0) * twist
+    factor_c.h0._check_same_group(factor_d.h0)
+    factor_c.h0._check_same_group(twist)
+    return _dims(
+        _class_sizes(twist.group),
+        twist.group.order,
+        _integers(factor_c.h0),
+        _integers(factor_c.h1),
+        _integers(factor_d.h0),
+        _integers(factor_d.h1),
+        _integers(twist),
     )
-    h2 = invariant_dimension(factor_c.h1 * factor_d.h1 * twist)
-    return h0, h1, h2
 
 
 def kunneth_euler(
     virtual_c: ClassFunction, virtual_d: ClassFunction, twist: ClassFunction
 ) -> int:
     """Euler characteristic from the two factor Euler characters."""
-    return invariant_dimension(virtual_c * virtual_d * twist)
+    virtual_c._check_same_group(virtual_d)
+    virtual_c._check_same_group(twist)
+    return _invariants(
+        _class_sizes(twist.group),
+        twist.group.order,
+        _integers(virtual_c),
+        _integers(virtual_d),
+        _integers(twist),
+    )
 
 
 @dataclass(frozen=True)
@@ -101,14 +148,6 @@ class SearchReport:
         raise KeyError(f"no pair ({a_index}, {b_index}) in this report")
 
 
-def _linear_part(table: CharacterTable, f: ClassFunction) -> ClassFunction:
-    mults = decompose(f, table)
-    out = table.trivial() * 0
-    for i in table.linear_indices():
-        out = out + table.rows[i] * mults[i]
-    return out
-
-
 def search_all_pairs(
     table: CharacterTable,
     canonical_c: ClassFunction,
@@ -121,29 +160,42 @@ def search_all_pairs(
     whose h1 is the linear part of the canonical character plus a
     degree-2 row B; twists range over all linear rows.
     """
+    group = table.group
+    order = group.order
+    sizes = _class_sizes(group)
+    rows = [_integers(row) for row in table.rows]
     two_dim = table.indices_of_degree(2)
     linear = table.linear_indices()
-    factor_c = structure_sheaf(table, canonical_c)
-    base_d = _linear_part(table, canonical_d.conjugate())
     trivial_index = table.trivial_index()
+
+    factor_c = structure_sheaf(table, canonical_c)
+    c0, c1 = _integers(factor_c.h0), _integers(factor_c.h1)
+    euler_c = _difference(c0, c1)
+    # Linear part of the dual canonical character; every multiplicity
+    # must be integral, or canonical_d is not a virtual character.
+    factor_c.h0._check_same_group(canonical_d)
+    kd = _integers(canonical_d.conjugate())
+    mults = [_invariants(sizes, order, kd, row) for row in rows]
+    base_d = tuple(sum(mults[i] * rows[i][c] for i in linear) for c in range(len(kd)))
+    h0_of = {a: table.trivial() + table.rows[a] for a in two_dim}
+    h1_of = {b: ClassFunction(group, base_d) + table.rows[b] for b in two_dim}
+
     results = []
     trivial_anywhere = False
     for a in two_dim:
+        d0 = _integers(h0_of[a])
         for b in two_dim:
-            factor_d = BundleCohomology(
-                h0=table.trivial() + table.rows[a],
-                h1=base_d + table.rows[b],
-            )
-            euler_c = factor_c.euler()
-            euler_d = factor_d.euler()
+            BundleCohomology(h0=h0_of[a], h1=h1_of[b])  # dimensions at the identity
+            d1 = _integers(h1_of[b])
+            euler_d = _difference(d0, d1)
             admissible = []
             dims = []
             eulers = []
             for t in linear:
-                twist = table.rows[t]
-                h0, h1, h2 = cohomology_dims(factor_c, factor_d, twist)
+                twist = rows[t]
+                h0, h1, h2 = _dims(sizes, order, c0, c1, d0, d1, twist)
                 dims.append((t, (h0, h1, h2)))
-                eulers.append((t, kunneth_euler(euler_c, euler_d, twist)))
+                eulers.append((t, _invariants(sizes, order, euler_c, euler_d, twist)))
                 if h0 == 0 and h2 == 0:
                     admissible.append(t)
                     if t == trivial_index:

@@ -293,20 +293,18 @@ def verify_paper(
         )
         for gens in EXPECTED_NORMAL_SUBGROUPS
     )
+    normals = _lazy(group.enumerate_normal_subgroups)
     run(
         "normal-subgroup-count",
         "published normal subgroup list",
         26,
-        lambda: len(group.enumerate_normal_subgroups()),
+        lambda: len(normals()),
     )
     run(
         "normal-subgroup-list",
         "published normal subgroup list",
         expected_normals,
-        lambda: sorted(
-            sorted(x.word() for x in sub.elements)
-            for sub in group.enumerate_normal_subgroups()
-        ),
+        lambda: sorted(sorted(x.word() for x in sub.elements) for sub in normals()),
     )
 
     table = _lazy(lambda: compute_character_table(group))
@@ -462,6 +460,7 @@ def verify_paper(
             quotient_row(system_name, gens),
         )
 
+    subgroups = _lazy(group.enumerate_subgroups)
     run(
         "quotient-genus-bridge",
         "published quotient genera",
@@ -470,7 +469,7 @@ def verify_paper(
             quotient_genus(system, sub)
             == quotient_genus_by_character(system, sub, table())
             for system in (t1(), t2())
-            for sub in group.enumerate_subgroups()
+            for sub in subgroups()
         ),
     )
 

@@ -386,3 +386,21 @@ def test_cache_rejects_wrong_group(g32, table):
 def test_cache_rejects_malformed_payload(g32):
     with pytest.raises(ValueError, match="unsupported cache format"):
         table_from_cache_dict(g32, {"format": "nonsense"})
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: [p],
+        lambda p: {k: v for k, v in p.items() if k != "rows"},
+        lambda p: {**p, "rows": 5},
+        lambda p: {**p, "rows": [5] * len(p["rows"])},
+        lambda p: {**p, "rows": p["rows"][:-1]},
+        lambda p: {**p, "rows": [row[:-1] for row in p["rows"]]},
+        lambda p: {**p, "rows": [[1.0] + p["rows"][0][1:]] + p["rows"][1:]},
+    ],
+    ids=["list", "no-rows", "rows-int", "row-int", "row-count", "row-length", "float"],
+)
+def test_cache_malformed_payload_raises_value_error(g32, table, corrupt):
+    with pytest.raises(ValueError):
+        table_from_cache_dict(g32, corrupt(table_to_cache_dict(table)))

@@ -1,6 +1,7 @@
 import json
 import os
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +269,18 @@ def test_single_structure_search_exits_2(capsys):
     assert "exactly 2 structures" in err
 
 
+# -- golden output -----------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json"), ("md", "md")])
+def test_search_matches_golden(capsys, fmt, suffix):
+    code, out, err = run(capsys, "search", "--format", fmt)
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / f"search.{suffix}").read_bytes()
+
+
 # -- cache --------------------------------------------------------------
 
 
@@ -314,6 +327,58 @@ def test_cache_rejects_tampered_rows(capsys, tmp_path):
     code, out, _ = run(capsys, "chartable", "--cache", cache)
     assert code == 0
     assert "99" not in out
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _set_rows_to_int(text):
+    data = json.loads(text)
+    data["rows"] = 5
+    return json.dumps(data)
+
+
+def _wrong_spec_hash(text):
+    data = json.loads(text)
+    data["spec_hash"] = "0" * 64
+    return json.dumps(data)
+
+
+def _short_row(text):
+    data = json.loads(text)
+    data["rows"][2] = data["rows"][2][:-1]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: "[]",
+        lambda text: "{}",
+        _truncate,
+        _set_rows_to_int,
+        _wrong_spec_hash,
+        _short_row,
+    ],
+    ids=["list", "empty-object", "truncated", "rows-int", "spec-hash", "short-row"],
+)
+def test_cache_recovers_from_malformed_entry(capsys, tmp_path, corrupt):
+    cache = str(tmp_path)
+    code, first, _ = run(capsys, "chartable", "--cache", cache)
+    assert code == 0
+    path = cache_file(cache)
+    with open(path) as fh:
+        valid = fh.read()
+    with open(path, "w") as fh:
+        fh.write(corrupt(valid))
+    code, again, err = run(capsys, "chartable", "--cache", cache)
+    assert code == 0 and err == ""
+    assert again == first
+    # the entry was rewritten whole, and no temporary file is left behind
+    assert os.listdir(cache) == [os.path.basename(path)]
+    with open(path) as fh:
+        assert fh.read() == valid
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

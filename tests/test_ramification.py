@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
-from qslab.builtin import named_subgroup
+from qslab import ramification
+from qslab.builtin import T1_WORDS, T2_WORDS, named_subgroup
 from qslab.characters import ExactScalar, decompose
+from qslab.groups import FiniteGroup, GroupSpec, build_group
 from qslab.ramification import (
     IdentityFixedPoints,
     SphericalSystemError,
@@ -240,6 +244,65 @@ def test_quotient_genus_character_route(g32, t1, t2, table):
         assert quotient_genus(system, sub) == quotient_genus_by_character(
             system, sub, table
         )
+
+
+def test_bridge_builds_each_fixed_point_table_once(g32, table, monkeypatch):
+    # fresh systems, so no earlier test has warmed their memo
+    systems = [
+        validate_spherical(g32, [g32.evaluate_word(w) for w in words])
+        for words in (T1_WORDS, T2_WORDS)
+    ]
+    calls = Counter()
+    count = ramification.fixed_point_count
+
+    def counting(system, g):
+        calls[id(system)] += 1
+        return count(system, g)
+
+    monkeypatch.setattr(ramification, "fixed_point_count", counting)
+    subgroups = g32.enumerate_subgroups()
+    assert len(subgroups) == 106
+    for system in systems:
+        for sub in subgroups:
+            assert quotient_genus_by_character(system, sub, table) == quotient_genus(
+                system, sub
+            )
+    classes = len(g32.conjugacy_classes())
+    assert calls == {id(system): classes - 1 for system in systems}
+    for system in systems:
+        assert canonical_character(system, table) is canonical_character(system, table)
+
+
+def test_fixed_point_routes_agree_on_order_64_after_memo(monkeypatch):
+    # N rank 5, Q rank 1, action I + E_{1,0}
+    action = tuple(
+        tuple(int(i == j or (i, j) == (1, 0)) for j in range(5)) for i in range(5)
+    )
+    group = build_group(GroupSpec(5, 1, (action,), ()))
+    assert group.order == 64
+    basis = group.basis_generators()
+    closing = group.identity()
+    for g in basis:
+        closing = closing * g
+    system = validate_spherical(group, basis + (closing.inverse(),))
+    fixed_point_table(system)  # warms the memo
+
+    transversals = Counter()
+    right_transversal = FiniteGroup.right_transversal
+
+    def counting(self, sub):
+        transversals[sub.indices] += 1
+        return right_transversal(self, sub)
+
+    monkeypatch.setattr(FiniteGroup, "right_transversal", counting)
+    table = fixed_point_table(system)
+    for g in group.elements:
+        if g.is_identity():
+            continue
+        fix = fixed_point_count(system, g)
+        assert fix == fixed_point_count_by_membership(system, g)
+        assert fix == table[group.class_index_of(g)]
+    assert not transversals
 
 
 # -- fiber orbits -------------------------------------------------------

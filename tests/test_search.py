@@ -4,6 +4,8 @@ The oracle works in plain integer arithmetic straight from the fixture
 matrix, so it shares no scalar or class-function code with the library.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from qslab.characters import ClassFunction, ExactScalar
@@ -91,6 +93,7 @@ def _oracle_search(ref):
             d1 = _add(kd_linear, rows[b])
             admissible = set()
             eulers = {}
+            dims = {}
             for t in deg1:
                 twist = rows[t]
                 h0 = _ip(_mul(_mul(triv, d0), twist), triv, sizes)
@@ -99,7 +102,8 @@ def _oracle_search(ref):
                 if h0 == 0 and h2 == 0:
                     admissible.add(t + 1)
                 eulers[t + 1] = h0 - h1 + h2
-            results[(a + 1, b + 1)] = (admissible, eulers)
+                dims[t + 1] = (h0, h1, h2)
+            results[(a + 1, b + 1)] = (admissible, eulers, dims)
     return results
 
 
@@ -111,12 +115,13 @@ def test_search_matches_oracle(report, ref, ref_numbering):
         a = ref_numbering[pair.a_index]
         b = ref_numbering[pair.b_index]
         seen.add((a, b))
-        admissible, eulers = oracle[(a, b)]
+        admissible, eulers, dims = oracle[(a, b)]
         assert {ref_numbering[t] for t in pair.admissible} == admissible
         got_eulers = {
             ref_numbering[t]: e for t, e in pair.eulers
         }
         assert got_eulers == eulers
+        assert {ref_numbering[t]: d for t, d in pair.dims} == dims
         assert pair.euler_flat == all(e == 0 for e in eulers.values())
     assert seen == set(oracle)
 
@@ -185,6 +190,14 @@ def test_invariant_dimension_rejects_non_integral(g32):
     )
     with pytest.raises(ValueError, match="not integral"):
         invariant_dimension(delta)
+
+
+def test_invariant_dimension_rejects_non_integer_values(g32):
+    values = [ExactScalar(0)] * 14
+    values[1] = ExactScalar(Fraction(1, 2))
+    half = ClassFunction(g32, tuple(values))
+    with pytest.raises(ValueError):
+        invariant_dimension(half)
 
 
 def test_bundle_cohomology_validation(table):
