@@ -28,6 +28,9 @@ from dataclasses import dataclass, field
 from .groups import GroupSpec, GroupSpecError
 
 _PUNCT = set("{}[]();,=*|")
+# ASCII only: str.isdigit() also accepts characters such as "²" that int()
+# rejects.
+_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -66,9 +69,9 @@ def _tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i

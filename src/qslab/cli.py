@@ -773,13 +773,7 @@ def main(argv=None) -> int:
             sys.stdout.write(render_report(report, fmt))
             return 0 if report.passed else 1
         payload, text, md = args.func(model, args)
-    except CliError as exc:
-        print(f"qslab: error: {exc}", file=sys.stderr)
-        return 2
-    except CharacterTableError as exc:
-        print(f"qslab: error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (CliError, CharacterTableError, RuntimeError) as exc:
         print(f"qslab: error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

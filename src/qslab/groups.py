@@ -267,17 +267,26 @@ class FiniteGroup:
             phi_by_q[qvec] = mat
         self._phi_by_q = phi_by_q
 
-        mul = [[0] * self._n for _ in range(self._n)]
-        for a, (n1, q1) in enumerate(coords):
-            phi = phi_by_q[q1]
-            for b, (n2, q2) in enumerate(coords):
-                n3 = tuple(x ^ y for x, y in zip(n1, _mat_apply(phi, n2)))
-                q3 = tuple(x ^ y for x, y in zip(q1, q2))
-                mul[a][b] = self._index[(n3, q3)]
+        # Element index = (n_int << m) | q_int, both first coordinate most
+        # significant; image[q_int][n_int] is Phi_q(n) as an integer, built
+        # by linearity from the columns of Phi_q.
+        image = []
+        for q_int in range(1 << m):
+            mat = phi_by_q[coords[q_int][1]]
+            cols = [sum(mat[r][c] << (k - 1 - r) for r in range(k)) for c in range(k)]
+            img = [0] * (1 << k)
+            for n_int in range(1, 1 << k):
+                low = n_int & -n_int
+                img[n_int] = img[n_int ^ low] ^ cols[k - low.bit_length()]
+            image.append(img)
+        qmask, qs = (1 << m) - 1, range(1 << m)
+        mul = []
+        inv = []
+        for a in range(self._n):
+            n1, q1 = a >> m, a & qmask
+            mul.append([((n1 ^ n2) << m) | (q1 ^ q2) for n2 in image[q1] for q2 in qs])
+            inv.append((image[q1][n1] << m) | q1)
         self._mul = mul
-        inv = [0] * self._n
-        for a, (nvec, qvec) in enumerate(coords):
-            inv[a] = self._index[(_mat_apply(phi_by_q[qvec], nvec), qvec)]
         self._inv = inv
         orders = [0] * self._n
         for a in range(self._n):
@@ -432,14 +441,27 @@ class FiniteGroup:
     # -- subgroups ------------------------------------------------------
 
     def _closure(self, seed: Iterable[int]) -> frozenset[int]:
-        s = {0}
-        s.update(seed)
+        """Subgroup generated by ``seed``, walked out from the identity.
+
+        The orbit of the identity under right multiplication by the seed
+        elements is the monoid they generate, which in a finite group is
+        the subgroup; the breadth-first walk costs O(|closure| * |seed|).
+        """
+        gens = tuple({x for x in seed if x})
         mul = self._mul
-        while True:
-            new = {mul[a][b] for a in s for b in s}
-            if new <= s:
-                return frozenset(s)
-            s |= new
+        s = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row = mul[a]
+                for g in gens:
+                    b = row[g]
+                    if b not in s:
+                        s.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return frozenset(s)
 
     def subgroup_closure(self, gens: Iterable[GroupElement]) -> Subgroup:
         """Smallest subgroup containing ``gens``; empty input gives <1>."""
@@ -488,39 +510,46 @@ class FiniteGroup:
         """A generating set of minimum size, via the Frattini quotient.
 
         For a 2-group the Frattini subgroup is generated by squares and
-        commutators, and a set generates iff it generates modulo it.
+        commutators, and a set generates iff it generates modulo it.  The
+        commutators add nothing: [a, b] = a^-2 (a b^-1)^2 b^2 in any group,
+        so the squares alone generate the Frattini subgroup.
         """
         self._check_subgroup(sub)
-        if sub.order == 1:
+        return tuple(self.elements[x] for x in self._minimal_generators(sub.indices))
+
+    def _minimal_generators(self, indices: frozenset[int]) -> tuple[int, ...]:
+        if len(indices) == 1:
             return ()
-        mul, inv = self._mul, self._inv
-        hidx = sorted(sub.indices)
-        frat_seed = {mul[x][x] for x in hidx}
-        frat_seed.update(
-            mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in hidx for b in hidx
-        )
-        frattini = self._closure(frat_seed)
+        mul = self._mul
+        hidx = sorted(indices)
+        squares = tuple({mul[x][x] for x in hidx})
         picked: list[int] = []
-        span = frattini
+        span = self._closure(squares)
         for x in hidx:
-            if len(span) == sub.order:
+            if len(span) == len(indices):
                 break
             if x not in span:
                 picked.append(x)
-                span = self._closure(span | {x})
-        witness = self._closure(picked)
-        if witness != sub.indices:
+                span = self._closure(squares + tuple(picked))
+        if self._closure(picked) != indices:
             raise RuntimeError("minimal generating set search failed")
-        return tuple(self.elements[x] for x in picked)
+        return tuple(picked)
 
     def enumerate_subgroups(
         self, max_order: int = DEFAULT_ENUMERATION_BOUND
     ) -> tuple[Subgroup, ...]:
-        """All subgroups, by breadth-first closure over one-element extensions."""
+        """All subgroups, by breadth-first closure over one-element extensions.
+
+        Each subgroup s is extended by every x outside it, in index order,
+        closing its witness generators plus x.  Once x is tried, the rest of
+        the coset s*x is skipped: <s, h*x> = <s, x> for h in s, and the
+        smallest x of a coset comes first, so the witnesses are unchanged.
+        """
         if self._n > max_order:
             raise GroupTooLargeError(
                 f"subgroup enumeration requires group order <= {max_order}, got {self._n}"
             )
+        mul = self._mul
         trivial = frozenset({0})
         witness: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
         frontier = [trivial]
@@ -528,10 +557,12 @@ class FiniteGroup:
             nxt = []
             for s in frontier:
                 base = witness[s]
+                tried = set(s)
                 for x in range(1, self._n):
-                    if x in s:
+                    if x in tried:
                         continue
-                    c = self._closure(s | {x})
+                    tried.update(mul[h][x] for h in s)
+                    c = self._closure(base + (x,))
                     if c not in witness:
                         witness[c] = base + (x,)
                         nxt.append(c)
@@ -553,37 +584,46 @@ class FiniteGroup:
 
         Breadth-first closure again, but extensions add a whole conjugacy
         class at a time; a subgroup generated by full classes is normal,
-        and every normal subgroup arises this way.
+        and every normal subgroup arises this way.  An extension of s closes
+        its minimal generators plus the new class C; the classes inside the
+        cosets s*x, x in C, are then skipped, since each of them generates
+        the same subgroup together with s.
         """
         if self._n > max_order:
             raise GroupTooLargeError(
                 f"normal subgroup enumeration requires group order <= {max_order}, "
                 f"got {self._n}"
             )
+        mul = self._mul
         class_sets = [
-            frozenset(self.index(x) for x in cls.elements)
+            tuple(self.index(x) for x in cls.elements)
             for cls in self.conjugacy_classes()
         ]
-        seen = {frozenset({0})}
-        frontier = [frozenset({0})]
+        trivial = frozenset({0})
+        gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+        frontier = [trivial]
         while frontier:
             nxt = []
             for s in frontier:
+                base = gens[s]
+                tried = set(s)
                 for cs in class_sets:
-                    if cs <= s:
+                    if cs[0] in tried:
                         continue
-                    c = self._closure(s | cs)
-                    if c not in seen:
-                        seen.add(c)
+                    tried.update(mul[h][x] for h in s for x in cs)
+                    c = self._closure(base + cs)
+                    if c not in gens:
+                        gens[c] = self._minimal_generators(c)
                         nxt.append(c)
             frontier = nxt
-        subs = []
-        for s in sorted(seen, key=lambda s: (len(s), sorted(s))):
-            bare = Subgroup(parent=self, indices=s, generators=())
-            subs.append(
-                Subgroup(parent=self, indices=s, generators=self.minimal_generators(bare))
+        return tuple(
+            Subgroup(
+                parent=self,
+                indices=s,
+                generators=tuple(self.elements[x] for x in gens[s]),
             )
-        return tuple(subs)
+            for s in sorted(gens, key=lambda s: (len(s), sorted(s)))
+        )
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:

@@ -1,3 +1,4 @@
+import random
 from importlib import resources
 
 import pytest
@@ -184,6 +185,12 @@ def test_unexpected_character():
     fails_with("group g ? {}", "unexpected character '?'")
 
 
+@pytest.mark.parametrize("digit", ["²", "٤"], ids=["superscript-two", "arabic-indic-four"])
+def test_non_ascii_digits_rejected(digit):
+    text = packaged_text().replace("normal rank 4", f"normal rank {digit}")
+    fails_with(text, "unexpected character")
+
+
 def test_truncated_input():
     fails_with("group g {", "found end of input")
 
@@ -209,3 +216,39 @@ def test_fragment_rejects_empty_and_trailing():
         parse_word_list_fragment("", G32_27_SPEC)
     with pytest.raises(ParseError):
         parse_word_list_fragment("g2] [g3", G32_27_SPEC)
+
+
+# -- fuzzing ------------------------------------------------------------
+
+FUZZ_ALPHABET = "{}[]()|;,=*#\n 01289abgqnT_-²٤é"
+
+
+def mutate(rng, text):
+    """Delete, insert, replace or duplicate one stretch of characters."""
+    i = rng.randrange(len(text))
+    j = min(len(text), i + rng.choice((1, 1, 1, 2, 5, 20)))
+    op = rng.randrange(4)
+    if op == 0:
+        return text[:i] + text[j:]
+    if op == 1:
+        return text[:i] + rng.choice(FUZZ_ALPHABET) + text[i:]
+    if op == 2:
+        return text[:i] + rng.choice(FUZZ_ALPHABET) * (j - i) + text[j:]
+    return text[:j] + text[i:j] + text[j:]
+
+
+def test_mutated_models_fail_only_with_positions():
+    rng = random.Random("alg-fuzz")
+    original = packaged_text()
+    rejected = 0
+    for _ in range(1000):  # 1 to 3 edits each, about 2000 in all
+        text = original
+        for _ in range(rng.randrange(1, 4)):
+            text = mutate(rng, text)
+        try:
+            parse_model(text)
+        except ParseError as exc:
+            rejected += 1
+            assert isinstance(exc.line, int) and exc.line >= 1
+            assert isinstance(exc.col, int) and exc.col >= 1
+    assert rejected > 800

@@ -1,3 +1,7 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from qslab.builtin import G32_27_SPEC, SUBGROUP_WORDS, build_g32_27, named_subgroup
@@ -5,12 +9,53 @@ from qslab.groups import (
     GroupSpec,
     GroupSpecError,
     GroupTooLargeError,
+    _mat_apply,
+    _mat_mul,
     build_group,
 )
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def words(text):
     return () if text == "1" else tuple(text.split("*"))
+
+
+def order_64_member():
+    """N rank 5, Q rank 1, action I + E_{1,0}, basis elements named n1..n5, q1."""
+    action = tuple(
+        tuple(int(i == j or (i, j) == (1, 0)) for j in range(5)) for i in range(5)
+    )
+    names = tuple(
+        (f"n{i + 1}", (tuple(int(t == i) for t in range(5)), (0,))) for i in range(5)
+    ) + (("q1", ((0,) * 5, (1,))),)
+    return build_group(GroupSpec(5, 1, (action,), names))
+
+
+def conjugated_member():
+    """N rank 4, Q rank 1: the action I + E_{1,0} after a basis change.
+
+    Unlike the other test groups, its action is not triangular in the
+    index bits, so an element's square need not have a smaller index.
+    """
+    basis = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
+    basis_inv = ((1, 1, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1))
+    action = tuple(
+        tuple(int(i == j or (i, j) == (1, 0)) for j in range(4)) for i in range(4)
+    )
+    action = _mat_mul(_mat_mul(basis, action), basis_inv)
+    return build_group(GroupSpec(4, 1, (action,), ()))
+
+
+def squaring_closure(group, seed):
+    """Reference closure: multiply the set by itself until it is stable."""
+    s = {0} | set(seed)
+    while True:
+        new = {group._mul[a][b] for a in s for b in s}
+        if new <= s:
+            return frozenset(s)
+        s |= new
 
 
 # -- spec validation ----------------------------------------------------
@@ -168,6 +213,19 @@ def test_foreign_elements_rejected(g32):
     assert g32.index(twin.generator("g2")) == 16
 
 
+@pytest.mark.parametrize("build", [build_g32_27, order_64_member])
+def test_multiplication_table_matches_tuple_formula(build):
+    group = build()
+    coords, index = group._coords, group._index
+    for a, (n1, q1) in enumerate(coords):
+        image = group._phi_by_q[q1]
+        for b, (n2, q2) in enumerate(coords):
+            n3 = tuple(x ^ y for x, y in zip(n1, _mat_apply(image, n2)))
+            q3 = tuple(x ^ y for x, y in zip(q1, q2))
+            assert group._mul[a][b] == index[(n3, q3)]
+        assert group._inv[a] == index[(_mat_apply(image, n1), q1)]
+
+
 # -- conjugacy classes --------------------------------------------------
 
 
@@ -250,6 +308,59 @@ def test_minimal_generators(g32):
     assert g32.subgroup_closure(gens).order == 32
 
 
+@pytest.mark.parametrize("build", [build_g32_27, order_64_member])
+def test_closure_matches_squaring_oracle(build):
+    group = build()
+    rng = random.Random(f"closure:{group.order}")
+    for _ in range(200):
+        seed = rng.sample(range(group.order), rng.randrange(0, 5))
+        assert group._closure(seed) == squaring_closure(group, seed)
+
+
+@pytest.mark.parametrize("build", [build_g32_27, conjugated_member])
+def test_lattices_match_reference_walks(build):
+    # the same breadth-first walks, closing whole sets by squaring
+    group = build()
+    witness = {frozenset({0}): ()}
+    frontier = [frozenset({0})]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for x in range(1, group.order):
+                c = squaring_closure(group, s | {x})
+                if c not in witness:
+                    witness[c] = witness[s] + (x,)
+                    nxt.append(c)
+        frontier = nxt
+    subs = group.enumerate_subgroups()
+    assert {s.indices: tuple(group.index(g) for g in s.generators) for s in subs} == witness
+    classes = [{group.index(x) for x in cls.elements} for cls in group.conjugacy_classes()]
+    normal = {frozenset({0})}
+    frontier = [frozenset({0})]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for cs in classes:
+                c = squaring_closure(group, s | cs)
+                if c not in normal:
+                    normal.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    normals = group.enumerate_normal_subgroups()
+    assert {s.indices for s in normals} == normal
+    for s in normals:
+        assert squaring_closure(group, map(group.index, s.generators)) == s.indices
+
+
+def test_frattini_is_generated_by_squares(g32):
+    mul, inv = g32._mul, g32._inv
+    for sub in g32.enumerate_subgroups():
+        hidx = sorted(sub.indices)
+        squares = {mul[x][x] for x in hidx}
+        commutators = {mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in hidx for b in hidx}
+        assert g32._closure(squares) == squaring_closure(g32, squares | commutators)
+
+
 def test_enumerate_normal_subgroups(g32):
     normals = g32.enumerate_normal_subgroups()
     assert len(normals) == 26
@@ -304,3 +415,27 @@ def test_plain_elementary_abelian():
     assert g.exponent() == 2
     assert len(g.conjugacy_classes()) == 4
     assert len(g.enumerate_subgroups()) == 5
+
+
+# -- lattice goldens ----------------------------------------------------
+
+
+def lattice_lines(group):
+    """One JSON line per subgroup: lattice, sorted indices, witness words."""
+    lines = []
+    for kind, subs in (
+        ("subgroups", group.enumerate_subgroups()),
+        ("normal", group.enumerate_normal_subgroups()),
+    ):
+        for s in subs:
+            record = [kind, sorted(s.indices), [g.word() for g in s.generators]]
+            lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "name, build", [("g32_27", build_g32_27), ("n5q1", order_64_member)]
+)
+def test_lattice_matches_golden(name, build):
+    golden = (GOLDEN / f"lattice_{name}.jsonl").read_bytes()
+    assert lattice_lines(build()).encode() == golden
