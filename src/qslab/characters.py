@@ -370,17 +370,27 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
 def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
     """Multiplicities of ``f`` against the irreducible rows.
 
-    Raises if any multiplicity is not a rational integer, which means
-    ``f`` is not a virtual character.
+    Each multiplicity is the integer sum over classes of |K| f(K) chi(K),
+    divided exactly by |G| (conjugation fixes rational integers).  Raises
+    if a value of ``f`` or of the table is not a rational integer, or if a
+    sum is not divisible by |G|, which means ``f`` is not a virtual
+    character.
     """
+    group = table.group
+    f._check_same_group(table.rows[0])
+    weighted = [
+        cls.size * v.as_integer() for cls, v in zip(group.conjugacy_classes(), f.values)
+    ]
     mults = []
     for row in table.rows:
-        m = inner_product(f, row)
-        if not m.is_integer():
+        total = sum(w * v.as_integer() for w, v in zip(weighted, row.values))
+        m, rem = divmod(total, group.order)
+        if rem:
             raise ValueError(
-                f"multiplicity {m} against degree-{row.at_identity()} row is not integral"
+                f"multiplicity {Fraction(total, group.order)} against "
+                f"degree-{row.at_identity()} row is not integral"
             )
-        mults.append(m.as_integer())
+        mults.append(m)
     return tuple(mults)
 
 

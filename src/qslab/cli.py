@@ -205,9 +205,8 @@ def _table_layout(table: CharacterTable):
     return tuple(range(len(table.rows))), tuple(range(k)), False
 
 
-def _row_labels(table: CharacterTable) -> dict[int, str]:
+def _row_labels(row_perm: tuple[int, ...]) -> dict[int, str]:
     """Map canonical row index to its display label (chi1, chi2, ...)."""
-    row_perm, _, _ = _table_layout(table)
     return {canonical: f"chi{i + 1}" for i, canonical in enumerate(row_perm)}
 
 
@@ -481,7 +480,7 @@ def _cmd_canonical(model, args):
     table = _table_for(group, args.cache_dir)
     canonical = canonical_character(system, table)
     row_perm, col_perm, published = _table_layout(table)
-    labels = _row_labels(table)
+    labels = _row_labels(row_perm)
     mults = decompose(canonical, table)
     terms = []
     for r in row_perm:
@@ -607,8 +606,8 @@ def _cmd_search(model, args):
     canonical_first = canonical_character(first, table)
     canonical_second = canonical_character(second, table)
     report = search_all_pairs(table, canonical_first, canonical_second)
-    labels = _row_labels(table)
     row_perm, _, _ = _table_layout(table)
+    labels = _row_labels(row_perm)
     position = {r: i for i, r in enumerate(row_perm)}
 
     def ordered(indices):

@@ -6,6 +6,10 @@ projective line branched over one point per entry, with cyclic local
 monodromy generated by that entry.  Everything downstream (fixed point
 counts, quotient genera, fiber orbit shapes, the canonical-bundle
 character) is derived from that combinatorial datum alone.
+
+Fixed points, coset actions and fiber orbits are walked on element
+indices through the group's multiplication and inverse tables; subgroups
+enter as their index sets.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ class IdentityFixedPoints(ValueError):
 class SphericalSystem:
     group: FiniteGroup = field(repr=False)
     entries: tuple[GroupElement, ...]
-    # Derived data, computed once per system: cyclic entry subgroups with
-    # their right transversals, and the fixed point table.
+    # Derived data, computed once per system: entry indices, cyclic entry
+    # subgroups, their index sets with index right transversals, the fixed
+    # point table and, per table, the canonical character and its integer
+    # values.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -109,6 +115,13 @@ def curve_genus(system: SphericalSystem) -> int:
     return genus_from_type(system.group.order, system.signature)
 
 
+def _entry_indices(system: SphericalSystem) -> tuple[int, ...]:
+    memo = system._memo
+    if "entry_indices" not in memo:
+        memo["entry_indices"] = tuple(system.group.index(t) for t in system.entries)
+    return memo["entry_indices"]
+
+
 def _cyclic_entries(system: SphericalSystem) -> tuple[Subgroup, ...]:
     memo = system._memo
     if "cyclic" not in memo:
@@ -119,12 +132,14 @@ def _cyclic_entries(system: SphericalSystem) -> tuple[Subgroup, ...]:
 
 def _cyclic_transversals(
     system: SphericalSystem,
-) -> tuple[tuple[Subgroup, tuple[GroupElement, ...]], ...]:
+) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
+    """(index set, index right transversal) of each cyclic entry subgroup."""
     memo = system._memo
     if "transversals" not in memo:
         group = system.group
         memo["transversals"] = tuple(
-            (sub, group.right_transversal(sub)) for sub in _cyclic_entries(system)
+            (sub.indices, tuple(group.index(t) for t in group.right_transversal(sub)))
+            for sub in _cyclic_entries(system)
         )
     return memo["transversals"]
 
@@ -133,15 +148,18 @@ def fixed_point_count(system: SphericalSystem, g: GroupElement) -> int:
     """Fixed points of g on the covering curve, for nontrivial g.
 
     Counts pairs (entry i, right coset <t_i>t) with g in t^-1 <t_i> t,
-    walking a right transversal of each cyclic entry subgroup.
+    walking a right transversal of each cyclic entry subgroup; the
+    conjugate t g t^-1 is read from the index tables.
     """
     group = system.group
     if g.is_identity():
         raise IdentityFixedPoints("the identity fixes the whole curve")
+    gi = group.index(g)
+    mul, inv = group._mul, group._inv
     count = 0
-    for sub, transversal in _cyclic_transversals(system):
+    for members, transversal in _cyclic_transversals(system):
         for t in transversal:
-            if t * g * t.inverse() in sub:
+            if mul[mul[t][gi]][inv[t]] in members:
                 count += 1
     return count
 
@@ -151,13 +169,18 @@ def fixed_point_count_by_membership(system: SphericalSystem, g: GroupElement) ->
 
     The membership predicate is constant on each right coset <t_i>x, so
     dividing the whole-group count by the subgroup order counts cosets.
+    The conjugates x g x^-1 of g are listed once, over every element index.
     """
     group = system.group
     if g.is_identity():
         raise IdentityFixedPoints("the identity fixes the whole curve")
+    gi = group.index(g)
+    mul, inv = group._mul, group._inv
+    conjugates = [mul[mul[x][gi]][inv[x]] for x in range(group.order)]
     count = 0
     for sub in _cyclic_entries(system):
-        hits = sum(1 for x in group.elements if x * g * x.inverse() in sub)
+        members = sub.indices
+        hits = sum(1 for c in conjugates if c in members)
         if hits % sub.order:
             raise RuntimeError("conjugation count not constant on cosets")
         count += hits // sub.order
@@ -240,13 +263,23 @@ def covering_curve(system: SphericalSystem, table: CharacterTable) -> CoveringCu
 
 
 def _coset_action(group: FiniteGroup, sub: Subgroup):
-    """Right-coset labels for H\\G and the right-multiplication action."""
-    transversal = group.right_transversal(sub)
-    coset_of = [0] * group.order
-    for label, t in enumerate(transversal):
-        for h in sub.elements:
-            coset_of[group.index(h * t)] = label
-    reps = [group.index(t) for t in transversal]
+    """Right-coset labels for H\\G: (representative indices, label of each index).
+
+    Cosets are labelled in the order of their smallest element index, so
+    the identity coset is label 0; each representative is that smallest
+    index.  Right multiplication by g sends label c to
+    coset_of[mul[reps[c]][g]].
+    """
+    mul = group._mul
+    members = sub.indices
+    coset_of = [-1] * group.order
+    reps = []
+    for e in range(group.order):
+        if coset_of[e] < 0:
+            label = len(reps)
+            reps.append(e)
+            for h in members:
+                coset_of[mul[h][e]] = label
     return reps, coset_of
 
 
@@ -254,26 +287,28 @@ def quotient_genus(system: SphericalSystem, sub: Subgroup) -> int:
     """Genus of the quotient of the covering curve by a subgroup.
 
     2g - 2 = -2[G:H] + sum over entries and orbits O of <t_i> on H\\G of
-    (|O| - 1); each orbit of length L contributes L - 1.
+    (|O| - 1); the orbits of one entry contribute [G:H] minus their number.
+    Each entry permutes the coset labels, and its cycles are walked.
     """
     group = system.group
     group._check_subgroup(sub)
     reps, coset_of = _coset_action(group, sub)
     index = len(reps)
+    mul = group._mul
     correction = 0
-    for t in system.entries:
-        ti = group.index(t)
+    for ti in _entry_indices(system):
+        step = [coset_of[mul[r][ti]] for r in reps]
         seen = [False] * index
+        orbits = 0
         for start in range(index):
             if seen[start]:
                 continue
-            length = 0
+            orbits += 1
             label = start
             while not seen[label]:
                 seen[label] = True
-                length += 1
-                label = coset_of[group._mul[reps[label]][ti]]
-            correction += length - 1
+                label = step[label]
+        correction += index - orbits
     rhs = -2 * index + correction
     if rhs % 2:
         raise RuntimeError(f"quotient Riemann-Hurwitz value {rhs} is odd")
@@ -288,8 +323,13 @@ def quotient_genus_by_character(
 ) -> int:
     """Independent route: average the canonical character over the subgroup."""
     group = system.group
-    values = [v.as_integer() for v in canonical_character(system, table).values]
-    total = sum(values[group.class_index_of(h)] for h in sub.elements)
+    canonical = canonical_character(system, table)
+    key = ("canonical_integers", table)
+    if key not in system._memo:
+        system._memo[key] = tuple(v.as_integer() for v in canonical.values)
+    values = system._memo[key]
+    class_of = group._class_of
+    total = sum(values[class_of[h]] for h in sub.indices)
     genus, rem = divmod(total, sub.order)
     if rem or genus < 0:
         raise RuntimeError(
@@ -318,6 +358,7 @@ def fiber_orbit_structure(
 
     Fiber points are right cosets <t_i>x; the subgroup acts by right
     multiplication and the stabilizer of <t_i>x is H meet x^-1 <t_i> x.
+    Orbits and stabilizers are walked on element indices.
     """
     group = system.group
     group._check_subgroup(sub)
@@ -327,7 +368,8 @@ def fiber_orbit_structure(
         )
     cyclic = _cyclic_entries(system)[branch_index - 1]
     reps, coset_of = _coset_action(group, cyclic)
-    hidx = [group.index(h) for h in sub.elements]
+    mul, inv = group._mul, group._inv
+    hidx, members = sub.indices, cyclic.indices
     seen = [False] * len(reps)
     orbits = []
     for start in range(len(reps)):
@@ -339,16 +381,12 @@ def fiber_orbit_structure(
             label = frontier.pop()
             seen[label] = True
             for h in hidx:
-                nxt = coset_of[group._mul[reps[label]][h]]
+                nxt = coset_of[mul[reps[label]][h]]
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
-        x = group.elements[reps[start]]
-        stab = sum(
-            1
-            for h in sub.elements
-            if x * h * x.inverse() in cyclic
-        )
+        x = reps[start]
+        stab = sum(1 for h in hidx if mul[mul[x][h]][inv[x]] in members)
         if len(orbit) * stab != sub.order:
             raise RuntimeError("orbit-stabilizer mismatch on a branch fiber")
         orbits.append((len(orbit), stab))

@@ -310,6 +310,16 @@ def test_decompose_rejects_non_characters(g32, table):
         decompose(delta, table)
 
 
+@pytest.mark.parametrize("value", [ExactScalar(Fraction(1, 2)), I], ids=["half", "i"])
+def test_decompose_rejects_non_integer_values(g32, table, value):
+    # a row with one value replaced: the multiplicities are integer sums,
+    # so a value outside Z is refused before any division
+    values = list(table.rows[3].values)
+    values[-1] = value
+    with pytest.raises(ValueError, match="is not a rational integer"):
+        decompose(ClassFunction(g32, tuple(values)), table)
+
+
 # -- reference fixture and alignment ------------------------------------
 
 

@@ -281,6 +281,33 @@ def test_search_matches_golden(capsys, fmt, suffix):
     assert out.encode() == (GOLDEN / f"search.{suffix}").read_bytes()
 
 
+GOLDEN_COMMANDS = [
+    ("verify-paper", ("verify-paper",)),
+    ("canonical.T1", ("canonical", "--structure", "T1")),
+    ("canonical.T2", ("canonical", "--structure", "T2")),
+    ("fixed-points.T2", ("fixed-points", "--structure", "T2")),
+    ("quotient-genus.T1.H", ("quotient-genus", "--structure", "T1", "--subgroup", "H")),
+    (
+        "fiber-orbits.T2.H1.b4",
+        ("fiber-orbits", "--structure", "T2", "--subgroup", "H1", "--branch", "4"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        pytest.param(argv + ("--format", fmt), f"{name}.{suffix}", id=f"{name}.{suffix}")
+        for name, argv in GOLDEN_COMMANDS
+        for fmt, suffix in (("text", "txt"), ("json", "json"), ("md", "md"))
+    ],
+)
+def test_command_matches_golden(capsys, argv, golden):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 # -- cache --------------------------------------------------------------
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from qslab import ramification
 from qslab.builtin import T1_WORDS, T2_WORDS, named_subgroup
-from qslab.characters import ExactScalar, decompose
-from qslab.groups import FiniteGroup, GroupSpec, build_group
+from qslab.characters import ExactScalar, compute_character_table, decompose
+from qslab.groups import FiniteGroup, GroupSpec, _mat_identity, _mat_mul, build_group
 from qslab.ramification import (
     IdentityFixedPoints,
     SphericalSystemError,
@@ -345,3 +345,104 @@ def test_fiber_branch_bounds(g32, t1):
         fiber_orbit_structure(t1, 0, h)
     with pytest.raises(ValueError, match="out of range"):
         fiber_orbit_structure(t1, 5, h)
+
+
+# -- an order-64 member off the bundled model ---------------------------
+
+
+def order_64_member(shape):
+    """An order-64 member of the family off the bundled model.
+
+    "plain": N rank 5, Q rank 1, action I + E_{1,0}.  "conjugated": the same
+    action after the basis change B (ones on the diagonal and the first
+    superdiagonal), so the action is not triangular in the index bits.
+    "class-3": N rank 4, Q rank 2, actions I + E_{2,0} + E_{3,1} and
+    I + E_{1,0} + E_{3,2}; the product of their deviations is E_{3,0}, so
+    not every square is central and x^-1 C x can differ from x C x^-1.
+    """
+
+    def unit_plus(k, cells):
+        return tuple(
+            tuple(int(i == j or (i, j) in cells) for j in range(k)) for i in range(k)
+        )
+
+    if shape == "class-3":
+        actions = (unit_plus(4, {(2, 0), (3, 1)}), unit_plus(4, {(1, 0), (3, 2)}))
+        return build_group(GroupSpec(4, 2, actions, ()))
+    action = unit_plus(5, {(1, 0)})
+    if shape == "conjugated":
+        basis = tuple(tuple(int(j in (i, i + 1)) for j in range(5)) for i in range(5))
+        basis_inv = tuple(tuple(int(j >= i) for j in range(5)) for i in range(5))
+        assert _mat_mul(basis, basis_inv) == _mat_identity(5)
+        action = _mat_mul(_mat_mul(basis, action), basis_inv)
+    return build_group(GroupSpec(5, 1, (action,), ()))
+
+
+def fiber_orbits_oracle(system, branch_index, sub):
+    """(fiber size, sorted (orbit size, stabilizer order)) on coset objects.
+
+    Fiber points are the right cosets <t>x as sets of group elements; H
+    acts by right multiplication, and a stabilizer is counted directly as
+    the elements of H mapping the coset onto itself.
+    """
+    group = system.group
+    cyclic = group.subgroup_closure([system.entries[branch_index - 1]]).elements
+    points = {frozenset(c * x for c in cyclic) for x in group.elements}
+    hs = sub.elements
+
+    def act(point, h):
+        return frozenset(y * h for y in point)
+
+    orbits = []
+    remaining = set(points)
+    while remaining:
+        start = remaining.pop()
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            point = frontier.pop()
+            for h in hs:
+                image = act(point, h)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        remaining -= orbit
+        stab = sum(1 for h in hs if act(start, h) == start)
+        orbits.append((len(orbit), stab))
+    return len(points), tuple(sorted(orbits))
+
+
+@pytest.mark.parametrize("shape", ["plain", "conjugated", "class-3"])
+def test_routes_agree_on_order_64_member(shape):
+    group = order_64_member(shape)
+    assert group.order == 64
+    mul, elements = group._mul, range(group.order)
+    assert any(mul[x][x] > x for x in elements) == (shape == "conjugated")
+    squares = {mul[x][x] for x in elements}
+    central = all(mul[s][y] == mul[y][s] for s in squares for y in elements)
+    assert central == (shape != "class-3")
+    basis = group.basis_generators()
+    closing = group.identity()
+    for g in basis:
+        closing = closing * g
+    system = validate_spherical(group, basis + (closing.inverse(),))
+
+    fixed = fixed_point_table(system)
+    for g in group.elements[1:]:
+        fix = fixed_point_count(system, g)
+        assert fix == fixed_point_count_by_membership(system, g)
+        assert fix == fixed[group.class_index_of(g)]
+
+    table = compute_character_table(group)
+    subgroups = group.enumerate_subgroups()
+    for sub in subgroups:
+        assert quotient_genus(system, sub) == quotient_genus_by_character(
+            system, sub, table
+        )
+
+    for sub in subgroups[:: len(subgroups) // 32] + (subgroups[-1],):
+        for branch in range(1, len(system.entries) + 1):
+            fiber = fiber_orbit_structure(system, branch, sub)
+            assert (fiber.fiber_size, fiber.orbits) == fiber_orbits_oracle(
+                system, branch, sub
+            )
