@@ -272,16 +272,16 @@ def test_single_structure_search_exits_2(capsys):
 # -- golden output -----------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json"), ("md", "md")])
-def test_search_matches_golden(capsys, fmt, suffix):
-    code, out, err = run(capsys, "search", "--format", fmt)
-    assert code == 0 and err == ""
-    assert out.encode() == (GOLDEN / f"search.{suffix}").read_bytes()
-
+# An order-64 model outside the bundled data, printed in canonical order.
+N5Q1 = ("n5q1", "--input", str(GOLDEN / "n5q1.alg"))
 
 GOLDEN_COMMANDS = [
+    ("info", ("info",)),
+    ("classes", ("classes",)),
+    ("chartable", ("chartable",)),
+    ("sigma.T1", ("sigma", "--structure", "T1")),
+    ("disjoint.T1.T2", ("disjoint", "--structure", "T1", "--structure", "T2")),
+    ("search", ("search",)),
     ("verify-paper", ("verify-paper",)),
     ("canonical.T1", ("canonical", "--structure", "T1")),
     ("canonical.T2", ("canonical", "--structure", "T2")),
@@ -291,6 +291,9 @@ GOLDEN_COMMANDS = [
         "fiber-orbits.T2.H1.b4",
         ("fiber-orbits", "--structure", "T2", "--subgroup", "H1", "--branch", "4"),
     ),
+    ("n5q1.info", ("info",) + N5Q1),
+    ("n5q1.classes", ("classes",) + N5Q1),
+    ("n5q1.chartable", ("chartable",) + N5Q1),
 ]
 
 
@@ -306,6 +309,62 @@ def test_command_matches_golden(capsys, argv, golden):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+# Usage and input errors: exit 2, nothing on stdout, one line on stderr.
+# "{golden}" and "{tmp}" in an argument stand for the golden directory and
+# a scratch directory holding broken.alg (a parse error) and binary.alg
+# (bytes that are not UTF-8).
+ERROR_CASES = [
+    ("unknown-group", ("info", "nosuch"),
+     "unknown group 'nosuch'; input declares: g32_27"),
+    ("several-groups", ("info", "--input", "{golden}/n5q1.alg"),
+     "input declares several groups; name one of: n5q1, c2"),
+    ("unknown-structure", ("sigma", "--structure", "T9"),
+     "unknown structure 'T9'; declared: T1, T2"),
+    ("structure-on-other-group",
+     ("sigma", "n5q1", "--input", "{golden}/n5q1.alg", "--structure", "C"),
+     "structure C is declared on group c2"),
+    ("non-generating-structure",
+     ("sigma", "n5q1", "--input", "{golden}/n5q1.alg", "--structure", "S"),
+     "structure S: non-generating: entries span a proper subgroup"),
+    ("sigma-two-structures", ("sigma", "--structure", "T1", "--structure", "T2"),
+     "sigma needs exactly 1 --structure structure, got 2"),
+    ("disjoint-one-structure", ("disjoint", "--structure", "T1"),
+     "disjoint needs exactly 2 --structure structures, got 1"),
+    ("search-one-structure", ("search", "--structure", "T1"),
+     "search needs exactly 2 structures (via --structure twice, or a model "
+     "declaring exactly two); got 1"),
+    ("subgroup-unknown-generator",
+     ("quotient-genus", "--structure", "T1", "--subgroup", "g2, zz"),
+     "--subgroup 'g2, zz': line 1, col 6: unknown generator 'zz'"),
+    ("subgroup-unknown-first", ("quotient-genus", "--structure", "T1", "--subgroup", "zz"),
+     "--subgroup 'zz': line 1, col 2: unknown generator 'zz'"),
+    ("subgroup-empty", ("quotient-genus", "--structure", "T1", "--subgroup", ""),
+     "--subgroup '': line 1, col 2: expected generator name, found ']'"),
+    ("branch-0",
+     ("fiber-orbits", "--structure", "T1", "--subgroup", "H", "--branch", "0"),
+     "--branch 0: branch index 0 out of range 1..4"),
+    ("branch-9",
+     ("fiber-orbits", "--structure", "T1", "--subgroup", "H", "--branch", "9"),
+     "--branch 9: branch index 9 out of range 1..4"),
+    ("missing-input", ("info", "--input", "{tmp}/nope.alg"),
+     "cannot read {tmp}/nope.alg: No such file or directory"),
+    ("parse-error", ("info", "--input", "{tmp}/broken.alg"),
+     "{tmp}/broken.alg: line 1, col 14: expected '{{', found 'on'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", [pytest.param(a, m, id=i) for i, a, m in ERROR_CASES]
+)
+def test_error_exits_2(capsys, tmp_path, argv, message):
+    (tmp_path / "broken.alg").write_text("group broken on")
+    (tmp_path / "binary.alg").write_bytes(b"\xff\xfe")
+    paths = {"golden": str(GOLDEN), "tmp": str(tmp_path)}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"qslab: error: {message.format(**paths)}\n"
 
 
 # -- cache --------------------------------------------------------------
