@@ -23,11 +23,9 @@ from .groups import (
     build_group,
 )
 from .ramification import (
-    CoveringCurve,
     SphericalSystem,
     SphericalSystemError,
     canonical_character,
-    covering_curve,
     curve_genus,
     fiber_orbit_structure,
     fixed_point_count,
@@ -44,7 +42,6 @@ __all__ = [
     "CharacterTableError",
     "ClassFunction",
     "ConjugacyClass",
-    "CoveringCurve",
     "ExactScalar",
     "FiniteGroup",
     "GroupElement",
@@ -59,7 +56,6 @@ __all__ = [
     "build_group",
     "canonical_character",
     "compute_character_table",
-    "covering_curve",
     "curve_genus",
     "decompose",
     "fiber_orbit_structure",
@@ -75,4 +71,4 @@ __all__ = [
     "verify_paper",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -324,12 +324,16 @@ class _Parser:
 
     def parse_word_list(self, spec: GroupSpec) -> tuple[tuple[str, ...], ...]:
         self.expect_punct("[")
+        words = self.parse_words(spec)
+        self.expect_punct("]")
+        return words
+
+    def parse_words(self, spec: GroupSpec) -> tuple[tuple[str, ...], ...]:
         known = {name for name, _ in spec.generator_names}
         words = [self.parse_word(known)]
         while self.peek().kind == "punct" and self.peek().text == ",":
             self.advance()
             words.append(self.parse_word(known))
-        self.expect_punct("]")
         return tuple(words)
 
     def parse_word(self, known: set[str]) -> tuple[str, ...]:
@@ -353,9 +357,12 @@ def parse_model(text: str) -> SessionModel:
 
 
 def parse_word_list_fragment(text: str, spec: GroupSpec) -> tuple[tuple[str, ...], ...]:
-    """Parse a bare comma-separated word list, e.g. a --subgroup argument."""
-    parser = _Parser(f"[{text}]")
-    words = parser.parse_word_list(spec)
+    """Parse a bare comma-separated word list, e.g. a --subgroup argument.
+
+    Error columns count from 1 at the first character of ``text``.
+    """
+    parser = _Parser(text)
+    words = parser.parse_words(spec)
     if parser.peek().kind != "eof":
         parser.fail(f"unexpected trailing input {parser.peek().text!r}")
     return words

@@ -8,7 +8,9 @@ by checking both orthogonality relations as exact integer identities.
 
 Values are still held as Gaussian rationals (``ExactScalar``) so that
 class functions, fixtures and caches share one scalar type; a table
-passes certification only if every value is a Gaussian integer.
+passes certification only if every value is a Gaussian integer.  Every
+consumer reads the values as rational integers (``as_integer``), so
+scalars carry no arithmetic beyond multiplication.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from importlib import resources
 from itertools import product
 from operator import mul
 from pathlib import Path
-from typing import Sequence
 
-from .groups import BitVector, FiniteGroup, GroupElement, _mat_apply
+from .groups import BitVector, FiniteGroup, _mat_apply
 
 REFERENCE_FORMAT = "qslab-chartable-ref/1"
 CACHE_FORMAT = "qslab-chartable-cache/1"
@@ -61,45 +62,11 @@ class ExactScalar:
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
-    def __add__(self, other: "ExactScalar | Fraction | int") -> "ExactScalar":
-        o = _coerce(other)
-        return ExactScalar(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "ExactScalar | Fraction | int") -> "ExactScalar":
-        o = _coerce(other)
-        return ExactScalar(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: "ExactScalar | Fraction | int") -> "ExactScalar":
-        return _coerce(other) - self
-
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.re, -self.im)
-
     def __mul__(self, other: "ExactScalar | Fraction | int") -> "ExactScalar":
         o = _coerce(other)
         return ExactScalar(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "ExactScalar | Fraction | int") -> "ExactScalar":
-        o = _coerce(other)
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero ExactScalar")
-        return ExactScalar(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
-
-    def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def is_real(self) -> bool:
         return self.im == 0
@@ -111,9 +78,6 @@ class ExactScalar:
         if not self.is_integer():
             raise ValueError(f"{self} is not a rational integer")
         return self.re.numerator
-
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.re, self.im)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -168,9 +132,9 @@ ONE = ExactScalar(Fraction(1))
 class ClassFunction:
     """A function constant on conjugacy classes, in canonical class order.
 
-    Arithmetic is pointwise, so products of characters are characters of
-    tensor products and integer combinations stay inside the ring of
-    virtual characters.
+    The only arithmetic is scaling by an exact scalar.  Sums and products
+    of characters are taken on their integer values (``as_integer``);
+    ``inner_product`` works on the real and imaginary parts.
     """
 
     group: FiniteGroup = field(repr=False)
@@ -195,38 +159,9 @@ class ClassFunction:
         if self.group is not other.group and self.group.spec != other.group.spec:
             raise ValueError("class functions on different groups")
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check_same_group(other)
-        return ClassFunction(
-            self.group, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check_same_group(other)
-        return ClassFunction(
-            self.group, tuple(a - b for a, b in zip(self.values, other.values))
-        )
-
-    def __mul__(self, other: "ClassFunction | ExactScalar | Fraction | int"):
-        if isinstance(other, ClassFunction):
-            self._check_same_group(other)
-            return ClassFunction(
-                self.group, tuple(a * b for a, b in zip(self.values, other.values))
-            )
+    def __mul__(self, other: "ExactScalar | Fraction | int") -> "ClassFunction":
         c = _coerce(other)
         return ClassFunction(self.group, tuple(a * c for a in self.values))
-
-    def __rmul__(self, other: "ExactScalar | Fraction | int") -> "ClassFunction":
-        return self * other
-
-    def __neg__(self) -> "ClassFunction":
-        return self * -1
-
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(v.conjugate() for v in self.values))
-
-    def value_at(self, g: GroupElement) -> ExactScalar:
-        return self.values[self.group.class_index_of(g)]
 
     def at_identity(self) -> ExactScalar:
         return self.values[0]
@@ -238,10 +173,12 @@ class ClassFunction:
 def inner_product(f: ClassFunction, h: ClassFunction) -> ExactScalar:
     """<f, h> = (1/|G|) sum over classes of |K| f(K) conj(h(K))."""
     f._check_same_group(h)
-    total = ZERO
+    re = im = 0
     for cls, a, b in zip(f.group.conjugacy_classes(), f.values, h.values):
-        total = total + a * b.conjugate() * cls.size
-    return total / f.group.order
+        # a * conj(b) = (a.re b.re + a.im b.im) + (a.im b.re - a.re b.im) i
+        re += cls.size * (a.re * b.re + a.im * b.im)
+        im += cls.size * (a.im * b.re - a.re * b.im)
+    return ExactScalar(Fraction(re, f.group.order), Fraction(im, f.group.order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,15 +329,6 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
             )
         mults.append(m)
     return tuple(mults)
-
-
-def linear_combination(table: CharacterTable, mults: Sequence[int]) -> ClassFunction:
-    if len(mults) != len(table.rows):
-        raise ValueError("one multiplicity per irreducible row required")
-    out = ClassFunction(table.group, tuple(ZERO for _ in table.rows[0].values))
-    for m, row in zip(mults, table.rows):
-        out = out + row * m
-    return out
 
 
 # -- reference fixtures and alignment ----------------------------------

@@ -1,10 +1,10 @@
 """Command line front end.
 
-Every subcommand loads a model file (the packaged one by default),
-resolves a group plus whatever structures and subgroups it needs, and
-prints the requested computation in text, JSON, or Markdown.  All
-numeric output is exact: integers stay integers and Gaussian rationals
-are rendered symbolically, never as floats.
+``main`` loads a model file (the packaged one by default) and resolves
+the group and the subcommand's declared number of structures once; the
+subcommand resolves any subgroup and prints the requested computation in
+text, JSON, or Markdown.  All numeric output is exact: integers stay
+integers and Gaussian rationals are rendered symbolically, never as floats.
 
 Exit codes: 0 on success, 1 when ``verify-paper`` finds a mismatch,
 2 for usage errors and unparseable or unresolvable input.
@@ -69,8 +69,8 @@ def _load_model(path: str | None) -> alg.SessionModel:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
         label = path
     try:
         return alg.parse_model(text)
@@ -134,14 +134,17 @@ def _resolve_subgroup(model, group_name, group, text):
     return group.subgroup_closure(group.evaluate_word(w) for w in words), label
 
 
-def _structure_args(args, count):
-    got = args.structure or []
-    if count is not None and len(got) != count:
-        noun = "structure" if count == 1 else "structures"
-        raise CliError(
-            f"{args.command} needs exactly {count} --structure {noun}, got {len(got)}"
-        )
-    return got
+def _resolve_structures(model, group_name, group, args):
+    """(name, system) per --structure; ``search`` defaults to the declared ones."""
+    names, count = args.structure or [], args.structure_count
+    if args.command == "search":
+        names = names or [d.name for d in model.structures_on(group_name)]
+        wanted = "structures (via --structure twice, or a model declaring exactly two);"
+    else:
+        wanted = "--structure structure," if count == 1 else "--structure structures,"
+    if len(names) != count:
+        raise CliError(f"{args.command} needs exactly {count} {wanted} got {len(names)}")
+    return [(name, _resolve_structure(model, group_name, group, name)) for name in names]
 
 
 # -- character table cache ----------------------------------------------
@@ -214,11 +217,33 @@ def _order_note(published: bool) -> str:
     return "published order" if published else "canonical order"
 
 
-# -- subcommands --------------------------------------------------------
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
-def _cmd_info(model, args):
-    group_name, group = _resolve_group(model, args.group)
+# -- Markdown -----------------------------------------------------------
+
+
+def _md(title: str, *blocks: str) -> str:
+    """A level-1 title followed by blocks, separated by blank lines."""
+    return "\n\n".join((f"# {title}",) + blocks)
+
+
+def _bullets(*lines: str) -> str:
+    return "\n".join(f"- {line}" for line in lines)
+
+
+def _md_table(headers, rows) -> str:
+    """A pipe table; an empty header cell prints as ``| |``."""
+    head = ("| " + " | ".join(headers) + " |").replace("|  |", "| |")
+    body = ["| " + " | ".join(map(str, row)) + " |" for row in rows]
+    return "\n".join([head, "|" + " --- |" * len(headers), *body])
+
+
+# -- subcommands: each returns (payload, text, markdown) ----------------
+
+
+def _cmd_info(model, args, group_name, group, structures):
     classes = group.conjugacy_classes()
     center = group.center()
     whole = group.subgroup_closure(group.basis_generators())
@@ -283,13 +308,10 @@ def _cmd_info(model, args):
             f"subgroup {entry['name']}: order {entry['order']}, {normality}, "
             "generated by " + ", ".join(entry["generators"])
         )
-    text = "\n".join(lines)
-    md_lines = [f"# {group_name}", ""] + [f"- {line}" for line in lines]
-    return payload, text, "\n".join(md_lines)
+    return payload, "\n".join(lines), _md(group_name, _bullets(*lines))
 
 
-def _cmd_classes(model, args):
-    group_name, group = _resolve_group(model, args.group)
+def _cmd_classes(model, args, group_name, group, structures):
     classes = group.conjugacy_classes()
     order, published = _column_layout(group)
     rows = []
@@ -313,22 +335,21 @@ def _cmd_classes(model, args):
             f"{r['index']:3d}: rep {r['representative']}, size {r['size']}, "
             f"element order {r['element_order']}; members " + ", ".join(r["members"])
         )
-    md = [
-        f"# Conjugacy classes of {group_name} ({_order_note(published)})",
-        "",
-        "| # | representative | size | element order | members |",
-        "| --- | --- | --- | --- | --- |",
-    ]
-    for r in rows:
-        md.append(
-            f"| {r['index']} | {r['representative']} | {r['size']} "
-            f"| {r['element_order']} | {', '.join(r['members'])} |"
-        )
-    return payload, "\n".join(lines), "\n".join(md)
+    md = _md(
+        f"Conjugacy classes of {group_name} ({_order_note(published)})",
+        _md_table(
+            ["#", "representative", "size", "element order", "members"],
+            [
+                [r["index"], r["representative"], r["size"], r["element_order"],
+                 ", ".join(r["members"])]
+                for r in rows
+            ],
+        ),
+    )
+    return payload, "\n".join(lines), md
 
 
-def _cmd_chartable(model, args):
-    group_name, group = _resolve_group(model, args.group)
+def _cmd_chartable(model, args, group_name, group, structures):
     table = _table_for(group, args.cache_dir)
     row_perm, col_perm, published = _table_layout(table)
     classes = group.conjugacy_classes()
@@ -352,7 +373,8 @@ def _cmd_chartable(model, args):
             for i, r in enumerate(row_perm)
         ],
     }
-    label_w = max(len(r["label"]) for r in payload["rows"])
+    labels = [row["label"] for row in payload["rows"]]
+    label_w = max(map(len, labels))
     widths = [
         max(len(headers[j]), max(len(row[j]) for row in matrix))
         for j in range(len(headers))
@@ -363,27 +385,21 @@ def _cmd_chartable(model, args):
         + "  "
         + "  ".join(h.rjust(widths[j]) for j, h in enumerate(headers))
     )
-    for i, row in enumerate(matrix):
+    for label, row in zip(labels, matrix):
         lines.append(
-            payload["rows"][i]["label"].ljust(label_w)
+            label.ljust(label_w)
             + "  "
             + "  ".join(v.rjust(widths[j]) for j, v in enumerate(row))
         )
-    md = [
-        f"# Character table of {group_name} ({_order_note(published)})",
-        "",
-        "| | " + " | ".join(headers) + " |",
-        "| --- |" + " --- |" * len(headers),
-    ]
-    for i, row in enumerate(matrix):
-        md.append(f"| {payload['rows'][i]['label']} | " + " | ".join(row) + " |")
-    return payload, "\n".join(lines), "\n".join(md)
+    md = _md(
+        f"Character table of {group_name} ({_order_note(published)})",
+        _md_table(["", *headers], [[label, *row] for label, row in zip(labels, matrix)]),
+    )
+    return payload, "\n".join(lines), md
 
 
-def _cmd_sigma(model, args):
-    group_name, group = _resolve_group(model, args.group)
-    (sname,) = _structure_args(args, 1)
-    system = _resolve_structure(model, group_name, group, sname)
+def _cmd_sigma(model, args, group_name, group, structures):
+    ((sname, system),) = structures
     members = sorted(stabilizer_set(system), key=group.index)
     payload = {
         "group": group_name,
@@ -395,46 +411,45 @@ def _cmd_sigma(model, args):
         f"stabilizer set of {sname}: {len(members)} elements\n"
         + ", ".join(payload["elements"])
     )
-    md = (
-        f"# Stabilizer set of {sname}\n\n{len(members)} elements:\n\n"
-        + "\n".join(f"- {w}" for w in payload["elements"])
+    md = _md(
+        f"Stabilizer set of {sname}",
+        f"{len(members)} elements:",
+        _bullets(*payload["elements"]),
     )
     return payload, text, md
 
 
-def _cmd_disjoint(model, args):
-    group_name, group = _resolve_group(model, args.group)
-    names = _structure_args(args, 2)
-    systems = [_resolve_structure(model, group_name, group, n) for n in names]
+def _cmd_disjoint(model, args, group_name, group, structures):
+    names, systems = map(list, zip(*structures))
     sets = [stabilizer_set(s) for s in systems]
     common = sorted(sets[0] & sets[1], key=group.index)
-    verdict = is_disjoint(*systems)
     payload = {
         "group": group_name,
         "structures": names,
         "sizes": [len(s) for s in sets],
         "common": [g.word() for g in common],
-        "disjoint": verdict,
+        "disjoint": is_disjoint(*systems),
     }
+    verdict = _yes_no(payload["disjoint"])
     text = (
         f"stabilizer sets of {names[0]} ({len(sets[0])} elements) and "
         f"{names[1]} ({len(sets[1])} elements) share only: "
         + ", ".join(payload["common"])
-        + f"\ndisjoint away from the identity: {'yes' if verdict else 'no'}"
+        + f"\ndisjoint away from the identity: {verdict}"
     )
-    md = (
-        f"# Stabilizer overlap of {names[0]} and {names[1]}\n\n"
-        f"- sizes: {len(sets[0])} and {len(sets[1])}\n"
-        f"- common elements: {', '.join(payload['common'])}\n"
-        f"- disjoint away from the identity: {'yes' if verdict else 'no'}"
+    md = _md(
+        f"Stabilizer overlap of {names[0]} and {names[1]}",
+        _bullets(
+            f"sizes: {len(sets[0])} and {len(sets[1])}",
+            f"common elements: {', '.join(payload['common'])}",
+            f"disjoint away from the identity: {verdict}",
+        ),
     )
     return payload, text, md
 
 
-def _cmd_fixed_points(model, args):
-    group_name, group = _resolve_group(model, args.group)
-    (sname,) = _structure_args(args, 1)
-    system = _resolve_structure(model, group_name, group, sname)
+def _cmd_fixed_points(model, args, group_name, group, structures):
+    ((sname, system),) = structures
     genus = curve_genus(system)
     counts = fixed_point_table(system)
     order, published = _column_layout(group)
@@ -460,23 +475,19 @@ def _cmd_fixed_points(model, args):
     width = max(len(r["representative"]) for r in rows)
     for r in rows:
         lines.append(f"  {r['representative'].ljust(width)}  {r['fixed_points']}")
-    md = [
-        f"# Fixed points on the curve of {sname}",
-        "",
+    md = _md(
+        f"Fixed points on the curve of {sname}",
         f"Genus {genus}; classes in {_order_note(published)}.",
-        "",
-        "| class representative | fixed points |",
-        "| --- | --- |",
-    ]
-    for r in rows:
-        md.append(f"| {r['representative']} | {r['fixed_points']} |")
-    return payload, "\n".join(lines), "\n".join(md)
+        _md_table(
+            ["class representative", "fixed points"],
+            [[r["representative"], r["fixed_points"]] for r in rows],
+        ),
+    )
+    return payload, "\n".join(lines), md
 
 
-def _cmd_canonical(model, args):
-    group_name, group = _resolve_group(model, args.group)
-    (sname,) = _structure_args(args, 1)
-    system = _resolve_structure(model, group_name, group, sname)
+def _cmd_canonical(model, args, group_name, group, structures):
+    ((sname, system),) = structures
     table = _table_for(group, args.cache_dir)
     canonical = canonical_character(system, table)
     row_perm, col_perm, published = _table_layout(table)
@@ -499,28 +510,27 @@ def _cmd_canonical(model, args):
             labels[r]: mults[r] for r in row_perm if mults[r] != 0
         },
     }
+    values = [str(canonical.values[c]) for c in col_perm]
     text = (
         f"canonical character of the genus {payload['genus']} curve of {sname} "
         f"({_order_note(published)}):\n"
-        + "  ".join(str(canonical.values[c]) for c in col_perm)
+        + "  ".join(values)
         + "\ndecomposition: "
         + " + ".join(terms)
     )
-    md = (
-        f"# Canonical character of the curve of {sname}\n\n"
-        f"- genus: {payload['genus']}\n"
-        f"- values ({_order_note(published)}): "
-        + ", ".join(str(canonical.values[c]) for c in col_perm)
-        + "\n- decomposition: "
-        + " + ".join(terms)
+    md = _md(
+        f"Canonical character of the curve of {sname}",
+        _bullets(
+            f"genus: {payload['genus']}",
+            f"values ({_order_note(published)}): " + ", ".join(values),
+            "decomposition: " + " + ".join(terms),
+        ),
     )
     return payload, text, md
 
 
-def _cmd_quotient_genus(model, args):
-    group_name, group = _resolve_group(model, args.group)
-    (sname,) = _structure_args(args, 1)
-    system = _resolve_structure(model, group_name, group, sname)
+def _cmd_quotient_genus(model, args, group_name, group, structures):
+    ((sname, system),) = structures
     sub, label = _resolve_subgroup(model, group_name, group, args.subgroup)
     genus = quotient_genus(system, sub)
     payload = {
@@ -534,17 +544,19 @@ def _cmd_quotient_genus(model, args):
         f"quotient of the {sname} curve by {label} "
         f"(order {sub.order}): genus {genus}"
     )
-    md = (
-        f"# Quotient genus\n\n- structure: {sname}\n- subgroup: {label} "
-        f"(order {sub.order})\n- genus: {genus}"
+    md = _md(
+        "Quotient genus",
+        _bullets(
+            f"structure: {sname}",
+            f"subgroup: {label} (order {sub.order})",
+            f"genus: {genus}",
+        ),
     )
     return payload, text, md
 
 
-def _cmd_fiber_orbits(model, args):
-    group_name, group = _resolve_group(model, args.group)
-    (sname,) = _structure_args(args, 1)
-    system = _resolve_structure(model, group_name, group, sname)
+def _cmd_fiber_orbits(model, args, group_name, group, structures):
+    ((sname, system),) = structures
     sub, label = _resolve_subgroup(model, group_name, group, args.subgroup)
     try:
         fiber = fiber_orbit_structure(system, args.branch, sub)
@@ -577,35 +589,25 @@ def _cmd_fiber_orbits(model, args):
         f"(entry {payload['entry']}, order {payload['entry_order']}): "
         f"{fiber.fiber_size} points\n"
         f"orbits under {label} (order {sub.order}): {shape_text}\n"
-        f"acts freely: {'yes' if fiber.acts_freely else 'no'}"
+        f"acts freely: {_yes_no(fiber.acts_freely)}"
     )
-    md = (
-        f"# Fiber orbits at branch point {args.branch} of {sname}\n\n"
-        f"- branch entry: {payload['entry']} (order {payload['entry_order']})\n"
-        f"- fiber size: {fiber.fiber_size}\n"
-        f"- subgroup: {label} (order {sub.order})\n"
-        f"- orbits: {shape_text}\n"
-        f"- acts freely: {'yes' if fiber.acts_freely else 'no'}"
+    md = _md(
+        f"Fiber orbits at branch point {args.branch} of {sname}",
+        _bullets(
+            f"branch entry: {payload['entry']} (order {payload['entry_order']})",
+            f"fiber size: {fiber.fiber_size}",
+            f"subgroup: {label} (order {sub.order})",
+            f"orbits: {shape_text}",
+            f"acts freely: {_yes_no(fiber.acts_freely)}",
+        ),
     )
     return payload, text, md
 
 
-def _cmd_search(model, args):
-    group_name, group = _resolve_group(model, args.group)
-    names = args.structure or []
-    if not names:
-        names = [d.name for d in model.structures_on(group_name)]
-    if len(names) != 2:
-        raise CliError(
-            "search needs exactly 2 structures (via --structure twice, or a model "
-            f"declaring exactly two); got {len(names)}"
-        )
-    first = _resolve_structure(model, group_name, group, names[0])
-    second = _resolve_structure(model, group_name, group, names[1])
+def _cmd_search(model, args, group_name, group, structures):
+    names, systems = map(list, zip(*structures))
     table = _table_for(group, args.cache_dir)
-    canonical_first = canonical_character(first, table)
-    canonical_second = canonical_character(second, table)
-    report = search_all_pairs(table, canonical_first, canonical_second)
+    report = search_all_pairs(table, *(canonical_character(s, table) for s in systems))
     row_perm, _, _ = _table_layout(table)
     labels = _row_labels(row_perm)
     position = {r: i for i, r in enumerate(row_perm)}
@@ -635,40 +637,34 @@ def _cmd_search(model, args):
         "euler_flat_pairs": [list(p) for p in flat],
         "pairs": pairs,
     }
+    summary = [
+        f"every pair admits an admissible twist: {_yes_no(report.theorem_holds)}",
+        "trivial twist admissible somewhere: "
+        + _yes_no(report.trivial_admissible_anywhere),
+        "euler-flat pairs: "
+        + (", ".join(f"({a}, {b})" for a, b in flat) if flat else "none"),
+    ]
     lines = [
         f"twist search on {group_name} with {names[0]} and {names[1]}: "
         f"{len(pairs)} pairs of degree-2 twists",
-        f"every pair admits an admissible twist: "
-        f"{'yes' if report.theorem_holds else 'no'}",
-        f"trivial twist admissible somewhere: "
-        f"{'yes' if report.trivial_admissible_anywhere else 'no'}",
-        "euler-flat pairs: "
-        + (", ".join(f"({a}, {b})" for a, b in flat) if flat else "none"),
+        *summary,
     ]
     for p in pairs:
         lines.append(
             f"  A={p['a']} B={p['b']}: admissible " + ", ".join(p["admissible"])
         )
-    md = [
-        f"# Twist search on {group_name}",
-        "",
-        f"- structures: {names[0]} and {names[1]}",
-        f"- every pair admits an admissible twist: "
-        f"{'yes' if report.theorem_holds else 'no'}",
-        f"- trivial twist admissible somewhere: "
-        f"{'yes' if report.trivial_admissible_anywhere else 'no'}",
-        "- euler-flat pairs: "
-        + (", ".join(f"({a}, {b})" for a, b in flat) if flat else "none"),
-        "",
-        "| A | B | admissible twists | euler flat |",
-        "| --- | --- | --- | --- |",
-    ]
-    for p in pairs:
-        md.append(
-            f"| {p['a']} | {p['b']} | {', '.join(p['admissible'])} "
-            f"| {'yes' if p['euler_flat'] else 'no'} |"
-        )
-    return payload, "\n".join(lines), "\n".join(md)
+    md = _md(
+        f"Twist search on {group_name}",
+        _bullets(f"structures: {names[0]} and {names[1]}", *summary),
+        _md_table(
+            ["A", "B", "admissible twists", "euler flat"],
+            [
+                [p["a"], p["b"], ", ".join(p["admissible"]), _yes_no(p["euler_flat"])]
+                for p in pairs
+            ],
+        ),
+    )
+    return payload, "\n".join(lines), md
 
 
 # -- entry point --------------------------------------------------------
@@ -707,55 +703,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, structures=None):
+    def add(name, func, help_text, structures=0, subgroup=False, **structure_kw):
+        """A subcommand taking ``structures`` --structure flags and maybe --subgroup."""
         p = sub.add_parser(name, parents=[shared], help=help_text)
-        p.set_defaults(func=func, structure_count=structures)
+        p.set_defaults(func=func, structure_count=structures, structure=None)
+        if structures:
+            structure_kw = structure_kw or {"required": True}
+            p.add_argument("--structure", action="append", **structure_kw)
+        if subgroup:
+            p.add_argument(
+                "--subgroup", required=True, help="declared name or generator list"
+            )
         return p
 
     add("info", _cmd_info, "summarize a group and its declared data")
     add("classes", _cmd_classes, "list conjugacy classes")
     add("chartable", _cmd_chartable, "print the character table")
-
-    p = add("sigma", _cmd_sigma, "elements with fixed points on a curve")
-    p.add_argument("--structure", action="append", required=True)
-
-    p = add("disjoint", _cmd_disjoint, "compare two stabilizer sets")
-    p.add_argument("--structure", action="append", required=True)
-
-    p = add("fixed-points", _cmd_fixed_points, "fixed point counts per class")
-    p.add_argument("--structure", action="append", required=True)
-
-    p = add("canonical", _cmd_canonical, "canonical character of a curve")
-    p.add_argument("--structure", action="append", required=True)
-
-    p = add("quotient-genus", _cmd_quotient_genus, "genus of a quotient curve")
-    p.add_argument("--structure", action="append", required=True)
-    p.add_argument("--subgroup", required=True, help="declared name or generator list")
-
-    p = add("fiber-orbits", _cmd_fiber_orbits, "subgroup orbits on a branch fiber")
-    p.add_argument("--structure", action="append", required=True)
-    p.add_argument("--subgroup", required=True, help="declared name or generator list")
+    add("sigma", _cmd_sigma, "elements with fixed points on a curve", 1)
+    add("disjoint", _cmd_disjoint, "compare two stabilizer sets", 2)
+    add("fixed-points", _cmd_fixed_points, "fixed point counts per class", 1)
+    add("canonical", _cmd_canonical, "canonical character of a curve", 1)
+    add("quotient-genus", _cmd_quotient_genus, "genus of a quotient curve", 1, subgroup=True)
+    p = add(
+        "fiber-orbits", _cmd_fiber_orbits, "subgroup orbits on a branch fiber", 1, subgroup=True
+    )
     p.add_argument("--branch", type=int, required=True, help="branch point, 1-based")
-
-    p = add("search", _cmd_search, "run the admissible twist search")
-    p.add_argument(
-        "--structure",
-        action="append",
-        help="structure pair (default: the model's two declared structures)",
-    )
-
-    p = sub.add_parser(
-        "verify-paper",
-        parents=[shared],
-        help="re-derive and certify every published reference value",
-    )
+    add("search", _cmd_search, "run the admissible twist search", 2,
+        help="structure pair (default: the model's two declared structures)")
+    p = add("verify-paper", None, "re-derive and certify every published reference value")
     p.add_argument(
         "--reference",
         metavar="FILE",
         default=None,
         help="character table fixture to certify against (default: packaged)",
     )
-    p.set_defaults(func=None, structure_count=None)
     return parser
 
 
@@ -765,13 +746,14 @@ def main(argv=None) -> int:
     args.cache_dir = args.cache or os.environ.get(CACHE_ENV) or None
     try:
         model = _load_model(args.input)
+        group_name, group = _resolve_group(model, args.group)
         if args.command == "verify-paper":
-            group_name, group = _resolve_group(model, args.group)
             report = verify_paper(spec=group.spec, reference_path=args.reference)
             fmt = {"md": "markdown"}.get(args.format, args.format)
             sys.stdout.write(render_report(report, fmt))
             return 0 if report.passed else 1
-        payload, text, md = args.func(model, args)
+        structures = _resolve_structures(model, group_name, group, args)
+        payload, text, md = args.func(model, args, group_name, group, structures)
     except (CliError, CharacterTableError, RuntimeError) as exc:
         print(f"qslab: error: {exc}", file=sys.stderr)
         return 2

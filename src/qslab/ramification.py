@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import CharacterTable, ClassFunction, ExactScalar, inner_product
+from .characters import CharacterTable, ClassFunction, ExactScalar
 from .groups import FiniteGroup, GroupElement, Subgroup
 
 
@@ -231,35 +231,6 @@ def canonical_character(system: SphericalSystem, table: CharacterTable) -> Class
         values.append(ExactScalar(Fraction(2 - fix, 2)))
     memo[key] = ClassFunction(system.group, tuple(values))
     return memo[key]
-
-
-@dataclass(frozen=True)
-class CoveringCurve:
-    """A covering curve bundled with its derived invariants."""
-
-    system: SphericalSystem
-    genus: int
-    fixed_points: tuple[int | None, ...]
-    canonical: ClassFunction
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.system.group
-
-
-def covering_curve(system: SphericalSystem, table: CharacterTable) -> CoveringCurve:
-    genus = curve_genus(system)
-    canonical = canonical_character(system, table)
-    if canonical.at_identity() != ExactScalar(Fraction(genus)):
-        raise RuntimeError("canonical character identity value disagrees with the genus")
-    if not inner_product(canonical, table.trivial()).is_zero():
-        raise RuntimeError("canonical character has invariants on a spherical covering")
-    return CoveringCurve(
-        system=system,
-        genus=genus,
-        fixed_points=fixed_point_table(system),
-        canonical=canonical,
-    )
 
 
 def _coset_action(group: FiniteGroup, sub: Subgroup):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from operator import add, sub
 
 from .characters import CharacterTable, ClassFunction
 from .groups import FiniteGroup
@@ -37,14 +38,6 @@ class BundleCohomology:
             value = char.at_identity()
             if not value.is_integer() or value.as_integer() < 0:
                 raise ValueError(f"{name} identity value {value} is not a dimension")
-
-    def euler(self) -> ClassFunction:
-        return self.h0 - self.h1
-
-
-def structure_sheaf(table: CharacterTable, canonical: ClassFunction) -> BundleCohomology:
-    """Cohomology of the structure sheaf: constants in h0, 1-forms dual in h1."""
-    return BundleCohomology(h0=table.trivial(), h1=canonical.conjugate())
 
 
 def _integers(f: ClassFunction) -> tuple[int, ...]:
@@ -69,11 +62,6 @@ def _invariants(sizes: tuple[int, ...], order: int, *factors: tuple[int, ...]) -
     return m
 
 
-def invariant_dimension(f: ClassFunction) -> int:
-    """Multiplicity of the trivial character; errors when not integral."""
-    return _invariants(_class_sizes(f.group), f.group.order, _integers(f))
-
-
 def _dims(sizes, order, c0, c1, d0, d1, twist) -> tuple[int, int, int]:
     """(h0, h1, h2) invariants of (c0 + c1) x (d0 + d1) twisted, on int tuples."""
     mixed = tuple(a * d + b * c for a, b, c, d in zip(c0, c1, d0, d1))
@@ -84,8 +72,9 @@ def _dims(sizes, order, c0, c1, d0, d1, twist) -> tuple[int, int, int]:
     )
 
 
-def _difference(f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(f, h))
+def _check_dimension(name: str, values: tuple[int, ...]) -> None:
+    if values[0] < 0:
+        raise ValueError(f"{name} identity value {values[0]} is not a dimension")
 
 
 def cohomology_dims(
@@ -103,21 +92,6 @@ def cohomology_dims(
         _integers(factor_c.h1),
         _integers(factor_d.h0),
         _integers(factor_d.h1),
-        _integers(twist),
-    )
-
-
-def kunneth_euler(
-    virtual_c: ClassFunction, virtual_d: ClassFunction, twist: ClassFunction
-) -> int:
-    """Euler characteristic from the two factor Euler characters."""
-    virtual_c._check_same_group(virtual_d)
-    virtual_c._check_same_group(twist)
-    return _invariants(
-        _class_sizes(twist.group),
-        twist.group.order,
-        _integers(virtual_c),
-        _integers(virtual_d),
         _integers(twist),
     )
 
@@ -141,12 +115,6 @@ class SearchReport:
     theorem_holds: bool
     trivial_admissible_anywhere: bool
 
-    def pair(self, a_index: int, b_index: int) -> PairResult:
-        for result in self.pairs:
-            if result.a_index == a_index and result.b_index == b_index:
-                return result
-        raise KeyError(f"no pair ({a_index}, {b_index}) in this report")
-
 
 def search_all_pairs(
     table: CharacterTable,
@@ -155,10 +123,11 @@ def search_all_pairs(
 ) -> SearchReport:
     """Run the admissible twist search over all degree-2 parameter pairs.
 
-    The first factor carries its structure sheaf.  The second factor
-    ranges over bundles whose h0 is trivial plus a degree-2 row A and
-    whose h1 is the linear part of the canonical character plus a
-    degree-2 row B; twists range over all linear rows.
+    The first factor carries its structure sheaf: constants in h0 and the
+    (real) canonical character in h1.  The second factor ranges over
+    bundles whose h0 is trivial plus a degree-2 row A and whose h1 is the
+    linear part of the canonical character plus a degree-2 row B; twists
+    range over all linear rows.  Characters are int tuples throughout.
     """
     group = table.group
     order = group.order
@@ -168,26 +137,26 @@ def search_all_pairs(
     linear = table.linear_indices()
     trivial_index = table.trivial_index()
 
-    factor_c = structure_sheaf(table, canonical_c)
-    c0, c1 = _integers(factor_c.h0), _integers(factor_c.h1)
-    euler_c = _difference(c0, c1)
-    # Linear part of the dual canonical character; every multiplicity
-    # must be integral, or canonical_d is not a virtual character.
-    factor_c.h0._check_same_group(canonical_d)
-    kd = _integers(canonical_d.conjugate())
+    for canonical in (canonical_c, canonical_d):
+        table.rows[0]._check_same_group(canonical)
+    c0, c1 = rows[trivial_index], _integers(canonical_c)
+    _check_dimension("h1", c1)
+    euler_c = tuple(map(sub, c0, c1))
+    # Linear part of the canonical character; every multiplicity must be
+    # integral, or canonical_d is not a virtual character.
+    kd = _integers(canonical_d)
     mults = [_invariants(sizes, order, kd, row) for row in rows]
     base_d = tuple(sum(mults[i] * rows[i][c] for i in linear) for c in range(len(kd)))
-    h0_of = {a: table.trivial() + table.rows[a] for a in two_dim}
-    h1_of = {b: ClassFunction(group, base_d) + table.rows[b] for b in two_dim}
 
     results = []
     trivial_anywhere = False
     for a in two_dim:
-        d0 = _integers(h0_of[a])
+        d0 = tuple(map(add, c0, rows[a]))
         for b in two_dim:
-            BundleCohomology(h0=h0_of[a], h1=h1_of[b])  # dimensions at the identity
-            d1 = _integers(h1_of[b])
-            euler_d = _difference(d0, d1)
+            d1 = tuple(map(add, base_d, rows[b]))
+            _check_dimension("h0", d0)
+            _check_dimension("h1", d1)
+            euler_d = tuple(map(sub, d0, d1))
             admissible = []
             dims = []
             eulers = []

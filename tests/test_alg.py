@@ -218,6 +218,24 @@ def test_fragment_rejects_empty_and_trailing():
         parse_word_list_fragment("g2] [g3", G32_27_SPEC)
 
 
+@pytest.mark.parametrize(
+    "text, col, message",
+    [
+        ("zz", 1, "unknown generator 'zz'"),
+        ("g2, zz", 5, "unknown generator 'zz'"),
+        ("g2*zz", 4, "unknown generator 'zz'"),
+        ("", 1, "expected generator name, found end of input"),
+        ("g2,", 4, "expected generator name, found end of input"),
+        ("g2] [g3", 3, "unexpected trailing input ']'"),
+    ],
+)
+def test_fragment_error_columns_count_within_the_argument(text, col, message):
+    with pytest.raises(ParseError) as info:
+        parse_word_list_fragment(text, G32_27_SPEC)
+    assert (info.value.line, info.value.col) == (1, col)
+    assert str(info.value) == f"line 1, col {col}: {message}"
+
+
 # -- fuzzing ------------------------------------------------------------
 
 FUZZ_ALPHABET = "{}[]()|;,=*#\n 01289abgqnT_-²٤é"

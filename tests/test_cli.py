@@ -313,8 +313,8 @@ def test_command_matches_golden(capsys, argv, golden):
 
 # Usage and input errors: exit 2, nothing on stdout, one line on stderr.
 # "{golden}" and "{tmp}" in an argument stand for the golden directory and
-# a scratch directory holding broken.alg (a parse error) and binary.alg
-# (bytes that are not UTF-8).
+# a per-test temporary directory holding broken.alg (a parse error) and
+# binary.alg (bytes that are not UTF-8).
 ERROR_CASES = [
     ("unknown-group", ("info", "nosuch"),
      "unknown group 'nosuch'; input declares: g32_27"),
@@ -337,11 +337,11 @@ ERROR_CASES = [
      "declaring exactly two); got 1"),
     ("subgroup-unknown-generator",
      ("quotient-genus", "--structure", "T1", "--subgroup", "g2, zz"),
-     "--subgroup 'g2, zz': line 1, col 6: unknown generator 'zz'"),
+     "--subgroup 'g2, zz': line 1, col 5: unknown generator 'zz'"),
     ("subgroup-unknown-first", ("quotient-genus", "--structure", "T1", "--subgroup", "zz"),
-     "--subgroup 'zz': line 1, col 2: unknown generator 'zz'"),
+     "--subgroup 'zz': line 1, col 1: unknown generator 'zz'"),
     ("subgroup-empty", ("quotient-genus", "--structure", "T1", "--subgroup", ""),
-     "--subgroup '': line 1, col 2: expected generator name, found ']'"),
+     "--subgroup '': line 1, col 1: expected generator name, found end of input"),
     ("branch-0",
      ("fiber-orbits", "--structure", "T1", "--subgroup", "H", "--branch", "0"),
      "--branch 0: branch index 0 out of range 1..4"),
@@ -352,6 +352,9 @@ ERROR_CASES = [
      "cannot read {tmp}/nope.alg: No such file or directory"),
     ("parse-error", ("info", "--input", "{tmp}/broken.alg"),
      "{tmp}/broken.alg: line 1, col 14: expected '{{', found 'on'"),
+    ("input-not-utf8", ("info", "--input", "{tmp}/binary.alg"),
+     "cannot read {tmp}/binary.alg: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
 ]
 
 

@@ -12,11 +12,11 @@ from functools import lru_cache
 from qslab.alg import parse_model, parse_word_list_fragment, render_model
 from qslab.builtin import SUBGROUP_WORDS, build_g32_27
 from qslab.characters import (
+    ClassFunction,
     ExactScalar,
     compute_character_table,
     decompose,
     inner_product,
-    linear_combination,
 )
 from qslab.groups import GroupSpec
 
@@ -71,15 +71,12 @@ class TestOrthogonality:
         table = the_table()
         g = the_group()
         classes = g.conjugacy_classes()
+        # every value is a rational integer, so conjugation is the identity
+        grid = [[v.as_integer() for v in row.values] for row in table.rows]
         for i in range(len(classes)):
             for j in range(len(classes)):
-                total = ExactScalar(0)
-                for row in table.rows:
-                    total = total + row.values[i] * row.values[j].conjugate()
-                if i == j:
-                    assert total == ExactScalar(g.order // classes[i].size)
-                else:
-                    assert total == ExactScalar(0)
+                total = sum(row[i] * row[j] for row in grid)
+                assert total == (g.order // classes[i].size if i == j else 0)
 
     def test_degree_squares_sum_to_order(self):
         table = the_table()
@@ -89,10 +86,11 @@ class TestOrthogonality:
         table = the_table()
         g = the_group()
         for i in table.linear_indices():
-            chi = table.rows[i]
+            chi = [v.as_integer() for v in table.rows[i].values]
+            value = {a: chi[g.class_index_of(a)] for a in g.elements}
             for a in g.elements:
                 for b in g.elements:
-                    assert chi.value_at(a * b) == chi.value_at(a) * chi.value_at(b)
+                    assert value[a * b] == value[a] * value[b]
 
 
 class TestClassEquation:
@@ -182,16 +180,22 @@ class TestDecomposeRecompose:
             fixed.append(tuple(rng.randint(-9, 9) for _ in range(14)))
         return fixed
 
+    def combination(self, table, mults):
+        """sum_i mults[i] * chi_i as a class function, summed on ints."""
+        grid = [[v.as_integer() for v in row.values] for row in table.rows]
+        values = tuple(sum(m * row[c] for m, row in zip(mults, grid)) for c in range(14))
+        return ClassFunction(table.group, values)
+
     def test_roundtrip(self):
         table = the_table()
         for mults in self.vectors():
-            f = linear_combination(table, mults)
+            f = self.combination(table, mults)
             assert decompose(f, table) == mults
 
     def test_identity_value_matches_virtual_degree(self):
         table = the_table()
         for mults in self.vectors():
-            f = linear_combination(table, mults)
+            f = self.combination(table, mults)
             expected = sum(m * d for m, d in zip(mults, table.degrees))
             assert f.at_identity() == ExactScalar(expected)
 

@@ -8,15 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from qslab.characters import ClassFunction, ExactScalar
-from qslab.search import (
-    BundleCohomology,
-    cohomology_dims,
-    invariant_dimension,
-    kunneth_euler,
-    search_all_pairs,
-    structure_sheaf,
-)
+from qslab.characters import ClassFunction, ExactScalar, decompose
+from qslab.search import BundleCohomology, cohomology_dims, search_all_pairs
 from qslab.ramification import canonical_character
 
 GROUP_ORDER = 32
@@ -156,64 +149,68 @@ def test_dims_additivity(report):
             assert h0 >= 0 and h1 >= 0 and h2 >= 0
 
 
-def test_pair_lookup(report):
-    first = report.pairs[0]
-    assert report.pair(first.a_index, first.b_index) is first
-    with pytest.raises(KeyError):
-        report.pair(-1, -1)
-
-
 # -- building blocks ----------------------------------------------------
 
 
-def test_structure_sheaf_shape(table, t1):
-    kc = canonical_character(t1, table)
-    sheaf = structure_sheaf(table, kc)
-    assert sheaf.h0 == table.trivial()
-    assert sheaf.h1.at_identity() == ExactScalar(5)
-    assert sheaf.euler().at_identity() == ExactScalar(-4)
-
-
 def test_invariant_dimension(table):
-    assert invariant_dimension(table.trivial()) == 1
+    # the invariant dimension of a character is its trivial multiplicity
+    trivial = table.trivial_index()
+    assert decompose(table.trivial(), table)[trivial] == 1
     for i in table.indices_of_degree(2):
-        assert invariant_dimension(table.rows[i]) == 0
-    regular = table.trivial() * 0
-    for d, chi in zip(table.degrees, table.rows):
-        regular = regular + chi * d
-    assert invariant_dimension(regular) == 1
+        assert decompose(table.rows[i], table)[trivial] == 0
+    regular = ClassFunction(
+        table.group, (ExactScalar(32),) + (ExactScalar(0),) * 13
+    )
+    assert decompose(regular, table) == table.degrees
 
 
-def test_invariant_dimension_rejects_non_integral(g32):
+def test_invariant_dimension_rejects_non_integral(g32, table, t1):
+    # the search's invariant sums refuse a second factor that is not a
+    # virtual character
     delta = ClassFunction(
         g32, tuple(ExactScalar(1 if i == 0 else 0) for i in range(14))
     )
     with pytest.raises(ValueError, match="not integral"):
-        invariant_dimension(delta)
+        search_all_pairs(table, canonical_character(t1, table), delta)
 
 
-def test_invariant_dimension_rejects_non_integer_values(g32):
+def test_invariant_dimension_rejects_non_integer_values(g32, table, t1):
     values = [ExactScalar(0)] * 14
     values[1] = ExactScalar(Fraction(1, 2))
     half = ClassFunction(g32, tuple(values))
-    with pytest.raises(ValueError):
-        invariant_dimension(half)
+    with pytest.raises(ValueError, match="is not a rational integer"):
+        search_all_pairs(table, canonical_character(t1, table), half)
+    with pytest.raises(ValueError, match="is not a rational integer"):
+        search_all_pairs(table, half, canonical_character(t1, table))
 
 
 def test_bundle_cohomology_validation(table):
     with pytest.raises(ValueError, match="not a dimension"):
-        BundleCohomology(h0=-table.trivial(), h1=table.trivial())
+        BundleCohomology(h0=table.trivial() * -1, h1=table.trivial())
 
 
-def test_kunneth_euler_hand_values(table, t1, perms, ref):
+def test_search_refuses_a_negative_dimension(table, t1, t2):
+    kc, kd = canonical_character(t1, table), canonical_character(t2, table)
+    # a first factor whose h1 would have dimension -5 at the identity
+    with pytest.raises(ValueError, match="h1 identity value -5 is not a dimension"):
+        search_all_pairs(table, kc * -1, kd)
+    # second factors whose h1 is -3 chi4 plus a degree-2 row: dimension -1
+    with pytest.raises(ValueError, match="h1 identity value -1 is not a dimension"):
+        search_all_pairs(table, kc, kd * -3)
+
+
+def test_kunneth_euler_hand_values(report, perms, ref):
+    # With A = B the second factor's Euler character is trivial - chi4 (the
+    # linear part of the canonical character of T2 is chi4), and the first
+    # factor's is trivial - K_C.
     row_perm, _ = perms
-    kc = canonical_character(t1, table)
-    trivial = table.trivial()
-    chi4 = table.rows[row_perm[3]]
-    virtual_c = trivial - kc
-    virtual_d = trivial - chi4
-    assert kunneth_euler(virtual_c, virtual_d, trivial) == 1
-    assert kunneth_euler(virtual_c, virtual_d, chi4) == -1
+    trivial, chi4 = row_perm[0], row_perm[3]
+    diagonal = [p for p in report.pairs if p.a_index == p.b_index]
+    assert len(diagonal) == 6
+    for pair in diagonal:
+        eulers = dict(pair.eulers)
+        assert eulers[trivial] == 1
+        assert eulers[chi4] == -1
     # the same numbers straight from the fixture grid
     rows, sizes = _fixture_grid(ref)
     vc = [a - b for a, b in zip(rows[0], _add(*(rows[r - 1] for r in KC_ROWS)))]
@@ -222,17 +219,24 @@ def test_kunneth_euler_hand_values(table, t1, perms, ref):
     assert _ip(_mul(vc, vd), rows[3], sizes) == -1
 
 
+def _ints(f):
+    return [v.as_integer() for v in f.values]
+
+
 def test_cohomology_dims_consistency(table, t1, t2):
     kc = canonical_character(t1, table)
     kd = canonical_character(t2, table)
-    factor_c = structure_sheaf(table, kc)
+    factor_c = BundleCohomology(h0=table.trivial(), h1=kc)
     a = table.indices_of_degree(2)[0]
+    h0_d = [x + y for x, y in zip(_ints(table.trivial()), _ints(table.rows[a]))]
     factor_d = BundleCohomology(
-        h0=table.trivial() + table.rows[a],
-        h1=canonical_character(t2, table).conjugate(),
+        h0=ClassFunction(table.group, tuple(ExactScalar(x) for x in h0_d)), h1=kd
     )
+    sizes = [cls.size for cls in table.group.conjugacy_classes()]
+    euler_c = [x - y for x, y in zip(_ints(table.trivial()), _ints(kc))]
+    euler_d = [x - y for x, y in zip(h0_d, _ints(kd))]
     for t in table.linear_indices():
         h0, h1, h2 = cohomology_dims(factor_c, factor_d, table.rows[t])
-        e = kunneth_euler(factor_c.euler(), factor_d.euler(), table.rows[t])
+        e = _ip(_mul(euler_c, euler_d), _ints(table.rows[t]), sizes)
         assert h0 - h1 + h2 == e
     assert kd.at_identity() == ExactScalar(9)
