@@ -71,4 +71,4 @@ __all__ = [
     "verify_paper",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

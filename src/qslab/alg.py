@@ -17,13 +17,12 @@ generating systems and subgroups on them:
 Action matrices are bit rows separated by semicolons and act on column
 vectors; one matrix per quotient-rank basis vector, named q1, q2, ...
 in order.  Generator coordinates are written (n-bits | q-bits).  Words
-multiply left to right and are stored unevaluated.  The printer emits a
-canonical form that parses back to an equal model.
+multiply left to right and are stored unevaluated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groups import GroupSpec, GroupSpecError
 
@@ -367,33 +366,3 @@ def parse_word_list_fragment(text: str, spec: GroupSpec) -> tuple[tuple[str, ...
         parser.fail(f"unexpected trailing input {parser.peek().text!r}")
     return words
 
-
-def _render_word(word: tuple[str, ...]) -> str:
-    return "*".join(word)
-
-
-def render_model(model: SessionModel) -> str:
-    """Canonical text form; parses back to an equal model."""
-    lines = []
-    for name, spec in model.groups:
-        lines.append(f"group {name} {{")
-        lines.append(f"  normal rank {spec.n_rank};")
-        lines.append(f"  quotient rank {spec.q_rank};")
-        for j, mat in enumerate(spec.action):
-            rows = "; ".join("".join(str(b) for b in row) for row in mat)
-            lines.append(f"  action q{j + 1} = [{rows}];")
-        for gname, (nbits, qbits) in spec.generator_names:
-            nstr = "".join(str(b) for b in nbits)
-            qstr = "".join(str(b) for b in qbits)
-            lines.append(f"  gen {gname} = ({nstr}|{qstr});")
-        lines.append("}")
-        lines.append("")
-    for decl in model.structures:
-        words = ", ".join(_render_word(w) for w in decl.words)
-        lines.append(f"structure {decl.name} on {decl.group_name} = [{words}];")
-    if model.structures and model.subgroups:
-        lines.append("")
-    for decl in model.subgroups:
-        words = ", ".join(_render_word(w) for w in decl.words)
-        lines.append(f"subgroup {decl.name} on {decl.group_name} = [{words}];")
-    return "\n".join(lines).strip() + "\n"

@@ -1,62 +1,33 @@
 """The bundled model: the order-32 group G(32,27) and its named structures.
 
-The group is N x| Q with N = Z2^4, Q = Z2; the single action matrix sends
-e1 -> e1 + e3 and e2 -> e2 + e4 (columns).  Generator labels follow the
+The group is N x| Q with N = Z2^4, Q = Z2; generator labels follow the
 presentation g1..g5 with g1 the Q generator and g2..g5 the N basis.
+Everything here is read from the packaged model file ``data/g32_27.alg``,
+parsed once at import; that file is the only copy of the model.
 """
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, GroupSpec, Subgroup, build_group
+from importlib import resources
 
-GROUP_NAME = "g32_27"
+from .alg import parse_model
+from .groups import FiniteGroup, Subgroup, build_group
 
-G32_27_SPEC = GroupSpec(
-    n_rank=4,
-    q_rank=1,
-    action=(
-        (
-            (1, 0, 0, 0),
-            (0, 1, 0, 0),
-            (1, 0, 1, 0),
-            (0, 1, 0, 1),
-        ),
-    ),
-    generator_names=(
-        ("g1", ((0, 0, 0, 0), (1,))),
-        ("g2", ((1, 0, 0, 0), (0,))),
-        ("g3", ((0, 1, 0, 0), (0,))),
-        ("g4", ((0, 0, 1, 0), (0,))),
-        ("g5", ((0, 0, 0, 1), (0,))),
-    ),
+MODEL = parse_model(
+    (resources.files("qslab") / "data" / "g32_27.alg").read_text(encoding="utf-8")
 )
+(GROUP_NAME,) = MODEL.group_names()
+G32_27_SPEC = MODEL.group_spec(GROUP_NAME)
 
-# Generating words of the two ramification structures.
-T1_WORDS: tuple[tuple[str, ...], ...] = (
-    ("g1", "g4", "g5"),
-    ("g2", "g3", "g4", "g5"),
-    ("g2", "g4", "g5"),
-    ("g1", "g3", "g4"),
-)
-T2_WORDS: tuple[tuple[str, ...], ...] = (
-    ("g2", "g3", "g4"),
-    ("g2",),
-    ("g1", "g2", "g3", "g5"),
-    ("g1", "g2"),
-)
-
-# Named subgroups used by the quotient and fiber computations.
-SUBGROUP_WORDS: dict[str, tuple[tuple[str, ...], ...]] = {
-    "H": (("g2", "g5"), ("g4",)),
-    "H1": (("g1", "g2", "g4"), ("g4",), ("g5",)),
-    "H2": (("g1", "g2", "g3", "g4", "g5"), ("g4",), ("g5",)),
-    "H3": (("g2",), ("g4",)),
-    "H4": (("g4",), ("g5",)),
-}
-
+# Generating words of the ramification structures, and of the named
+# subgroups used by the quotient and fiber computations.
 STRUCTURE_WORDS: dict[str, tuple[tuple[str, ...], ...]] = {
-    "T1": T1_WORDS,
-    "T2": T2_WORDS,
+    d.name: d.words for d in MODEL.structures_on(GROUP_NAME)
+}
+T1_WORDS = STRUCTURE_WORDS["T1"]
+T2_WORDS = STRUCTURE_WORDS["T2"]
+SUBGROUP_WORDS: dict[str, tuple[tuple[str, ...], ...]] = {
+    d.name: d.words for d in MODEL.subgroups if d.group_name == GROUP_NAME
 }
 
 

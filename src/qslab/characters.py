@@ -7,7 +7,7 @@ rational integers computed in bit arithmetic, and the table is certified
 by checking both orthogonality relations as exact integer identities.
 
 Values are still held as Gaussian rationals (``ExactScalar``) so that
-class functions, fixtures and caches share one scalar type; a table
+class functions and the reference fixture share one scalar type; a table
 passes certification only if every value is a Gaussian integer.  Every
 consumer reads the values as rational integers (``as_integer``), so
 scalars carry no arithmetic beyond multiplication.
@@ -441,6 +441,9 @@ def align_to_reference(
 
 
 # -- cache serialization ------------------------------------------------
+# Nothing in the package reads or writes a table cache any more; these two
+# stay while the benchmark's characters.cache_load_s layer wraps
+# table_from_cache_dict by name.
 
 
 def table_to_cache_dict(table: CharacterTable) -> dict:

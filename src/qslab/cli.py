@@ -1,10 +1,12 @@
 """Command line front end.
 
-``main`` loads a model file (the packaged one by default) and resolves
-the group and the subcommand's declared number of structures once; the
-subcommand resolves any subgroup and prints the requested computation in
-text, JSON, or Markdown.  All numeric output is exact: integers stay
-integers and Gaussian rationals are rendered symbolically, never as floats.
+``main`` loads a model file (by default the packaged model that
+``qslab.builtin`` parsed at import) and resolves the group and the
+subcommand's declared number of structures once; the subcommand resolves
+any subgroup, computes what it needs (character tables included) and
+prints it in text, JSON, or Markdown.  All numeric output is exact:
+integers stay integers and Gaussian rationals are rendered symbolically,
+never as floats.
 
 Exit codes: 0 on success, 1 when ``verify-paper`` finds a mismatch,
 2 for usage errors and unparseable or unresolvable input.
@@ -14,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from importlib import resources
 
 from . import alg, builtin
 from .characters import (
@@ -28,8 +28,6 @@ from .characters import (
     decompose,
     load_reference_table,
     reference_column_map,
-    table_from_cache_dict,
-    table_to_cache_dict,
 )
 from .groups import (
     FiniteGroup,
@@ -51,8 +49,6 @@ from .ramification import (
 from .search import search_all_pairs
 from .verify import WHOLE_CURVE, render_report, verify_paper
 
-CACHE_ENV = "QSLAB_CACHE"
-
 
 class CliError(Exception):
     """Usage or resolution failure; rendered to stderr with exit code 2."""
@@ -63,19 +59,16 @@ class CliError(Exception):
 
 def _load_model(path: str | None) -> alg.SessionModel:
     if path is None:
-        text = resources.files("qslab.data").joinpath("g32_27.alg").read_text()
-        label = "<packaged model>"
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CliError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
-        label = path
+        return builtin.MODEL
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
     try:
         return alg.parse_model(text)
     except alg.ParseError as exc:
-        raise CliError(f"{label}: {exc}")
+        raise CliError(f"{path}: {exc}")
 
 
 def _resolve_group(model: alg.SessionModel, name: str | None) -> tuple[str, FiniteGroup]:
@@ -108,13 +101,14 @@ def _resolve_structure(model, group_name, group, sname):
     if decl.group_name != group_name:
         raise CliError(f"structure {sname} is declared on group {decl.group_name}")
     try:
-        entries = [group.evaluate_word(w) for w in decl.words]
-    except KeyError as exc:
-        raise CliError(f"structure {sname}: unknown generator {exc.args[0]}")
-    try:
-        return validate_spherical(group, entries)
+        return _structure_system(group, decl)
     except SphericalSystemError as exc:
         raise CliError(f"structure {sname}: {exc}")
+
+
+def _structure_system(group, decl):
+    """The spherical system of a structure declared on ``group``."""
+    return validate_spherical(group, map(group.evaluate_word, decl.words))
 
 
 def _resolve_subgroup(model, group_name, group, text):
@@ -122,15 +116,15 @@ def _resolve_subgroup(model, group_name, group, text):
     try:
         decl = model.subgroup(text)
     except KeyError:
-        decl = None
-    if decl is not None and decl.group_name == group_name:
-        words, label = decl.words, text
-    else:
         try:
             words = alg.parse_word_list_fragment(text, group.spec)
         except alg.ParseError as exc:
             raise CliError(f"--subgroup {text!r}: {exc}")
         label = ", ".join("*".join(w) if w else "1" for w in words) or "1"
+    else:
+        if decl.group_name != group_name:
+            raise CliError(f"subgroup {text} is declared on group {decl.group_name}")
+        words, label = decl.words, text
     return group.subgroup_closure(group.evaluate_word(w) for w in words), label
 
 
@@ -147,43 +141,11 @@ def _resolve_structures(model, group_name, group, args):
     return [(name, _resolve_structure(model, group_name, group, name)) for name in names]
 
 
-# -- character table cache ----------------------------------------------
-
-
-def _table_for(group: FiniteGroup, cache_dir: str | None) -> CharacterTable:
-    if cache_dir is None:
-        return compute_character_table(group)
-    name = f"chartable-{group.spec.content_hash()}.json"
-    path = os.path.join(cache_dir, name)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        table = table_from_cache_dict(group, payload)
-        if table.verify_orthogonality():
-            return table
-    except (OSError, ValueError):
-        pass  # missing, corrupt or stale cache entry; recompute and overwrite below
-    table = compute_character_table(group)
-    os.makedirs(cache_dir, exist_ok=True)
-    # Write beside the entry, then rename over it: readers never see a
-    # partial file.
-    tmp = os.path.join(cache_dir, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(table_to_cache_dict(table), fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return table
-
-
 # -- published-order display --------------------------------------------
 
 
 def _is_reference_group(group: FiniteGroup) -> bool:
-    return group.spec.content_hash() == builtin.G32_27_SPEC.content_hash()
+    return group.spec == builtin.G32_27_SPEC
 
 
 def _column_layout(group: FiniteGroup) -> tuple[tuple[int, ...], bool]:
@@ -266,9 +228,8 @@ def _cmd_info(model, args, group_name, group, structures):
     for decl in model.structures_on(group_name):
         entry = {"name": decl.name, "entries": ["*".join(w) for w in decl.words]}
         try:
-            system = _resolve_structure(model, group_name, group, decl.name)
-            entry["type"] = list(system.signature)
-        except CliError as exc:
+            entry["type"] = list(_structure_system(group, decl).signature)
+        except SphericalSystemError as exc:
             entry["invalid"] = str(exc)
         payload["structures"].append(entry)
     for decl in model.subgroups:
@@ -350,7 +311,7 @@ def _cmd_classes(model, args, group_name, group, structures):
 
 
 def _cmd_chartable(model, args, group_name, group, structures):
-    table = _table_for(group, args.cache_dir)
+    table = compute_character_table(group)
     row_perm, col_perm, published = _table_layout(table)
     classes = group.conjugacy_classes()
     headers = [classes[c].representative.word() for c in col_perm]
@@ -488,7 +449,7 @@ def _cmd_fixed_points(model, args, group_name, group, structures):
 
 def _cmd_canonical(model, args, group_name, group, structures):
     ((sname, system),) = structures
-    table = _table_for(group, args.cache_dir)
+    table = compute_character_table(group)
     canonical = canonical_character(system, table)
     row_perm, col_perm, published = _table_layout(table)
     labels = _row_labels(row_perm)
@@ -606,7 +567,7 @@ def _cmd_fiber_orbits(model, args, group_name, group, structures):
 
 def _cmd_search(model, args, group_name, group, structures):
     names, systems = map(list, zip(*structures))
-    table = _table_for(group, args.cache_dir)
+    table = compute_character_table(group)
     report = search_all_pairs(table, *(canonical_character(s, table) for s in systems))
     row_perm, _, _ = _table_layout(table)
     labels = _row_labels(row_perm)
@@ -685,12 +646,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     shared.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help=f"character table cache directory (default: ${CACHE_ENV} if set)",
-    )
-    shared.add_argument(
         "group",
         nargs="?",
         default=None,
@@ -743,7 +698,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args.cache_dir = args.cache or os.environ.get(CACHE_ENV) or None
     try:
         model = _load_model(args.input)
         group_name, group = _resolve_group(model, args.group)

@@ -122,20 +122,6 @@ class GroupSpec:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> GroupSpec:
-        return cls(
-            n_rank=int(data["n_rank"]),
-            q_rank=int(data["q_rank"]),
-            action=tuple(
-                tuple(tuple(int(b) for b in row) for row in mat) for mat in data["action"]
-            ),
-            generator_names=tuple(
-                (g["name"], (tuple(int(b) for b in g["n"]), tuple(int(b) for b in g["q"])))
-                for g in data["generators"]
-            ),
-        )
-
     def content_hash(self) -> str:
         """Hash of the defining data, stable across processes."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -472,16 +458,28 @@ class FiniteGroup:
     def right_transversal(self, sub: Subgroup) -> tuple[GroupElement, ...]:
         """One representative per right coset H*g, identity coset first."""
         self._check_subgroup(sub)
+        reps, _ = self._right_cosets(sub)
+        return tuple(self.elements[e] for e in reps)
+
+    def _right_cosets(self, sub: Subgroup) -> tuple[list[int], list[int]]:
+        """Right-coset labels for H\\G: (representative indices, label of each index).
+
+        Cosets are labelled in the order of their smallest element index, so
+        the identity coset is label 0; each representative is that smallest
+        index.  Right multiplication by g sends label c to
+        labels[mul[reps[c]][g]].
+        """
         mul = self._mul
-        hidx = sorted(sub.indices)
-        seen: set[int] = set()
+        members = sub.indices
+        labels = [-1] * self._n
         reps = []
         for e in range(self._n):
-            if e in seen:
-                continue
-            reps.append(self.elements[e])
-            seen.update(mul[h][e] for h in hidx)
-        return tuple(reps)
+            if labels[e] < 0:
+                label = len(reps)
+                reps.append(e)
+                for h in members:
+                    labels[mul[h][e]] = label
+        return reps, labels
 
     def _check_subgroup(self, sub: Subgroup) -> None:
         if sub.parent is not self and sub.parent.spec != self.spec:

@@ -138,7 +138,7 @@ def _cyclic_transversals(
     if "transversals" not in memo:
         group = system.group
         memo["transversals"] = tuple(
-            (sub.indices, tuple(group.index(t) for t in group.right_transversal(sub)))
+            (sub.indices, tuple(group._right_cosets(sub)[0]))
             for sub in _cyclic_entries(system)
         )
     return memo["transversals"]
@@ -233,27 +233,6 @@ def canonical_character(system: SphericalSystem, table: CharacterTable) -> Class
     return memo[key]
 
 
-def _coset_action(group: FiniteGroup, sub: Subgroup):
-    """Right-coset labels for H\\G: (representative indices, label of each index).
-
-    Cosets are labelled in the order of their smallest element index, so
-    the identity coset is label 0; each representative is that smallest
-    index.  Right multiplication by g sends label c to
-    coset_of[mul[reps[c]][g]].
-    """
-    mul = group._mul
-    members = sub.indices
-    coset_of = [-1] * group.order
-    reps = []
-    for e in range(group.order):
-        if coset_of[e] < 0:
-            label = len(reps)
-            reps.append(e)
-            for h in members:
-                coset_of[mul[h][e]] = label
-    return reps, coset_of
-
-
 def quotient_genus(system: SphericalSystem, sub: Subgroup) -> int:
     """Genus of the quotient of the covering curve by a subgroup.
 
@@ -263,7 +242,7 @@ def quotient_genus(system: SphericalSystem, sub: Subgroup) -> int:
     """
     group = system.group
     group._check_subgroup(sub)
-    reps, coset_of = _coset_action(group, sub)
+    reps, coset_of = group._right_cosets(sub)
     index = len(reps)
     mul = group._mul
     correction = 0
@@ -338,7 +317,7 @@ def fiber_orbit_structure(
             f"branch index {branch_index} out of range 1..{len(system.entries)}"
         )
     cyclic = _cyclic_entries(system)[branch_index - 1]
-    reps, coset_of = _coset_action(group, cyclic)
+    reps, coset_of = group._right_cosets(cyclic)
     mul, inv = group._mul, group._inv
     hidx, members = sub.indices, cyclic.indices
     seen = [False] * len(reps)

@@ -7,13 +7,8 @@ from qslab.alg import (
     ParseError,
     parse_model,
     parse_word_list_fragment,
-    render_model,
 )
-from qslab.builtin import (
-    G32_27_SPEC,
-    SUBGROUP_WORDS,
-    STRUCTURE_WORDS,
-)
+from qslab.builtin import G32_27_SPEC
 
 MINIMAL = """
 group c2 {
@@ -29,18 +24,6 @@ def packaged_text():
     return resources.files("qslab.data").joinpath("g32_27.alg").read_text()
 
 
-def test_packaged_model_matches_builtin():
-    model = parse_model(packaged_text())
-    assert model.group_names() == ("g32_27",)
-    assert model.group_spec("g32_27") == G32_27_SPEC
-    for name, words in STRUCTURE_WORDS.items():
-        assert model.structure(name).words == words
-    for name, words in SUBGROUP_WORDS.items():
-        assert model.subgroup(name).words == words
-        assert model.subgroup(name).group_name == "g32_27"
-    assert [d.name for d in model.structures_on("g32_27")] == ["T1", "T2"]
-
-
 def test_minimal_model_parses():
     model = parse_model(MINIMAL)
     spec = model.group_spec("c2")
@@ -54,19 +37,6 @@ def test_comments_and_whitespace():
         "quotient rank 0;", "quotient rank 0;  # trailing comment"
     )
     assert parse_model(text).group_spec("c2").order() == 2
-
-
-def test_render_roundtrip():
-    model = parse_model(packaged_text())
-    rendered = render_model(model)
-    assert parse_model(rendered) == model
-    assert render_model(parse_model(rendered)) == rendered
-
-
-def test_render_roundtrip_minimal():
-    model = parse_model(MINIMAL)
-    rendered = render_model(model)
-    assert parse_model(rendered) == model
 
 
 # -- diagnostics --------------------------------------------------------

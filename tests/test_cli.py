@@ -1,5 +1,4 @@
 import json
-import os
 from importlib import resources
 from pathlib import Path
 
@@ -342,6 +341,10 @@ ERROR_CASES = [
      "--subgroup 'zz': line 1, col 1: unknown generator 'zz'"),
     ("subgroup-empty", ("quotient-genus", "--structure", "T1", "--subgroup", ""),
      "--subgroup '': line 1, col 1: expected generator name, found end of input"),
+    ("subgroup-on-other-group",
+     ("quotient-genus", "c2", "--input", "{golden}/n5q1.alg", "--structure", "C",
+      "--subgroup", "K"),
+     "subgroup K is declared on group n5q1"),
     ("branch-0",
      ("fiber-orbits", "--structure", "T1", "--subgroup", "H", "--branch", "0"),
      "--branch 0: branch index 0 out of range 1..4"),
@@ -370,108 +373,21 @@ def test_error_exits_2(capsys, tmp_path, argv, message):
     assert err == f"qslab: error: {message.format(**paths)}\n"
 
 
-# -- cache --------------------------------------------------------------
+# -- no table cache -----------------------------------------------------
 
 
-def cache_file(cache_dir):
-    files = [f for f in os.listdir(cache_dir) if f.startswith("chartable-")]
-    assert len(files) == 1
-    return os.path.join(cache_dir, files[0])
+def test_cache_flag_is_rejected(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["chartable", "--cache", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_write_and_hit(capsys, tmp_path):
-    cache = str(tmp_path)
-    code, first, _ = run(capsys, "chartable", "--cache", cache)
-    assert code == 0
-    path = cache_file(cache)
-    stamp = os.stat(path).st_mtime_ns
-    code, second, _ = run(capsys, "chartable", "--cache", cache)
-    assert code == 0 and second == first
-    # a valid cache entry is read, not rewritten
-    assert os.stat(path).st_mtime_ns == stamp
-
-
-def test_cache_corruption_recovers(capsys, tmp_path):
-    cache = str(tmp_path)
-    code, first, _ = run(capsys, "chartable", "--cache", cache)
-    path = cache_file(cache)
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    code, again, _ = run(capsys, "chartable", "--cache", cache)
-    assert code == 0 and again == first
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["format"] == "qslab-chartable-cache/1"
-
-
-def test_cache_rejects_tampered_rows(capsys, tmp_path):
-    cache = str(tmp_path)
-    run(capsys, "chartable", "--cache", cache)
-    path = cache_file(cache)
-    with open(path) as fh:
-        data = json.load(fh)
-    data["rows"][0][0] = 99  # breaks orthogonality, must be recomputed
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    code, out, _ = run(capsys, "chartable", "--cache", cache)
-    assert code == 0
-    assert "99" not in out
-
-
-def _truncate(text):
-    return text[: len(text) // 2]
-
-
-def _set_rows_to_int(text):
-    data = json.loads(text)
-    data["rows"] = 5
-    return json.dumps(data)
-
-
-def _wrong_spec_hash(text):
-    data = json.loads(text)
-    data["spec_hash"] = "0" * 64
-    return json.dumps(data)
-
-
-def _short_row(text):
-    data = json.loads(text)
-    data["rows"][2] = data["rows"][2][:-1]
-    return json.dumps(data)
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda text: "[]",
-        lambda text: "{}",
-        _truncate,
-        _set_rows_to_int,
-        _wrong_spec_hash,
-        _short_row,
-    ],
-    ids=["list", "empty-object", "truncated", "rows-int", "spec-hash", "short-row"],
-)
-def test_cache_recovers_from_malformed_entry(capsys, tmp_path, corrupt):
-    cache = str(tmp_path)
-    code, first, _ = run(capsys, "chartable", "--cache", cache)
-    assert code == 0
-    path = cache_file(cache)
-    with open(path) as fh:
-        valid = fh.read()
-    with open(path, "w") as fh:
-        fh.write(corrupt(valid))
-    code, again, err = run(capsys, "chartable", "--cache", cache)
-    assert code == 0 and err == ""
-    assert again == first
-    # the entry was rewritten whole, and no temporary file is left behind
-    assert os.listdir(cache) == [os.path.basename(path)]
-    with open(path) as fh:
-        assert fh.read() == valid
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("QSLAB_CACHE", str(tmp_path))
-    code, _, _ = run(capsys, "chartable")
-    assert code == 0
-    assert os.path.exists(cache_file(str(tmp_path)))
+def test_cache_env_var_is_ignored(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("QSLAB_CACHE", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    for _, argv in GOLDEN_COMMANDS:
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+    assert list(tmp_path.iterdir()) == []

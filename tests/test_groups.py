@@ -129,12 +129,6 @@ def test_spec_rejects_bad_names():
         spec.validate()
 
 
-def test_spec_roundtrips_through_dict():
-    spec = GroupSpec.from_dict(G32_27_SPEC.to_dict())
-    assert spec == G32_27_SPEC
-    assert spec.content_hash() == G32_27_SPEC.content_hash()
-
-
 def test_build_rejects_huge_groups():
     spec = GroupSpec(
         n_rank=11,

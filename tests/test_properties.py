@@ -9,7 +9,7 @@ whole-group sweeps cheaper and stronger than sampled properties.
 import random
 from functools import lru_cache
 
-from qslab.alg import parse_model, parse_word_list_fragment, render_model
+from qslab.alg import parse_word_list_fragment
 from qslab.builtin import SUBGROUP_WORDS, build_g32_27
 from qslab.characters import (
     ClassFunction,
@@ -18,7 +18,6 @@ from qslab.characters import (
     decompose,
     inner_product,
 )
-from qslab.groups import GroupSpec
 
 
 @lru_cache(maxsize=1)
@@ -201,34 +200,6 @@ class TestDecomposeRecompose:
 
 
 class TestParserRoundTrip:
-    def specs(self):
-        g = the_group()
-        d4 = GroupSpec(
-            n_rank=2,
-            q_rank=1,
-            action=(((0, 1), (1, 0)),),
-            generator_names=(("r", ((1, 0), (0,))), ("s", ((0, 0), (1,)))),
-        )
-        c2 = GroupSpec(
-            n_rank=1, q_rank=0, action=(), generator_names=(("a", ((1,), ())),)
-        )
-        return [g.spec, d4, c2]
-
-    def test_spec_dict_roundtrip(self):
-        for spec in self.specs():
-            again = GroupSpec.from_dict(spec.to_dict())
-            assert again == spec
-            assert again.content_hash() == spec.content_hash()
-
-    def test_model_text_roundtrip(self):
-        from qslab.alg import SessionModel
-
-        for i, spec in enumerate(self.specs()):
-            model = SessionModel(groups=((f"g{i}", spec),))
-            rendered = render_model(model)
-            assert parse_model(rendered) == model
-            assert render_model(parse_model(rendered)) == rendered
-
     def test_word_fragments_roundtrip(self):
         g = the_group()
         for words in SUBGROUP_WORDS.values():

@@ -289,13 +289,13 @@ def test_fixed_point_routes_agree_on_order_64_after_memo(monkeypatch):
     fixed_point_table(system)  # warms the memo
 
     transversals = Counter()
-    right_transversal = FiniteGroup.right_transversal
+    right_cosets = FiniteGroup._right_cosets
 
     def counting(self, sub):
         transversals[sub.indices] += 1
-        return right_transversal(self, sub)
+        return right_cosets(self, sub)
 
-    monkeypatch.setattr(FiniteGroup, "right_transversal", counting)
+    monkeypatch.setattr(FiniteGroup, "_right_cosets", counting)
     table = fixed_point_table(system)
     for g in group.elements:
         if g.is_identity():

@@ -1,9 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from qslab.builtin import G32_27_SPEC
-from qslab.groups import GroupSpec
 from qslab.verify import render_report, verify_paper
 
 
@@ -13,10 +13,8 @@ def report():
 
 
 def transposed_spec():
-    data = G32_27_SPEC.to_dict()
-    m = data["action"][0]
-    data["action"] = [tuple(tuple(m[r][c] for r in range(4)) for c in range(4))]
-    return GroupSpec.from_dict(data)
+    (m,) = G32_27_SPEC.action
+    return replace(G32_27_SPEC, action=(tuple(zip(*m)),))
 
 
 def test_clean_run_passes(report):
