@@ -5,10 +5,13 @@ each irreducible character is induced from a linear character of a
 little group N x| Q_v (the Wigner-Mackey construction).  The values are
 rational integers computed in bit arithmetic, and the table is certified
 by checking both orthogonality relations as exact integer identities.
+Each row of a Gram matrix is computed as one sum of Python ints whose
+fixed-width lanes hold its entries (Kronecker substitution; the lane width
+comes from an explicit bound, see ``_is_diagonal_gram``).
 
 Values are still held as Gaussian rationals (``ExactScalar``) so that
 class functions and the reference fixture share one scalar type; a table
-passes certification only if every value is a Gaussian integer.  Every
+passes certification only if every value is a rational integer.  Every
 consumer reads the values as rational integers (``as_integer``), so
 scalars carry no arithmetic beyond multiplication.
 """
@@ -211,43 +214,64 @@ class CharacterTable:
         return tuple(i for i, deg in enumerate(self.degrees) if deg == d)
 
     def verify_orthogonality(self) -> bool:
-        """Both orthogonality relations, as exact identities over Z[i].
+        """Both orthogonality relations, as exact identities over Z.
 
-        Rows: sum over classes of |K| a(K) conj(b(K)) = |G| delta(a, b).
-        Columns: sum over rows of chi(c) conj(chi(d)) = |G|/|K_c| delta(c, d).
-        False if any value is not a Gaussian integer.
+        Rows: sum over classes of |K| a(K) b(K) = |G| delta(a, b).
+        Columns: sum over rows of chi(c) chi(d) = |G|/|K_c| delta(c, d).
+        False if any value is not a rational integer; on such values
+        complex conjugation is the identity, so the relations need no
+        conjugate.
         """
         values = [v for row in self.rows for v in row.values]
-        if any(v.re.denominator != 1 or v.im.denominator != 1 for v in values):
+        if any(v.im or v.re.denominator != 1 for v in values):
             return False
         order = self.group.order
         sizes = [cls.size for cls in self.group.conjugacy_classes()]
-        xs = [[v.re.numerator for v in row.values] for row in self.rows]
-        ys = [[v.im.numerator for v in row.values] for row in self.rows]
-        columns = range(len(sizes))
-        return _is_diagonal_gram(xs, ys, sizes, [order] * len(xs)) and _is_diagonal_gram(
-            [[row[c] for row in xs] for c in columns],
-            [[row[c] for row in ys] for c in columns],
-            [1] * len(xs),
+        rows = [[v.re.numerator for v in row.values] for row in self.rows]
+        return _is_diagonal_gram(rows, sizes, [order] * len(rows)) and _is_diagonal_gram(
+            [[row[c] for row in rows] for c in range(len(sizes))],
+            [1] * len(rows),
             [order // s for s in sizes],
         )
 
 
-def _is_diagonal_gram(
-    xs: list[list[int]], ys: list[list[int]], weights: list[int], diagonal: list[int]
-) -> bool:
-    """Whether sum_t w_t a_t conj(b_t) = diagonal[i] * delta(i, j) for all i, j.
+def _lane_width(
+    vectors: list[list[int]], weights: list[int], diagonal: list[int]
+) -> int:
+    """Bits per lane B: 2^B exceeds sum_t w_t max|x|^2 and every diagonal entry."""
+    top = max((abs(x) for vector in vectors for x in vector), default=0)
+    return max([sum(weights) * top * top, *diagonal]).bit_length()
 
-    Vector i has Gaussian-integer entries xs[i][t] + ys[i][t] * i.
+
+def _pack(lanes: list[int], width: int) -> int:
+    """sum_j lanes[j] * 2^(width * j): signed lanes, one Python int."""
+    return sum(x << (width * j) for j, x in enumerate(lanes) if x)
+
+
+def _is_diagonal_gram(
+    vectors: list[list[int]], weights: list[int], diagonal: list[int]
+) -> bool:
+    """Whether G_ij = sum_t w_t x_it x_jt equals diagonal[i] * delta(i, j).
+
+    Weights and diagonal entries are nonnegative integers.  Coordinate t
+    of every vector is packed into one int Y_t = sum_j x_jt 2^(B j), so
+    row i of the Gram matrix is the single sum S_i = sum_t (w_t x_it) Y_t
+    = sum_j G_ij 2^(B j) (Kronecker substitution), to be compared with
+    diagonal[i] 2^(B i).  The lanes of S_i - diagonal[i] 2^(B i) are
+    c_j = G_ij - diagonal[i] delta(i, j), and
+
+        |G_ij| <= sum_t w_t |x_it| |x_jt| <= sum_t w_t max|x|^2,
+
+    while 0 <= G_ii, so every |c_j| < 2^B for B = ``_lane_width``.  If the
+    packed ints are equal but some c_j is not 0, the lowest such c_j is a
+    multiple of 2^B, which is impossible: equality of the packed ints
+    implies equality of every lane.
     """
-    wxs = [list(map(mul, weights, x)) for x in xs]
-    wys = [list(map(mul, weights, y)) for y in ys]
-    for i, (wx, wy) in enumerate(zip(wxs, wys)):
-        for j, (x, y) in enumerate(zip(xs, ys)):
-            real = sum(map(mul, wx, x)) + sum(map(mul, wy, y))
-            imag = sum(map(mul, wy, x)) - sum(map(mul, wx, y))
-            if real != (diagonal[i] if i == j else 0) or imag != 0:
-                return False
+    width = _lane_width(vectors, weights, diagonal)
+    packed = [_pack(column, width) for column in zip(*vectors)]
+    for i, (x, d) in enumerate(zip(vectors, diagonal)):
+        if sum(map(mul, map(mul, weights, x), packed)) != d << (width * i):
+            return False
     return True
 
 

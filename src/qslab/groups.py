@@ -175,6 +175,12 @@ class Subgroup:
     parent: "FiniteGroup" = field(repr=False)
     indices: frozenset[int]
     generators: tuple[GroupElement, ...]
+    # Right-coset labels, set by FiniteGroup._right_cosets on first use.
+    # They die with this object; held by the group, they would wait for
+    # the cyclic collector with it (GroupElement.group <-> elements).
+    _cosets: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -427,27 +433,33 @@ class FiniteGroup:
     # -- subgroups ------------------------------------------------------
 
     def _closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by ``seed``, walked out from the identity.
+        """Subgroup generated by ``seed``: the coset walk from the trivial subgroup."""
+        return self._extend(frozenset({0}), tuple({x for x in seed if x}))
 
-        The orbit of the identity under right multiplication by the seed
-        elements is the monoid they generate, which in a finite group is
-        the subgroup; the breadth-first walk costs O(|closure| * |seed|).
+    def _extend(self, sub: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
+        """<sub, gens> for a subgroup ``sub``, closed one right coset at a time.
+
+        The orbit of the coset sub*1 under right multiplication by ``gens``
+        is every right coset of sub in <sub, gens> when ``gens`` alone
+        generate that subgroup, or when each element of ``gens`` normalises
+        sub (then sub*<gens> is already a group).  Each new representative z
+        adds sub*z in one set update and is then stepped by ``gens``, so the
+        walk costs O(|result|) inserts plus O([result : sub] * |gens|)
+        lookups.  From the trivial subgroup it is the breadth-first orbit of
+        the identity.
         """
-        gens = tuple({x for x in seed if x})
         mul = self._mul
-        s = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                row = mul[a]
-                for g in gens:
-                    b = row[g]
-                    if b not in s:
-                        s.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return frozenset(s)
+        rows = [mul[h] for h in sub]
+        c = set(sub)
+        reps = [0]
+        for z in reps:
+            row = mul[z]
+            for g in gens:
+                y = row[g]
+                if y not in c:
+                    c.update([r[y] for r in rows])
+                    reps.append(y)
+        return frozenset(c)
 
     def subgroup_closure(self, gens: Iterable[GroupElement]) -> Subgroup:
         """Smallest subgroup containing ``gens``; empty input gives <1>."""
@@ -461,25 +473,28 @@ class FiniteGroup:
         reps, _ = self._right_cosets(sub)
         return tuple(self.elements[e] for e in reps)
 
-    def _right_cosets(self, sub: Subgroup) -> tuple[list[int], list[int]]:
+    def _right_cosets(self, sub: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Right-coset labels for H\\G: (representative indices, label of each index).
 
         Cosets are labelled in the order of their smallest element index, so
         the identity coset is label 0; each representative is that smallest
         index.  Right multiplication by g sends label c to
-        labels[mul[reps[c]][g]].
+        labels[mul[reps[c]][g]].  Each subgroup is labelled once, on first
+        use, and keeps its labels.
         """
-        mul = self._mul
-        members = sub.indices
-        labels = [-1] * self._n
-        reps = []
-        for e in range(self._n):
-            if labels[e] < 0:
-                label = len(reps)
-                reps.append(e)
-                for h in members:
-                    labels[mul[h][e]] = label
-        return reps, labels
+        if sub._cosets is None:
+            mul = self._mul
+            members = sub.indices
+            labels = [-1] * self._n
+            reps = []
+            for e in range(self._n):
+                if labels[e] < 0:
+                    label = len(reps)
+                    reps.append(e)
+                    for h in members:
+                        labels[mul[h][e]] = label
+            object.__setattr__(sub, "_cosets", (tuple(reps), tuple(labels)))
+        return sub._cosets
 
     def _check_subgroup(self, sub: Subgroup) -> None:
         if sub.parent is not self and sub.parent.spec != self.spec:
@@ -527,8 +542,9 @@ class FiniteGroup:
             if len(span) == len(indices):
                 break
             if x not in span:
+                # span contains the Frattini subgroup, so x normalises it.
                 picked.append(x)
-                span = self._closure(squares + tuple(picked))
+                span = self._extend(span, (x,))
         if self._closure(picked) != indices:
             raise RuntimeError("minimal generating set search failed")
         return tuple(picked)
@@ -538,8 +554,9 @@ class FiniteGroup:
     ) -> tuple[Subgroup, ...]:
         """All subgroups, by breadth-first closure over one-element extensions.
 
-        Each subgroup s is extended by every x outside it, in index order,
-        closing its witness generators plus x.  Once x is tried, the rest of
+        Each subgroup s is extended by every x outside it, in index order:
+        <s, x> is walked out from s one right coset at a time, stepping by
+        the witness generators of s plus x.  Once x is tried, the rest of
         the coset s*x is skipped: <s, h*x> = <s, x> for h in s, and the
         smallest x of a coset comes first, so the witnesses are unchanged.
         """
@@ -555,12 +572,13 @@ class FiniteGroup:
             nxt = []
             for s in frontier:
                 base = witness[s]
+                rows = [mul[h] for h in s]
                 tried = set(s)
                 for x in range(1, self._n):
                     if x in tried:
                         continue
-                    tried.update(mul[h][x] for h in s)
-                    c = self._closure(base + (x,))
+                    tried.update([r[x] for r in rows])
+                    c = self._extend(s, base + (x,))
                     if c not in witness:
                         witness[c] = base + (x,)
                         nxt.append(c)
@@ -582,10 +600,11 @@ class FiniteGroup:
 
         Breadth-first closure again, but extensions add a whole conjugacy
         class at a time; a subgroup generated by full classes is normal,
-        and every normal subgroup arises this way.  An extension of s closes
-        its minimal generators plus the new class C; the classes inside the
-        cosets s*x, x in C, are then skipped, since each of them generates
-        the same subgroup together with s.
+        and every normal subgroup arises this way.  An extension of s by a
+        new class C is walked out from s one right coset at a time, stepping
+        by C alone (s is normal); the classes inside the cosets s*x, x in C,
+        are then skipped, since each of them generates the same subgroup
+        together with s.
         """
         if self._n > max_order:
             raise GroupTooLargeError(
@@ -603,13 +622,13 @@ class FiniteGroup:
         while frontier:
             nxt = []
             for s in frontier:
-                base = gens[s]
+                rows = [mul[h] for h in s]
                 tried = set(s)
                 for cs in class_sets:
                     if cs[0] in tried:
                         continue
-                    tried.update(mul[h][x] for h in s for x in cs)
-                    c = self._closure(base + cs)
+                    tried.update([r[x] for r in rows for x in cs])
+                    c = self._extend(s, cs)
                     if c not in gens:
                         gens[c] = self._minimal_generators(c)
                         nxt.append(c)

@@ -138,7 +138,7 @@ def _cyclic_transversals(
     if "transversals" not in memo:
         group = system.group
         memo["transversals"] = tuple(
-            (sub.indices, tuple(group._right_cosets(sub)[0]))
+            (sub.indices, group._right_cosets(sub)[0])
             for sub in _cyclic_entries(system)
         )
     return memo["transversals"]

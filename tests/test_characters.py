@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from qslab.characters import (
     reference_column_map,
     table_from_cache_dict,
     table_to_cache_dict,
+    _is_diagonal_gram,
+    _lane_width,
+    _pack,
 )
 from qslab.groups import GroupSpec, _mat_identity, _mat_mul, build_group
 
@@ -232,6 +236,148 @@ def test_orthogonality_rejects_a_halved_row(table):
 def test_orthogonality_rejects_a_dropped_row(table):
     short = CharacterTable(group=table.group, rows=table.rows[:-1])
     assert not short.verify_orthogonality()
+
+
+# -- packed certification -----------------------------------------------
+
+
+def gram_oracle(vectors, weights, diagonal):
+    """Reference: every Gram entry summed on its own."""
+    return all(
+        sum(map(lambda w, a, b: w * a * b, weights, u, v)) == (d if i == j else 0)
+        for i, (u, d) in enumerate(zip(vectors, diagonal))
+        for j, v in enumerate(vectors)
+    )
+
+
+def relations(table):
+    """(vectors, weights, diagonal) of the row and the column relation."""
+    group = table.group
+    sizes = [cls.size for cls in group.conjugacy_classes()]
+    rows = [[v.as_integer() for v in row.values] for row in table.rows]
+    return [
+        (rows, sizes, [group.order] * len(rows)),
+        (
+            [list(col) for col in zip(*rows)],
+            [1] * len(rows),
+            [group.order // s for s in sizes],
+        ),
+    ]
+
+
+def integer_table(table, grid):
+    return CharacterTable(
+        group=table.group,
+        rows=tuple(ClassFunction(table.group, tuple(row)) for row in grid),
+    )
+
+
+def perturbed(rng, vectors, weights, diagonal):
+    vectors = [list(v) for v in vectors]
+    diagonal = list(diagonal)
+    i = rng.randrange(len(vectors))
+    kind = rng.randrange(5)
+    if kind == 0:  # one entry edited
+        vectors[i][rng.randrange(len(vectors[i]))] += rng.choice([-3, -1, 1, 2])
+    elif kind == 1:  # one vector scaled, with or without its diagonal
+        c = rng.choice([-2, 2, 3])
+        vectors[i] = [c * x for x in vectors[i]]
+        diagonal[i] *= c * c if rng.randrange(2) else 1
+    elif kind == 2:  # one diagonal entry moved
+        diagonal[i] += rng.choice([-1, 1, 1 << rng.randrange(12)])
+    elif kind == 3:  # one vector replaced by another's
+        vectors[i] = list(vectors[rng.randrange(len(vectors))])
+    return vectors, weights, diagonal  # kind 4: unchanged
+
+
+@pytest.mark.parametrize(
+    "make",
+    [d4, build_g32_27, lambda: family_member(4, 2), lambda: family_member(5, 1)],
+    ids=["d4", "g32-27", "n4q2", "n5q1"],
+)
+def test_packed_gram_matches_oracle(make):
+    table = compute_character_table(make())
+    rng = random.Random(f"gram:{table.group.order}:{len(table.rows)}")
+    for vectors, weights, diagonal in relations(table):
+        assert _is_diagonal_gram(vectors, weights, diagonal)
+        for _ in range(40):
+            case = perturbed(rng, vectors, weights, diagonal)
+            assert _is_diagonal_gram(*case) == gram_oracle(*case)
+
+
+def test_packed_gram_matches_oracle_on_random_matrices():
+    rng = random.Random("gram:random")
+    for _ in range(2000):
+        n, length, top = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 5)
+        vectors = [[rng.randint(-top, top) for _ in range(length)] for _ in range(n)]
+        weights = [rng.randint(1, 4) for _ in range(length)]
+        diagonal = [
+            sum(w * x * x for w, x in zip(weights, v)) + rng.choice([0, 0, 1, -1])
+            for v in vectors
+        ]
+        diagonal = [max(d, 0) for d in diagonal]
+        assert _is_diagonal_gram(vectors, weights, diagonal) == gram_oracle(
+            vectors, weights, diagonal
+        )
+
+
+def hadamard(size):
+    h = [[1]]
+    while len(h) < size:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_values_at_the_lane_bound_pass():
+    # c * H8 with unit weights: every diagonal Gram entry is 8 c^2, which
+    # is the bound sum_t w_t max|x|^2 itself
+    c = 1000
+    vectors = [[c * x for x in row] for row in hadamard(8)]
+    weights, diagonal = [1] * 8, [8 * c * c] * 8
+    width = _lane_width(vectors, weights, diagonal)
+    assert 2 ** (width - 1) <= 8 * c * c < 2**width
+    assert _is_diagonal_gram(vectors, weights, diagonal)
+    diagonal[5] -= 1
+    assert not _is_diagonal_gram(vectors, weights, diagonal)
+
+
+def test_a_lane_one_bit_narrower_aliases():
+    # Row i of the packed check compares the lanes c_j = G_ij - d_i delta_ij
+    # with 0, and |c_j| can reach the bound L; B is the least width with
+    # 2^B > L.  In B - 1 bits a lane at the bound carries into the next
+    # lane, and the nonzero lanes (2^(B-1), -1) pack to 0.
+    vectors = [[1, 1, 1, 1], [1, 1, 1, 1]]
+    bound = 4  # sum_t w_t max|x|^2, reached by every Gram entry
+    width = _lane_width(vectors, [1] * 4, [bound] * 2)
+    assert 2 ** (width - 1) <= bound < 2**width
+    lanes = [2 ** (width - 1), -1]
+    assert max(map(abs, lanes)) <= bound
+    assert _pack(lanes, width - 1) == 0
+    assert _pack(lanes, width) != 0
+    assert not _is_diagonal_gram(vectors, [1] * 4, [bound] * 2)
+
+
+def test_orthogonality_rejects_an_imaginary_part(table):
+    values = list(table.rows[2].values)
+    values[4] = ExactScalar(values[4].re, 1)
+    edited = ClassFunction(table.group, tuple(values))
+    assert not _with_row(table, 2, edited).verify_orthogonality()
+    # i * chi still satisfies both relations over Z[i], but is not integer-valued
+    assert not _with_row(table, 2, table.rows[2] * I).verify_orthogonality()
+
+
+def test_orthogonality_rejects_every_single_edit(table):
+    grid = [[v.as_integer() for v in row.values] for row in table.rows]
+    assert integer_table(table, grid).verify_orthogonality()
+    edits = 0
+    for i, row in enumerate(grid):
+        for j, x in enumerate(row):
+            for y in {-x, x - 1, x + 1} - {x}:
+                edited = [list(r) for r in grid]
+                edited[i][j] = y
+                assert not integer_table(table, edited).verify_orthogonality(), (i, j, y)
+                edits += 1
+    assert edits == 3 * 14 * 14 - sum(1 for row in grid for x in row if x == 0)
 
 
 def test_table_shape(table):

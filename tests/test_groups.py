@@ -277,6 +277,15 @@ def test_right_transversal(g32):
     assert len(seen) == len(reps)
 
 
+def test_right_cosets_are_labelled_once_per_subgroup(g32):
+    h = named_subgroup(g32, "H1")
+    labels = g32._right_cosets(h)
+    assert g32._right_cosets(h) is labels
+    assert g32.right_transversal(h) == tuple(g32.element(e) for e in labels[0])
+    again = g32.subgroup_closure(h.elements)
+    assert again == h and g32._right_cosets(again) == labels
+
+
 def test_center(g32):
     center = g32.center()
     assert sorted(g.word() for g in center.elements) == ["1", "g4", "g4*g5", "g5"]
@@ -309,6 +318,22 @@ def test_closure_matches_squaring_oracle(build):
     for _ in range(200):
         seed = rng.sample(range(group.order), rng.randrange(0, 5))
         assert group._closure(seed) == squaring_closure(group, seed)
+
+
+@pytest.mark.parametrize("build", [build_g32_27, order_64_member])
+def test_coset_walk_matches_squaring_oracle(build):
+    # <s, x> walked out from a random subgroup s, stepping by s's seed plus
+    # x, and from a normal s stepping by x alone
+    group = build()
+    rng = random.Random(f"coset-walk:{group.order}")
+    normals = [s.indices for s in group.enumerate_normal_subgroups()]
+    for _ in range(200):
+        seed = tuple(rng.sample(range(group.order), rng.randrange(0, 4)))
+        s = group._closure(seed)
+        x = rng.randrange(group.order)
+        assert group._extend(s, seed + (x,)) == squaring_closure(group, s | {x})
+        n = rng.choice(normals)
+        assert group._extend(n, (x,)) == squaring_closure(group, n | {x})
 
 
 @pytest.mark.parametrize("build", [build_g32_27, conjugated_member])
