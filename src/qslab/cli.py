@@ -8,6 +8,10 @@ prints it in text, JSON, or Markdown.  All numeric output is exact:
 integers stay integers and Gaussian rationals are rendered symbolically,
 never as floats.
 
+Each command loads only the modules it runs: ``qslab.verify`` (which
+imports ``qslab.search``) is loaded for ``verify-paper`` alone and
+``qslab.search`` for ``search``, so no other subcommand imports either.
+
 Exit codes: 0 on success, 1 when ``verify-paper`` finds a mismatch,
 2 for usage errors and unparseable or unresolvable input.
 """
@@ -22,7 +26,6 @@ from . import alg, builtin
 from .characters import (
     AlignmentError,
     CharacterTable,
-    CharacterTableError,
     align_to_reference,
     compute_character_table,
     decompose,
@@ -36,6 +39,7 @@ from .groups import (
     build_group,
 )
 from .ramification import (
+    WHOLE_CURVE,
     SphericalSystemError,
     canonical_character,
     curve_genus,
@@ -46,8 +50,6 @@ from .ramification import (
     stabilizer_set,
     validate_spherical,
 )
-from .search import search_all_pairs
-from .verify import WHOLE_CURVE, render_report, verify_paper
 
 
 class CliError(Exception):
@@ -566,6 +568,8 @@ def _cmd_fiber_orbits(model, args, group_name, group, structures):
 
 
 def _cmd_search(model, args, group_name, group, structures):
+    from .search import search_all_pairs
+
     names, systems = map(list, zip(*structures))
     table = compute_character_table(group)
     report = search_all_pairs(table, *(canonical_character(s, table) for s in systems))
@@ -702,13 +706,15 @@ def main(argv=None) -> int:
         model = _load_model(args.input)
         group_name, group = _resolve_group(model, args.group)
         if args.command == "verify-paper":
+            from .verify import render_report, verify_paper
+
             report = verify_paper(spec=group.spec, reference_path=args.reference)
             fmt = {"md": "markdown"}.get(args.format, args.format)
             sys.stdout.write(render_report(report, fmt))
             return 0 if report.passed else 1
         structures = _resolve_structures(model, group_name, group, args)
         payload, text, md = args.func(model, args, group_name, group, structures)
-    except (CliError, CharacterTableError, RuntimeError) as exc:
+    except (CliError, RuntimeError) as exc:
         print(f"qslab: error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

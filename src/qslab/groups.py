@@ -12,7 +12,6 @@ concurrent reads.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from math import lcm
@@ -124,6 +123,8 @@ class GroupSpec:
 
     def content_hash(self) -> str:
         """Hash of the defining data, stable across processes."""
+        import hashlib  # deferred: nothing else in the package needs it
+
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
@@ -434,9 +435,11 @@ class FiniteGroup:
 
     def _closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by ``seed``: the coset walk from the trivial subgroup."""
-        return self._extend(frozenset({0}), tuple({x for x in seed if x}))
+        return self._extend(frozenset({0}), [self._mul[0]], tuple({x for x in seed if x}))
 
-    def _extend(self, sub: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
+    def _extend(
+        self, sub: frozenset[int], rows: list[list[int]], gens: tuple[int, ...]
+    ) -> frozenset[int]:
         """<sub, gens> for a subgroup ``sub``, closed one right coset at a time.
 
         The orbit of the coset sub*1 under right multiplication by ``gens``
@@ -446,10 +449,11 @@ class FiniteGroup:
         adds sub*z in one set update and is then stepped by ``gens``, so the
         walk costs O(|result|) inserts plus O([result : sub] * |gens|)
         lookups.  From the trivial subgroup it is the breadth-first orbit of
-        the identity.
+        the identity.  ``rows`` holds the multiplication-table row of each
+        element of sub, so a caller extending one sub many times builds
+        them once.
         """
         mul = self._mul
-        rows = [mul[h] for h in sub]
         c = set(sub)
         reps = [0]
         for z in reps:
@@ -544,7 +548,7 @@ class FiniteGroup:
             if x not in span:
                 # span contains the Frattini subgroup, so x normalises it.
                 picked.append(x)
-                span = self._extend(span, (x,))
+                span = self._extend(span, [mul[h] for h in span], (x,))
         if self._closure(picked) != indices:
             raise RuntimeError("minimal generating set search failed")
         return tuple(picked)
@@ -578,7 +582,7 @@ class FiniteGroup:
                     if x in tried:
                         continue
                     tried.update([r[x] for r in rows])
-                    c = self._extend(s, base + (x,))
+                    c = self._extend(s, rows, base + (x,))
                     if c not in witness:
                         witness[c] = base + (x,)
                         nxt.append(c)
@@ -628,7 +632,7 @@ class FiniteGroup:
                     if cs[0] in tried:
                         continue
                     tried.update([r[x] for r in rows for x in cs])
-                    c = self._extend(s, cs)
+                    c = self._extend(s, rows, cs)
                     if c not in gens:
                         gens[c] = self._minimal_generators(c)
                         nxt.append(c)

@@ -21,6 +21,10 @@ from .characters import CharacterTable, ClassFunction, ExactScalar
 from .groups import FiniteGroup, GroupElement, Subgroup
 
 
+# What fixed_point_table's None (the identity class) stands for in reports.
+WHOLE_CURVE = "whole curve"
+
+
 class SphericalSystemError(ValueError):
     """A tuple of elements fails one of the spherical system conditions."""
 

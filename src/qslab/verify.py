@@ -24,6 +24,7 @@ from .characters import (
 )
 from .groups import GroupSpec, build_group
 from .ramification import (
+    WHOLE_CURVE,
     canonical_character,
     curve_genus,
     fixed_point_count,
@@ -38,8 +39,6 @@ from .ramification import (
 from .search import search_all_pairs
 
 SCHEMA_VERSION = "qslab-report/1"
-
-WHOLE_CURVE = "whole curve"
 
 # Published reference data for the bundled group, in published class order.
 

@@ -331,9 +331,11 @@ def test_coset_walk_matches_squaring_oracle(build):
         seed = tuple(rng.sample(range(group.order), rng.randrange(0, 4)))
         s = group._closure(seed)
         x = rng.randrange(group.order)
-        assert group._extend(s, seed + (x,)) == squaring_closure(group, s | {x})
+        rows = [group._mul[h] for h in s]
+        assert group._extend(s, rows, seed + (x,)) == squaring_closure(group, s | {x})
         n = rng.choice(normals)
-        assert group._extend(n, (x,)) == squaring_closure(group, n | {x})
+        rows = [group._mul[h] for h in n]
+        assert group._extend(n, rows, (x,)) == squaring_closure(group, n | {x})
 
 
 @pytest.mark.parametrize("build", [build_g32_27, conjugated_member])
