@@ -8,13 +8,13 @@ parsed once at import; that file is the only copy of the model.
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
 from .alg import parse_model
 from .groups import FiniteGroup, Subgroup, build_group
 
 MODEL = parse_model(
-    (resources.files("qslab") / "data" / "g32_27.alg").read_text(encoding="utf-8")
+    (Path(__file__).parent / "data" / "g32_27.alg").read_text(encoding="utf-8")
 )
 (GROUP_NAME,) = MODEL.group_names()
 G32_27_SPEC = MODEL.group_spec(GROUP_NAME)

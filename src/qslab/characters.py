@@ -9,33 +9,22 @@ Each row of a Gram matrix is computed as one sum of Python ints whose
 fixed-width lanes hold its entries (Kronecker substitution; the lane width
 comes from an explicit bound, see ``_is_diagonal_gram``).
 
-Values are still held as Gaussian rationals (``ExactScalar``) so that
-class functions and the reference fixture share one scalar type; a table
-passes certification only if every value is a rational integer.  Every
-consumer reads the values as rational integers (``as_integer``), so
-scalars carry no arithmetic beyond multiplication.
+Every value is a rational integer, held as an ``ExactScalar`` (an
+``int``); a class function refuses any other value at construction.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from importlib import resources
 from itertools import product
-from operator import mul
+from operator import index, mul
 from pathlib import Path
 
 from .groups import BitVector, FiniteGroup, _mat_apply
 
 REFERENCE_FORMAT = "qslab-chartable-ref/1"
 CACHE_FORMAT = "qslab-chartable-cache/1"
-
-_SCALAR_PATTERN = re.compile(
-    r"^(?P<re>[+-]?\d+(?:/\d+)?)?"
-    r"(?:(?P<sign>[+-]?)(?P<im>\d+(?:/\d+)?)?i)?$"
-)
 
 
 class CharacterTableError(RuntimeError):
@@ -46,98 +35,39 @@ class AlignmentError(ValueError):
     """A computed table cannot be matched to a reference fixture."""
 
 
-def _coerce(value: "ExactScalar | Fraction | int") -> "ExactScalar":
-    if isinstance(value, ExactScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ExactScalar(Fraction(value), Fraction(0))
-    raise TypeError(f"cannot coerce {type(value).__name__} to ExactScalar")
+class ExactScalar(int):
+    """A class-function value: a rational integer.
 
+    A ``bool`` and anything ``operator.index`` refuses (a ``Fraction``, a
+    float, a complex number, a string) raise ValueError.
 
-@dataclass(frozen=True)
-class ExactScalar:
-    """An exact element re + im*i of the Gaussian rationals."""
+    ``re``, ``im`` and ``to_json`` are kept for two readers written against
+    the earlier Gaussian-rational values: the ``family`` certificate of the
+    benchmark (``perfbench/workloads.py``) and ``tests/test_acceptance.py``.
+    """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ()
+    im = 0
+    re = property(int)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __new__(cls, value: int) -> "ExactScalar":
+        if not isinstance(value, bool):
+            try:
+                return super().__new__(cls, index(value))
+            except TypeError:
+                pass
+        raise ValueError(f"{value!r} is not a rational integer")
 
-    def __mul__(self, other: "ExactScalar | Fraction | int") -> "ExactScalar":
-        o = _coerce(other)
-        return ExactScalar(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
-
-    def as_integer(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self} is not a rational integer")
-        return self.re.numerator
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
-            imag = "i"
-        elif self.im == -1:
-            imag = "-i"
-        else:
-            imag = f"{self.im}i"
-        if self.re == 0:
-            return imag
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imag}"
-
-    def to_json(self) -> int | str:
-        if self.is_integer():
-            return self.re.numerator
-        return str(self)
-
-    @classmethod
-    def from_json(cls, data: int | str) -> "ExactScalar":
-        if isinstance(data, bool) or not isinstance(data, (int, str)):
-            raise ValueError(f"cannot parse scalar from {data!r}")
-        if isinstance(data, int):
-            return cls(Fraction(data), Fraction(0))
-        text = data.strip()
-        match = _SCALAR_PATTERN.match(text)
-        if not match or not text:
-            raise ValueError(f"cannot parse scalar from {data!r}")
-        re_part, sign, im_part = match.group("re"), match.group("sign"), match.group("im")
-        has_i = text.endswith("i")
-        if not has_i:
-            if re_part is None:
-                raise ValueError(f"cannot parse scalar from {data!r}")
-            return cls(Fraction(re_part), Fraction(0))
-        if re_part is not None and sign == "" and im_part is None:
-            # A bare form like "3i": the regex puts the digits in re_part.
-            return cls(Fraction(0), Fraction(re_part))
-        imag = Fraction(im_part) if im_part else Fraction(1)
-        if sign == "-":
-            imag = -imag
-        real = Fraction(re_part) if re_part is not None else Fraction(0)
-        return cls(real, imag)
-
-
-ZERO = ExactScalar()
-ONE = ExactScalar(Fraction(1))
+    def to_json(self) -> int:
+        return int(self)
 
 
 @dataclass(frozen=True, eq=False)
 class ClassFunction:
     """A function constant on conjugacy classes, in canonical class order.
 
-    The only arithmetic is scaling by an exact scalar.  Sums and products
-    of characters are taken on their integer values (``as_integer``);
-    ``inner_product`` works on the real and imaginary parts.
+    Every value is a rational integer; any other value is refused here.
+    The only arithmetic is scaling by an integer.
     """
 
     group: FiniteGroup = field(repr=False)
@@ -145,7 +75,9 @@ class ClassFunction:
 
     def __post_init__(self) -> None:
         k = len(self.group.conjugacy_classes())
-        vals = tuple(_coerce(v) for v in self.values)
+        # Values that already are ExactScalar pass through, so a table keeps
+        # one object per distinct value.
+        vals = tuple(v if type(v) is ExactScalar else ExactScalar(v) for v in self.values)
         if len(vals) != k:
             raise ValueError(f"expected {k} class values, got {len(vals)}")
         object.__setattr__(self, "values", vals)
@@ -162,26 +94,30 @@ class ClassFunction:
         if self.group is not other.group and self.group.spec != other.group.spec:
             raise ValueError("class functions on different groups")
 
-    def __mul__(self, other: "ExactScalar | Fraction | int") -> "ClassFunction":
-        c = _coerce(other)
-        return ClassFunction(self.group, tuple(a * c for a in self.values))
+    def __mul__(self, other: int) -> "ClassFunction":
+        return ClassFunction(self.group, tuple(a * other for a in self.values))
 
     def at_identity(self) -> ExactScalar:
         return self.values[0]
 
-    def is_real(self) -> bool:
-        return all(v.is_real() for v in self.values)
 
+def inner_product(f: ClassFunction, h: ClassFunction) -> int:
+    """<f, h> = (1/|G|) sum over classes of |K| f(K) h(K), an exact integer.
 
-def inner_product(f: ClassFunction, h: ClassFunction) -> ExactScalar:
-    """<f, h> = (1/|G|) sum over classes of |K| f(K) conj(h(K))."""
+    Conjugation fixes rational integers, so no conjugate is taken.  Raises
+    ValueError when |G| does not divide the sum.
+    """
     f._check_same_group(h)
-    re = im = 0
-    for cls, a, b in zip(f.group.conjugacy_classes(), f.values, h.values):
-        # a * conj(b) = (a.re b.re + a.im b.im) + (a.im b.re - a.re b.im) i
-        re += cls.size * (a.re * b.re + a.im * b.im)
-        im += cls.size * (a.im * b.re - a.re * b.im)
-    return ExactScalar(Fraction(re, f.group.order), Fraction(im, f.group.order))
+    total = sum(
+        cls.size * a * b
+        for cls, a, b in zip(f.group.conjugacy_classes(), f.values, h.values)
+    )
+    value, rem = divmod(total, f.group.order)
+    if rem:
+        from fractions import Fraction
+
+        raise ValueError(f"inner product {Fraction(total, f.group.order)} is not integral")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,19 +129,16 @@ class CharacterTable:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(row.at_identity().as_integer() for row in self.rows)
+        return tuple(row.at_identity() for row in self.rows)
 
     def trivial_index(self) -> int:
         for i, row in enumerate(self.rows):
-            if all(v == ONE for v in row.values):
+            if all(v == 1 for v in row.values):
                 return i
         raise CharacterTableError("table has no trivial character row")
 
     def trivial(self) -> ClassFunction:
         return self.rows[self.trivial_index()]
-
-    def is_real(self) -> bool:
-        return all(row.is_real() for row in self.rows)
 
     def linear_indices(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
@@ -218,16 +151,12 @@ class CharacterTable:
 
         Rows: sum over classes of |K| a(K) b(K) = |G| delta(a, b).
         Columns: sum over rows of chi(c) chi(d) = |G|/|K_c| delta(c, d).
-        False if any value is not a rational integer; on such values
-        complex conjugation is the identity, so the relations need no
-        conjugate.
+        Every value is a rational integer, fixed by complex conjugation, so
+        the relations need no conjugate.
         """
-        values = [v for row in self.rows for v in row.values]
-        if any(v.im or v.re.denominator != 1 for v in values):
-            return False
         order = self.group.order
         sizes = [cls.size for cls in self.group.conjugacy_classes()]
-        rows = [[v.re.numerator for v in row.values] for row in self.rows]
+        rows = [row.values for row in self.rows]
         return _is_diagonal_gram(rows, sizes, [order] * len(rows)) and _is_diagonal_gram(
             [[row[c] for row in rows] for c in range(len(sizes))],
             [1] * len(rows),
@@ -333,20 +262,19 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
 
     Each multiplicity is the integer sum over classes of |K| f(K) chi(K),
     divided exactly by |G| (conjugation fixes rational integers).  Raises
-    if a value of ``f`` or of the table is not a rational integer, or if a
-    sum is not divisible by |G|, which means ``f`` is not a virtual
-    character.
+    ValueError if a sum is not divisible by |G|, which means ``f`` is not
+    a virtual character.
     """
     group = table.group
     f._check_same_group(table.rows[0])
-    weighted = [
-        cls.size * v.as_integer() for cls, v in zip(group.conjugacy_classes(), f.values)
-    ]
+    weighted = [cls.size * v for cls, v in zip(group.conjugacy_classes(), f.values)]
     mults = []
     for row in table.rows:
-        total = sum(w * v.as_integer() for w, v in zip(weighted, row.values))
+        total = sum(map(mul, weighted, row.values))
         m, rem = divmod(total, group.order)
         if rem:
+            from fractions import Fraction
+
             raise ValueError(
                 f"multiplicity {Fraction(total, group.order)} against "
                 f"degree-{row.at_identity()} row is not integral"
@@ -379,9 +307,8 @@ def _split_word(word: str) -> tuple[str, ...]:
 def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
     """Load a reference fixture; the packaged table is the default."""
     if path is None:
-        text = (resources.files("qslab") / "data" / "g32_27_chartable.json").read_text()
-    else:
-        text = Path(path).read_text()
+        path = Path(__file__).parent / "data" / "g32_27_chartable.json"
+    text = Path(path).read_text()
     data = json.loads(text)
     if data.get("format") != REFERENCE_FORMAT:
         raise ValueError(f"unsupported reference fixture format {data.get('format')!r}")
@@ -391,9 +318,7 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
         class_reps=tuple(c["rep"] for c in classes),
         class_members=tuple(tuple(c["members"]) for c in classes),
         class_sizes=tuple(int(c["size"]) for c in classes),
-        matrix=tuple(
-            tuple(ExactScalar.from_json(v) for v in row) for row in data["rows"]
-        ),
+        matrix=tuple(tuple(map(ExactScalar, row)) for row in data["rows"]),
     )
 
 
@@ -447,7 +372,7 @@ def align_to_reference(
     used: set[int] = set()
     row_perm = []
     for i, ref_row in enumerate(ref.matrix):
-        target = [ZERO] * k
+        target = [0] * k
         for j, value in enumerate(ref_row):
             target[col_perm[j]] = value
         matches = [
@@ -474,7 +399,7 @@ def table_to_cache_dict(table: CharacterTable) -> dict:
     return {
         "format": CACHE_FORMAT,
         "spec_hash": table.group.spec.content_hash(),
-        "rows": [[v.to_json() for v in row.values] for row in table.rows],
+        "rows": [list(row.values) for row in table.rows],
     }
 
 
@@ -497,8 +422,5 @@ def table_from_cache_dict(group: FiniteGroup, data: dict) -> CharacterTable:
         raise ValueError(f"cached table has {len(rows)} rows, expected {k}")
     return CharacterTable(
         group=group,
-        rows=tuple(
-            ClassFunction(group, tuple(ExactScalar.from_json(v) for v in row))
-            for row in rows
-        ),
+        rows=tuple(ClassFunction(group, tuple(row)) for row in rows),
     )

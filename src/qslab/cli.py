@@ -5,8 +5,7 @@
 subcommand's declared number of structures once; the subcommand resolves
 any subgroup, computes what it needs (character tables included) and
 prints it in text, JSON, or Markdown.  All numeric output is exact:
-integers stay integers and Gaussian rationals are rendered symbolically,
-never as floats.
+every value (character values included) is an integer, never a float.
 
 Each command loads only the modules it runs: ``qslab.verify`` (which
 imports ``qslab.search``) is loaded for ``verify-paper`` alone and
@@ -330,8 +329,8 @@ def _cmd_chartable(model, args, group_name, group, structures):
         "rows": [
             {
                 "label": f"chi{i + 1}",
-                "degree": table.rows[r].at_identity().as_integer(),
-                "values": [table.rows[r].values[c].to_json() for c in col_perm],
+                "degree": table.rows[r].at_identity(),
+                "values": [table.rows[r].values[c] for c in col_perm],
             }
             for i, r in enumerate(row_perm)
         ],
@@ -468,7 +467,7 @@ def _cmd_canonical(model, args, group_name, group, structures):
         "structure": sname,
         "genus": curve_genus(system),
         "order": _order_note(published),
-        "values": [canonical.values[c].to_json() for c in col_perm],
+        "values": [canonical.values[c] for c in col_perm],
         "decomposition": {
             labels[r]: mults[r] for r in row_perm if mults[r] != 0
         },
@@ -709,8 +708,7 @@ def main(argv=None) -> int:
             from .verify import render_report, verify_paper
 
             report = verify_paper(spec=group.spec, reference_path=args.reference)
-            fmt = {"md": "markdown"}.get(args.format, args.format)
-            sys.stdout.write(render_report(report, fmt))
+            sys.stdout.write(render_report(report, args.format))
             return 0 if report.passed else 1
         structures = _resolve_structures(model, group_name, group, args)
         payload, text, md = args.func(model, args, group_name, group, structures)

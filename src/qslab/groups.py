@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 BitVector = tuple[int, ...]
 BitMatrix = tuple[BitVector, ...]
 
-# Building the full multiplication table is quadratic in the order; the
-# toolkit targets the order <= 64 family, so this bound is generous.
+# Building the full multiplication table is quadratic in the order (about
+# a million entries at 1024); family members are measured up to this bound.
 MAX_BUILD_ORDER = 1024
 
 DEFAULT_ENUMERATION_BOUND = 64
@@ -553,9 +553,7 @@ class FiniteGroup:
             raise RuntimeError("minimal generating set search failed")
         return tuple(picked)
 
-    def enumerate_subgroups(
-        self, max_order: int = DEFAULT_ENUMERATION_BOUND
-    ) -> tuple[Subgroup, ...]:
+    def enumerate_subgroups(self) -> tuple[Subgroup, ...]:
         """All subgroups, by breadth-first closure over one-element extensions.
 
         Each subgroup s is extended by every x outside it, in index order:
@@ -564,9 +562,10 @@ class FiniteGroup:
         the coset s*x is skipped: <s, h*x> = <s, x> for h in s, and the
         smallest x of a coset comes first, so the witnesses are unchanged.
         """
-        if self._n > max_order:
+        if self._n > DEFAULT_ENUMERATION_BOUND:
             raise GroupTooLargeError(
-                f"subgroup enumeration requires group order <= {max_order}, got {self._n}"
+                "subgroup enumeration requires group order <= "
+                f"{DEFAULT_ENUMERATION_BOUND}, got {self._n}"
             )
         mul = self._mul
         trivial = frozenset({0})
@@ -597,9 +596,7 @@ class FiniteGroup:
             for s in subs
         )
 
-    def enumerate_normal_subgroups(
-        self, max_order: int = DEFAULT_ENUMERATION_BOUND
-    ) -> tuple[Subgroup, ...]:
+    def enumerate_normal_subgroups(self) -> tuple[Subgroup, ...]:
         """All normal subgroups, with minimal generating witnesses.
 
         Breadth-first closure again, but extensions add a whole conjugacy
@@ -610,10 +607,10 @@ class FiniteGroup:
         are then skipped, since each of them generates the same subgroup
         together with s.
         """
-        if self._n > max_order:
+        if self._n > DEFAULT_ENUMERATION_BOUND:
             raise GroupTooLargeError(
-                f"normal subgroup enumeration requires group order <= {max_order}, "
-                f"got {self._n}"
+                "normal subgroup enumeration requires group order <= "
+                f"{DEFAULT_ENUMERATION_BOUND}, got {self._n}"
             )
         mul = self._mul
         class_sets = [

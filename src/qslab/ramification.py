@@ -15,9 +15,9 @@ enter as their index sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import lcm
 
-from .characters import CharacterTable, ClassFunction, ExactScalar
+from .characters import CharacterTable, ClassFunction
 from .groups import FiniteGroup, GroupElement, Subgroup
 
 
@@ -39,8 +39,7 @@ class SphericalSystem:
     entries: tuple[GroupElement, ...]
     # Derived data, computed once per system: entry indices, cyclic entry
     # subgroups, their index sets with index right transversals, the fixed
-    # point table and, per table, the canonical character and its integer
-    # values.
+    # point table and, per table, the canonical character.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -96,7 +95,8 @@ def is_disjoint(a: SphericalSystem, b: SphericalSystem) -> bool:
 def genus_from_type(group_order: int, signature) -> int:
     """Genus of the covering curve from the Riemann-Hurwitz relation.
 
-    2g - 2 = n(-2 + sum(1 - 1/m)) over the signature entries m.
+    2g - 2 = n(-2 + sum(1 - 1/m)) over the signature entries m, computed
+    as an integer multiple of 1/L with L the lcm of the entries.
     """
     signature = tuple(signature)
     if group_order < 1:
@@ -104,12 +104,19 @@ def genus_from_type(group_order: int, signature) -> int:
     for m in signature:
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"signature entries must be integers >= 2, got {m!r}")
-    rhs = group_order * (Fraction(-2) + sum(1 - Fraction(1, m) for m in signature))
-    if rhs.denominator != 1:
+    denominator = lcm(*signature)
+    numerator = group_order * (
+        sum(denominator - denominator // m for m in signature) - 2 * denominator
+    )
+    rhs, rem = divmod(numerator, denominator)
+    if rem:
+        from fractions import Fraction
+
+        rhs = Fraction(numerator, denominator)
         raise ValueError(f"Riemann-Hurwitz value 2g-2 = {rhs} is not an integer")
-    if rhs.numerator % 2:
+    if rhs % 2:
         raise ValueError(f"Riemann-Hurwitz value 2g-2 = {rhs} is odd")
-    genus = (rhs.numerator + 2) // 2
+    genus = (rhs + 2) // 2
     if genus < 0:
         raise ValueError(f"Riemann-Hurwitz genus {genus} is negative")
     return genus
@@ -208,31 +215,25 @@ def fixed_point_table(system: SphericalSystem) -> tuple[int | None, ...]:
 def canonical_character(system: SphericalSystem, table: CharacterTable) -> ClassFunction:
     """Character of the canonical representation on holomorphic 1-forms.
 
-    Requires every irreducible character of the group to be real valued;
-    then the Lefschetz relation fix(g) = 2 - 2 chi(g) inverts to exact
-    integer values, with chi(1) the curve genus.  Computed once per
-    (system, table).
+    Every character of the family is integer valued, so the Lefschetz
+    relation fix(g) = 2 - 2 chi(g) inverts to exact integer values, with
+    chi(1) the curve genus.  Computed once per (system, table).
     """
     memo = system._memo
     key = ("canonical", table)
     if key in memo:
         return memo[key]
-    if not table.is_real():
-        raise ValueError(
-            "canonical character requires a real character table; "
-            "this table has nonreal values"
-        )
     genus = curve_genus(system)
     values = []
     for fix in fixed_point_table(system):
         if fix is None:
-            values.append(ExactScalar(Fraction(genus)))
+            values.append(genus)
             continue
         if fix % 2:
             raise RuntimeError(
                 f"odd fixed point count {fix} contradicts a real-valued action"
             )
-        values.append(ExactScalar(Fraction(2 - fix, 2)))
+        values.append((2 - fix) // 2)
     memo[key] = ClassFunction(system.group, tuple(values))
     return memo[key]
 
@@ -277,15 +278,13 @@ def quotient_genus_by_character(
 ) -> int:
     """Independent route: average the canonical character over the subgroup."""
     group = system.group
-    canonical = canonical_character(system, table)
-    key = ("canonical_integers", table)
-    if key not in system._memo:
-        system._memo[key] = tuple(v.as_integer() for v in canonical.values)
-    values = system._memo[key]
+    values = canonical_character(system, table).values
     class_of = group._class_of
     total = sum(values[class_of[h]] for h in sub.indices)
     genus, rem = divmod(total, sub.order)
     if rem or genus < 0:
+        from fractions import Fraction
+
         raise RuntimeError(
             f"canonical character average {Fraction(total, sub.order)} is not a genus"
         )

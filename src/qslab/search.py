@@ -17,7 +17,6 @@ parameters when the h0 and h2 invariants both vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 from operator import add, sub
 
@@ -34,15 +33,8 @@ class BundleCohomology:
 
     def __post_init__(self) -> None:
         self.h0._check_same_group(self.h1)
-        for name, char in (("h0", self.h0), ("h1", self.h1)):
-            value = char.at_identity()
-            if not value.is_integer() or value.as_integer() < 0:
-                raise ValueError(f"{name} identity value {value} is not a dimension")
-
-
-def _integers(f: ClassFunction) -> tuple[int, ...]:
-    """Class values as ints; raises ValueError on any non-integer value."""
-    return tuple(v.as_integer() for v in f.values)
+        _check_dimension("h0", self.h0.values)
+        _check_dimension("h1", self.h1.values)
 
 
 def _class_sizes(group: FiniteGroup) -> tuple[int, ...]:
@@ -58,6 +50,8 @@ def _invariants(sizes: tuple[int, ...], order: int, *factors: tuple[int, ...]) -
     total = sum(map(prod, zip(sizes, *factors)))
     m, rem = divmod(total, order)
     if rem:
+        from fractions import Fraction
+
         raise ValueError(f"invariant multiplicity {Fraction(total, order)} is not integral")
     return m
 
@@ -88,11 +82,11 @@ def cohomology_dims(
     return _dims(
         _class_sizes(twist.group),
         twist.group.order,
-        _integers(factor_c.h0),
-        _integers(factor_c.h1),
-        _integers(factor_d.h0),
-        _integers(factor_d.h1),
-        _integers(twist),
+        factor_c.h0.values,
+        factor_c.h1.values,
+        factor_d.h0.values,
+        factor_d.h1.values,
+        twist.values,
     )
 
 
@@ -132,19 +126,19 @@ def search_all_pairs(
     group = table.group
     order = group.order
     sizes = _class_sizes(group)
-    rows = [_integers(row) for row in table.rows]
+    rows = [row.values for row in table.rows]
     two_dim = table.indices_of_degree(2)
     linear = table.linear_indices()
     trivial_index = table.trivial_index()
 
     for canonical in (canonical_c, canonical_d):
         table.rows[0]._check_same_group(canonical)
-    c0, c1 = rows[trivial_index], _integers(canonical_c)
+    c0, c1 = rows[trivial_index], canonical_c.values
     _check_dimension("h1", c1)
     euler_c = tuple(map(sub, c0, c1))
     # Linear part of the canonical character; every multiplicity must be
     # integral, or canonical_d is not a virtual character.
-    kd = _integers(canonical_d)
+    kd = canonical_d.values
     mults = [_invariants(sizes, order, kd, row) for row in rows]
     base_d = tuple(sum(mults[i] * rows[i][c] for i in linear) for c in range(len(kd)))
 

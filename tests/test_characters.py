@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -23,8 +25,6 @@ from qslab.characters import (
     _pack,
 )
 from qslab.groups import GroupSpec, _mat_identity, _mat_mul, build_group
-
-I = ExactScalar(0, 1)
 
 
 def cyclic2():
@@ -77,55 +77,32 @@ def abelianization_order(group):
 
 
 def test_scalar_arithmetic():
-    # multiplication is the one operation left: class functions scale by it
-    assert I * I == ExactScalar(-1)
-    assert (ExactScalar(1, 1) * ExactScalar(1, -1)) == ExactScalar(2)
-    assert ExactScalar(Fraction(1, 2)) * 2 == ExactScalar(1)
-    assert ExactScalar(3, 4) * Fraction(1, 2) == ExactScalar(Fraction(3, 2), 2)
+    # products are plain ints; a class function re-wraps them on scaling
+    assert ExactScalar(-1) * ExactScalar(-1) == 1
+    assert type(ExactScalar(3) * 2) is int and ExactScalar(3) * 2 == 6
+    assert ExactScalar(3) * Fraction(1, 2) == Fraction(3, 2)
 
 
 def test_scalar_predicates():
-    assert ExactScalar(3).is_real() and ExactScalar(3).is_integer()
-    assert not I.is_real()
-    assert not ExactScalar(Fraction(1, 2)).is_integer()
-    assert ExactScalar(-7).as_integer() == -7
-    with pytest.raises(ValueError):
-        ExactScalar(Fraction(1, 2)).as_integer()
+    x = ExactScalar(-7)
+    assert x == -7 and isinstance(x, int)
+    # re and im: the reading kept for callers written against a + bi values
+    assert (x.re, x.im) == (-7, 0) and type(x.re) is int
+    with pytest.raises(ValueError, match="is not a rational integer"):
+        ExactScalar(Fraction(1, 2))
 
 
 def test_scalar_rendering():
-    cases = {
-        ExactScalar(3): "3",
-        ExactScalar(Fraction(-1, 2)): "-1/2",
-        ExactScalar(0): "0",
-        I: "i",
-        ExactScalar(0, 2): "2i",
-        ExactScalar(1, 1): "1+i",
-        ExactScalar(1, -1): "1-i",
-        ExactScalar(-2, -3): "-2-3i",
-    }
-    for scalar, text in cases.items():
-        assert str(scalar) == text
+    for n in (3, 0, -2):
+        assert str(ExactScalar(n)) == repr(ExactScalar(n)) == str(n)
 
 
 def test_scalar_json_roundtrip():
-    samples = [
-        ExactScalar(0),
-        ExactScalar(5),
-        ExactScalar(-2),
-        ExactScalar(Fraction(3, 4)),
-        I,
-        I * -1,
-        ExactScalar(1, 1),
-        ExactScalar(Fraction(-1, 2), Fraction(5, 3)),
-    ]
+    samples = [ExactScalar(n) for n in (0, 5, -2)]
+    assert json.loads(json.dumps(samples)) == samples
+    assert json.dumps(samples, indent=1) == json.dumps([0, 5, -2], indent=1)
     for s in samples:
-        assert ExactScalar.from_json(s.to_json()) == s
-    # integral values serialize as plain ints
-    assert ExactScalar(7).to_json() == 7
-    assert ExactScalar(-1).to_json() == -1
-    with pytest.raises(ValueError):
-        ExactScalar.from_json("spam")
+        assert s.to_json() == s and type(s.to_json()) is int
 
 
 # -- class functions ----------------------------------------------------
@@ -133,38 +110,38 @@ def test_scalar_json_roundtrip():
 
 def test_class_function_algebra(g32, table):
     chi = table.rows[table.indices_of_degree(2)[0]]
-    assert (chi * 2).at_identity() == ExactScalar(4)
-    assert (chi * -1).values == tuple(ExactScalar(-v.as_integer()) for v in chi.values)
+    assert (chi * 2).at_identity() == 4
+    assert (chi * -1).values == tuple(-v for v in chi.values)
+    assert all(type(v) is ExactScalar for v in (chi * -1).values)
     assert chi * 1 == chi and chi * 2 != chi
-    assert chi.is_real()
 
 
 def test_class_function_rejects_mismatched_groups(g32, table):
     other = cyclic2()
-    f = ClassFunction(other, (ExactScalar(1), ExactScalar(1)))
+    f = ClassFunction(other, (1, 1))
     with pytest.raises(ValueError):
         inner_product(table.trivial(), f)
     with pytest.raises(ValueError):
         decompose(f, table)
     with pytest.raises(ValueError):
-        ClassFunction(g32, (ExactScalar(1),))
+        ClassFunction(g32, (1,))
 
 
 def test_row_orthonormality(table):
     for i, chi in enumerate(table.rows):
         for j, psi in enumerate(table.rows):
-            expected = ExactScalar(1 if i == j else 0)
-            assert inner_product(chi, psi) == expected
+            assert inner_product(chi, psi) == (1 if i == j else 0)
     assert table.verify_orthogonality()
 
 
-def test_inner_product_conjugates_the_second_argument():
-    # <f, h> = (1/|G|) sum |K| f(K) conj(h(K)), exact over Q(i)
+def test_inner_product_is_an_exact_integer():
+    # <f, h> = (1/|G|) sum |K| f(K) h(K); conjugation fixes integer values
     g = cyclic2()
-    f = ClassFunction(g, (ExactScalar(1, 2), ExactScalar(Fraction(1, 3))))
-    h = ClassFunction(g, (I, ExactScalar(1)))
-    assert inner_product(f, h) == ExactScalar(Fraction(7, 6), Fraction(-1, 2))
-    assert inner_product(h, f) == ExactScalar(Fraction(7, 6), Fraction(1, 2))
+    f = ClassFunction(g, (3, 1))
+    assert inner_product(f, ClassFunction(g, (1, 1))) == 2
+    assert inner_product(f, ClassFunction(g, (1, -1))) == 1
+    with pytest.raises(ValueError, match="inner product 3/2 is not integral"):
+        inner_product(f, ClassFunction(g, (1, 0)))
 
 
 # -- table computation --------------------------------------------------
@@ -195,7 +172,7 @@ def test_little_group_table_invariants(make):
     table = compute_character_table(g)
     assert len(table.rows) == len(g.conjugacy_classes())
     assert sum(d * d for d in table.degrees) == g.order
-    assert all(v.is_integer() for row in table.rows for v in row.values)
+    assert all(type(v) is ExactScalar for row in table.rows for v in row.values)
     assert len(table.linear_indices()) == abelianization_order(g)
     assert table.verify_orthogonality()
 
@@ -207,7 +184,7 @@ def test_n4q2_has_degree_four_rows():
 def test_d4_grid_is_pinned():
     g = d4()
     assert [c.size for c in g.conjugacy_classes()] == [1, 1, 2, 2, 2]
-    grid = [[v.to_json() for v in row.values] for row in compute_character_table(g).rows]
+    grid = [list(row.values) for row in compute_character_table(g).rows]
     assert grid == [
         [1, 1, -1, -1, 1],
         [1, 1, -1, 1, -1],
@@ -230,7 +207,10 @@ def test_orthogonality_rejects_a_sign_flip(table):
 
 
 def test_orthogonality_rejects_a_halved_row(table):
-    assert not _with_row(table, 3, table.rows[3] * Fraction(1, 2)).verify_orthogonality()
+    # a halved row cannot be built; a doubled one fails the check
+    with pytest.raises(ValueError, match="is not a rational integer"):
+        table.rows[3] * Fraction(1, 2)
+    assert not _with_row(table, 3, table.rows[3] * 2).verify_orthogonality()
 
 
 def test_orthogonality_rejects_a_dropped_row(table):
@@ -254,7 +234,7 @@ def relations(table):
     """(vectors, weights, diagonal) of the row and the column relation."""
     group = table.group
     sizes = [cls.size for cls in group.conjugacy_classes()]
-    rows = [[v.as_integer() for v in row.values] for row in table.rows]
+    rows = [list(row.values) for row in table.rows]
     return [
         (rows, sizes, [group.order] * len(rows)),
         (
@@ -358,16 +338,13 @@ def test_a_lane_one_bit_narrower_aliases():
 
 
 def test_orthogonality_rejects_an_imaginary_part(table):
-    values = list(table.rows[2].values)
-    values[4] = ExactScalar(values[4].re, 1)
-    edited = ClassFunction(table.group, tuple(values))
-    assert not _with_row(table, 2, edited).verify_orthogonality()
-    # i * chi still satisfies both relations over Z[i], but is not integer-valued
-    assert not _with_row(table, 2, table.rows[2] * I).verify_orthogonality()
+    # i * chi satisfies both relations over Z[i]; it cannot be built
+    with pytest.raises(ValueError, match="is not a rational integer"):
+        table.rows[2] * 1j
 
 
 def test_orthogonality_rejects_every_single_edit(table):
-    grid = [[v.as_integer() for v in row.values] for row in table.rows]
+    grid = [list(row.values) for row in table.rows]
     assert integer_table(table, grid).verify_orthogonality()
     edits = 0
     for i, row in enumerate(grid):
@@ -383,12 +360,9 @@ def test_orthogonality_rejects_every_single_edit(table):
 def test_table_shape(table):
     assert sorted(table.degrees) == [1] * 8 + [2] * 6
     assert sum(d * d for d in table.degrees) == 32
-    assert table.is_real()
     assert len(table.linear_indices()) == 8
     assert len(table.indices_of_degree(2)) == 6
-    assert table.rows[table.trivial_index()].values == tuple(
-        ExactScalar(1) for _ in range(14)
-    )
+    assert table.rows[table.trivial_index()].values == (1,) * 14
 
 
 def test_table_memoized(g32):
@@ -397,7 +371,7 @@ def test_table_memoized(g32):
 
 def test_cyclic_table():
     table = compute_character_table(cyclic2())
-    grid = [[v.to_json() for v in row.values] for row in table.rows]
+    grid = [list(row.values) for row in table.rows]
     # canonical row order sorts by values, so the sign row precedes the
     # all-ones trivial row
     assert grid == [[1, -1], [1, 1]]
@@ -421,7 +395,7 @@ def test_elementary_abelian_cube_table():
     assert table.degrees == (1,) * 8
     assert table.verify_orthogonality()
     for row in table.rows:
-        assert all(v.to_json() in (1, -1) for v in row.values)
+        assert all(v in (1, -1) for v in row.values)
 
 
 def test_quaternion_like_twist_table():
@@ -445,7 +419,7 @@ def test_decompose_rows_are_unit_vectors(table):
 def test_linear_combination_roundtrip(table):
     mults = tuple(range(14))
     values = [
-        sum(m * row.values[c].as_integer() for m, row in zip(mults, table.rows))
+        sum(m * row.values[c] for m, row in zip(mults, table.rows))
         for c in range(14)
     ]
     f = ClassFunction(table.group, tuple(values))
@@ -453,18 +427,17 @@ def test_linear_combination_roundtrip(table):
 
 
 def test_decompose_rejects_non_characters(g32, table):
-    delta = ClassFunction(
-        g32,
-        tuple(ExactScalar(1 if i == 0 else 0) for i in range(14)),
-    )
+    delta = ClassFunction(g32, tuple(1 if i == 0 else 0 for i in range(14)))
     with pytest.raises(ValueError, match="not integral"):
         decompose(delta, table)
 
 
-@pytest.mark.parametrize("value", [ExactScalar(Fraction(1, 2)), I], ids=["half", "i"])
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), 1j, 0.5, True, "1"], ids=["half", "i", "float", "bool", "str"]
+)
 def test_decompose_rejects_non_integer_values(g32, table, value):
-    # a row with one value replaced: the multiplicities are integer sums,
-    # so a value outside Z is refused before any division
+    # a row with one value replaced: the class function refuses a value
+    # outside Z when it is built, before any multiplicity is summed
     values = list(table.rows[3].values)
     values[-1] = value
     with pytest.raises(ValueError, match="is not a rational integer"):
@@ -508,7 +481,7 @@ def test_alignment_is_exact(table, ref, perms):
 
 def test_alignment_failure_is_detected(table, ref):
     bad_matrix = [list(row) for row in ref.matrix]
-    bad_matrix[5][3] = ExactScalar(7)
+    bad_matrix[5][3] = 7
     bad = ReferenceTable(
         group_name=ref.group_name,
         class_reps=ref.class_reps,
@@ -524,6 +497,19 @@ def test_reference_loader_default_matches_packaged(ref):
     again = load_reference_table()
     assert again.matrix == ref.matrix
     assert again.class_members == ref.class_members
+    assert all(type(v) is ExactScalar for row in again.matrix for v in row)
+
+
+@pytest.mark.parametrize("value", ["1+i", "1/2", True], ids=["gaussian", "half", "bool"])
+def test_reference_loader_accepts_json_ints_only(tmp_path, value):
+    data = json.loads(
+        resources.files("qslab.data").joinpath("g32_27_chartable.json").read_text()
+    )
+    data["rows"][2][5] = value
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="is not a rational integer"):
+        load_reference_table(path)
 
 
 # -- cache serialization ------------------------------------------------
@@ -559,8 +545,14 @@ def test_cache_rejects_malformed_payload(g32):
         lambda p: {**p, "rows": p["rows"][:-1]},
         lambda p: {**p, "rows": [row[:-1] for row in p["rows"]]},
         lambda p: {**p, "rows": [[1.0] + p["rows"][0][1:]] + p["rows"][1:]},
+        lambda p: {**p, "rows": [["1+i"] + p["rows"][0][1:]] + p["rows"][1:]},
+        lambda p: {**p, "rows": [["1/2"] + p["rows"][0][1:]] + p["rows"][1:]},
+        lambda p: {**p, "rows": [[True] + p["rows"][0][1:]] + p["rows"][1:]},
     ],
-    ids=["list", "no-rows", "rows-int", "row-int", "row-count", "row-length", "float"],
+    ids=[
+        "list", "no-rows", "rows-int", "row-int", "row-count", "row-length", "float",
+        "gaussian", "half", "bool",
+    ],
 )
 def test_cache_malformed_payload_raises_value_error(g32, table, corrupt):
     with pytest.raises(ValueError):

@@ -65,14 +65,14 @@ OTHER_COMMANDS = (
 )
 
 
-def run_fresh(code: str):
-    """Run ``code`` in a new interpreter that finds this qslab; returns its
-    last stdout line parsed as JSON."""
+def run_fresh(code: str, *flags: str):
+    """Run ``code`` in a new interpreter (with ``flags``) that finds this
+    qslab; returns its last stdout line parsed as JSON."""
     env = dict(os.environ)
     src = str(Path(qslab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env,
         stdin=subprocess.DEVNULL,
         capture_output=True,
@@ -116,6 +116,21 @@ def test_cli_loads_verify_and_search_only_for_their_commands():
     assert not {"qslab.verify", "qslab.search"} & others
     assert "qslab.search" in search and "qslab.verify" not in search
     assert "qslab.verify" in verify
+
+
+def test_cli_commands_load_no_fractions_decimal_or_importlib_resources():
+    # -S skips site, whose .pth files may load any of these at start-up.
+    out = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from qslab import cli\n"
+        f"for argv in {OTHER_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(json.dumps([m for m in ('fractions', 'decimal', 'importlib.resources')"
+        " if m in sys.modules]))\n",
+        "-S",
+    )
+    assert out == []
 
 
 def test_groups_import_does_not_load_hashlib():
