@@ -3,7 +3,7 @@
 Every group of the family is N x| Q with N and Q elementary abelian, so
 each irreducible character is induced from a linear character of a
 little group N x| Q_v (the Wigner-Mackey construction).  The values are
-rational integers computed in bit arithmetic, and the table is certified
+rational integers computed on integer bitmasks, and the table is certified
 by checking both orthogonality relations as exact integer identities.
 Each row of a Gram matrix is computed as one sum of Python ints whose
 fixed-width lanes hold its entries (Kronecker substitution; the lane width
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
 from operator import index, mul
 from pathlib import Path
 
-from .groups import BitVector, FiniteGroup, _mat_apply
+from .groups import FiniteGroup
 
 REFERENCE_FORMAT = "qslab-chartable-ref/1"
 CACHE_FORMAT = "qslab-chartable-cache/1"
@@ -204,10 +203,6 @@ def _is_diagonal_gram(
     return True
 
 
-def _dot(u: BitVector, v: BitVector) -> int:
-    return sum(a & b for a, b in zip(u, v)) & 1
-
-
 def compute_character_table(group: FiniteGroup) -> CharacterTable:
     """The full irreducible character table, computed and certified exactly.
 
@@ -216,34 +211,38 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
     and q sends psi_v to psi_w with w = Phi_q^T v.  For each Q-orbit O of
     v, with stabilizer Q_v, and each linear character rho of Q_v, the
     induced character takes the value rho(q) * sum_{w in O} (-1)^(w.n) at
-    (n, q) when q lies in Q_v, and 0 otherwise.
+    (n, q) when q lies in Q_v, and 0 otherwise.  Vectors are the integer
+    bitmasks of the element index, so v.n is the parity of (v & n).
     """
     if group._char_table_cache is not None:
         return group._char_table_cache
 
-    dual = {q: tuple(zip(*phi)) for q, phi in group._phi_by_q.items()}
-    reps = [cls.representative for cls in group.conjugacy_classes()]
+    k, m = group.spec.n_rank, group.spec.q_rank
+    # Column p of Phi_q is the image of the basis vector 1 << p, and bit p
+    # of Phi_q^T v is the parity of v & (column p).
+    columns = [[img[1 << p] for p in range(k)] for img in group._image]
+    # (n_int, q_int) of each class representative's index.
+    reps = [divmod(group.index(c.representative), 1 << m) for c in group.conjugacy_classes()]
     grid = []
-    seen: set[BitVector] = set()
-    for v in product((0, 1), repeat=group.spec.n_rank):
+    seen: set[int] = set()
+    for v in range(1 << k):
         if v in seen:
             continue
-        orbit = {_mat_apply(t, v) for t in dual.values()}
+        images = [
+            sum(((v & col).bit_count() & 1) << p for p, col in enumerate(cols))
+            for cols in columns
+        ]
+        orbit = set(images)
         seen |= orbit
-        stabilizer = [q for q, t in dual.items() if _mat_apply(t, v) == v]
-        orbit_sums = [sum(1 - 2 * _dot(w, g.n) for w in orbit) for g in reps]
+        stabilizer = [q for q, w in enumerate(images) if w == v]
+        orbit_sums = [sum((-1) ** (w & n).bit_count() for w in orbit) for n, _ in reps]
+        # rho_u(q) = (-1)^(u.q): the linear characters of Q, restricted to Q_v.
         restrictions = {
-            tuple(_dot(u, q) for q in stabilizer)
-            for u in product((0, 1), repeat=group.spec.q_rank)
+            tuple((-1) ** (u & q).bit_count() for q in stabilizer) for u in range(1 << m)
         }
         for signs in restrictions:
-            rho = {q: 1 - 2 * s for q, s in zip(stabilizer, signs)}
-            grid.append(
-                tuple(
-                    rho[g.q] * total if g.q in rho else 0
-                    for g, total in zip(reps, orbit_sums)
-                )
-            )
+            rho = dict(zip(stabilizer, signs))
+            grid.append(tuple(rho.get(q, 0) * t for (_, q), t in zip(reps, orbit_sums)))
 
     grid.sort(key=lambda values: (values[0], values))
     scalars = {x: ExactScalar(x) for x in {x for values in grid for x in values}}
@@ -313,11 +312,15 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
     if data.get("format") != REFERENCE_FORMAT:
         raise ValueError(f"unsupported reference fixture format {data.get('format')!r}")
     classes = data["classes"]
+    sizes = tuple(c["size"] for c in classes)
+    for size in sizes:
+        if type(size) is not int:
+            raise ValueError(f"class size {size!r} is not a JSON integer")
     return ReferenceTable(
         group_name=data["group"],
         class_reps=tuple(c["rep"] for c in classes),
         class_members=tuple(tuple(c["members"]) for c in classes),
-        class_sizes=tuple(int(c["size"]) for c in classes),
+        class_sizes=sizes,
         matrix=tuple(tuple(map(ExactScalar, row)) for row in data["rows"]),
     )
 

@@ -6,8 +6,10 @@ Elements are pairs (n, q) of bit vectors multiplied by
 
 where Phi is a commuting family of involutive F2 matrices indexed by the
 basis of Q and Phi_q is the product of the matrices selected by the set
-bits of q.  All objects are immutable after construction and safe for
-concurrent reads.
+bits of q.  An element is encoded by one integer, its index
+(n_int << q_rank) | q_int, each vector read first coordinate most
+significant; bit vectors appear only in a ``GroupSpec``.  All objects are
+immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -44,8 +46,12 @@ def _as_bits(values: Iterable[int], length: int, what: str) -> BitVector:
     return vec
 
 
-def _mat_apply(mat: BitMatrix, vec: BitVector) -> BitVector:
-    return tuple(sum(row[c] & vec[c] for c in range(len(vec))) & 1 for row in mat)
+def _bits_to_int(bits: BitVector) -> int:
+    """``bits`` read as binary digits, first most significant, each with ``int``."""
+    acc = 0
+    for b in bits:
+        acc = (acc << 1) | int(b)
+    return acc
 
 
 def _mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -131,21 +137,20 @@ class GroupSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
+    """An element of ``group``, held as its index (see ``FiniteGroup``)."""
+
     group: "FiniteGroup" = field(repr=False)
-    n: BitVector
-    q: BitVector
+    index: int
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.q == other.q
-            and (self.group is other.group or self.group.spec == other.group.spec)
+        return self.index == other.index and (
+            self.group is other.group or self.group.spec == other.group.spec
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.q))
+        return hash(self.index)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         return self.group.multiply(self, other)
@@ -157,7 +162,7 @@ class GroupElement:
         return self.group.element_order(self)
 
     def is_identity(self) -> bool:
-        return not any(self.n) and not any(self.q)
+        return self.index == 0
 
     def word(self) -> str:
         return self.group.element_to_word(self)
@@ -223,10 +228,10 @@ class ConjugacyClass:
 class FiniteGroup:
     """A fully enumerated group with index-based internal tables.
 
-    Canonical element order is lexicographic on the concatenated bit
-    string (n followed by q, first coordinate most significant), so the
-    identity always has index 0.  Canonical conjugacy class order sorts
-    by (representative order, class size, smallest element index).
+    An element's index, (n_int << q_rank) | q_int, is its one encoding, so
+    canonical element order is lexicographic on the bit string n then q and
+    the identity has index 0.  Canonical conjugacy class order sorts by
+    (representative order, class size, smallest element index).
     """
 
     def __init__(self, spec: GroupSpec):
@@ -237,41 +242,28 @@ class FiniteGroup:
             )
         self.spec = spec
         k, m = spec.n_rank, spec.q_rank
-        total = k + m
-        self._n = 1 << total
-        coords: list[tuple[BitVector, BitVector]] = []
-        for idx in range(self._n):
-            bits = tuple((idx >> (total - 1 - p)) & 1 for p in range(total))
-            coords.append((bits[:k], bits[k:]))
-        self._coords = coords
-        self._index: dict[tuple[BitVector, BitVector], int] = {
-            c: i for i, c in enumerate(coords)
-        }
+        self._n = 1 << (k + m)
         self.elements: tuple[GroupElement, ...] = tuple(
-            GroupElement(self, nvec, qvec) for nvec, qvec in coords
+            GroupElement(self, i) for i in range(self._n)
         )
 
-        phi_by_q: dict[BitVector, BitMatrix] = {}
-        for qvec in sorted({q for _, q in coords}):
-            mat = _mat_identity(k)
-            for j, bit in enumerate(qvec):
-                if bit:
-                    mat = _mat_mul(mat, spec.action[j])
-            phi_by_q[qvec] = mat
-        self._phi_by_q = phi_by_q
-
-        # Element index = (n_int << m) | q_int, both first coordinate most
-        # significant; image[q_int][n_int] is Phi_q(n) as an integer, built
-        # by linearity from the columns of Phi_q.
-        image = []
-        for q_int in range(1 << m):
-            mat = phi_by_q[coords[q_int][1]]
-            cols = [sum(mat[r][c] << (k - 1 - r) for r in range(k)) for c in range(k)]
+        # image[q_int][n_int] is Phi_q(n) as an integer.  Each basis matrix
+        # acts by linearity from its columns; Phi_q composes the matrices
+        # of the set bits of q (coordinate j of q is bit m - 1 - j).
+        basis_images = []
+        for mat in spec.action:
+            cols = [_bits_to_int(col) for col in zip(*mat)]
             img = [0] * (1 << k)
             for n_int in range(1, 1 << k):
                 low = n_int & -n_int
                 img[n_int] = img[n_int ^ low] ^ cols[k - low.bit_length()]
-            image.append(img)
+            basis_images.append(img)
+        image = [list(range(1 << k))]
+        for q_int in range(1, 1 << m):
+            low = q_int & -q_int
+            step = basis_images[m - low.bit_length()]
+            image.append([step[x] for x in image[q_int ^ low]])
+        self._image = image
         qmask, qs = (1 << m) - 1, range(1 << m)
         mul = []
         inv = []
@@ -290,10 +282,9 @@ class FiniteGroup:
             orders[a] = o
         self._orders = orders
 
-        names: dict[str, int] = {}
-        for name, (nvec, qvec) in spec.generator_names:
-            names[name] = self._index[(nvec, qvec)]
-        self._gen_index = names
+        self._gen_index = {
+            name: _bits_to_int(nvec + qvec) for name, (nvec, qvec) in spec.generator_names
+        }
         self._basis_names = self._match_basis_names()
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._class_of: list[int] | None = None
@@ -314,7 +305,7 @@ class FiniteGroup:
     def index(self, g: GroupElement) -> int:
         if g.group is not self and g.group.spec != self.spec:
             raise ValueError("element belongs to a different group")
-        return self._index[(g.n, g.q)]
+        return g.index
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.elements[self._mul[self.index(a)][self.index(b)]]
@@ -330,15 +321,8 @@ class FiniteGroup:
 
     def basis_generators(self) -> tuple[GroupElement, ...]:
         """The elements (e_i, 0) and (0, f_j); always a generating set."""
-        k, m = self.spec.n_rank, self.spec.q_rank
-        out = []
-        for i in range(k):
-            nvec = tuple(1 if p == i else 0 for p in range(k))
-            out.append(self.elements[self._index[(nvec, (0,) * m)]])
-        for j in range(m):
-            qvec = tuple(1 if p == j else 0 for p in range(m))
-            out.append(self.elements[self._index[((0,) * k, qvec)]])
-        return tuple(out)
+        total = self.spec.n_rank + self.spec.q_rank
+        return tuple(self.elements[1 << (total - 1 - p)] for p in range(total))
 
     # -- words ----------------------------------------------------------
 
@@ -356,37 +340,21 @@ class FiniteGroup:
             acc = self._mul[acc][self._gen_index[name]]
         return self.elements[acc]
 
-    def _match_basis_names(self) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-        """Names for the basis elements, if the spec labels all of them."""
-        k, m = self.spec.n_rank, self.spec.q_rank
-        by_coord = {coord: name for name, coord in self.spec.generator_names}
-        n_names, q_names = [], []
-        for i in range(k):
-            nvec = tuple(1 if p == i else 0 for p in range(k))
-            name = by_coord.get((nvec, (0,) * m))
-            if name is None:
-                return None
-            n_names.append(name)
-        for j in range(m):
-            qvec = tuple(1 if p == j else 0 for p in range(m))
-            name = by_coord.get(((0,) * k, qvec))
-            if name is None:
-                return None
-            q_names.append(name)
-        return tuple(n_names), tuple(q_names)
+    def _match_basis_names(self) -> tuple[str, ...] | None:
+        """Basis names in coordinate order, if all are named; a later name wins."""
+        by_index = {i: name for name, i in self._gen_index.items()}
+        names = tuple(by_index.get(g.index) for g in self.basis_generators())
+        return None if None in names else names
 
     def element_to_word(self, g: GroupElement) -> str:
-        """Normal form: n-part basis names in index order, then q-part."""
+        """Basis names in coordinate order, or ``(n-bits|q-bits)`` if one is unnamed."""
         if g.is_identity():
             return "1"
+        k, m = self.spec.n_rank, self.spec.q_rank
+        bits = format(g.index, f"0{k + m}b")
         if self._basis_names is None:
-            nbits = "".join(str(b) for b in g.n)
-            qbits = "".join(str(b) for b in g.q)
-            return f"({nbits}|{qbits})"
-        n_names, q_names = self._basis_names
-        parts = [n_names[i] for i, b in enumerate(g.n) if b]
-        parts += [q_names[j] for j, b in enumerate(g.q) if b]
-        return "*".join(parts)
+            return f"({bits[:k]}|{bits[k:]})"
+        return "*".join(name for name, b in zip(self._basis_names, bits) if b == "1")
 
     # -- conjugacy ------------------------------------------------------
 

@@ -512,6 +512,18 @@ def test_reference_loader_accepts_json_ints_only(tmp_path, value):
         load_reference_table(path)
 
 
+@pytest.mark.parametrize("size", [2.9, "2", True], ids=["float", "str", "bool"])
+def test_reference_loader_refuses_non_int_sizes(tmp_path, size):
+    data = json.loads(
+        resources.files("qslab.data").joinpath("g32_27_chartable.json").read_text()
+    )
+    data["classes"][4]["size"] = size
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="is not a JSON integer"):
+        load_reference_table(path)
+
+
 # -- cache serialization ------------------------------------------------
 
 

@@ -204,6 +204,18 @@ def test_verify_paper_detects_bad_reference(capsys, tmp_path):
     assert "[PASS] class-membership" in out
 
 
+@pytest.mark.parametrize("size", [2.9, "2", True], ids=["float", "str", "bool"])
+def test_verify_paper_refuses_non_int_class_sizes(capsys, tmp_path, size):
+    raw = packaged_reference()
+    raw["classes"][4]["size"] = size
+    bad = tmp_path / "ref.json"
+    bad.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "verify-paper", "--reference", str(bad))
+    assert code == 1
+    assert "[FAIL] character-table-reference" in out
+    assert "is not a JSON integer" in out
+
+
 def test_verify_paper_detects_bad_spec(capsys, tmp_path):
     text = packaged_model_text().replace(
         "[1000; 0100; 1010; 0101]", "[1010; 0101; 0010; 0001]"

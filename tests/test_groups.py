@@ -1,15 +1,19 @@
+import dataclasses
 import json
 import random
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from qslab.builtin import G32_27_SPEC, SUBGROUP_WORDS, build_g32_27, named_subgroup
 from qslab.groups import (
+    GroupElement,
     GroupSpec,
     GroupSpecError,
     GroupTooLargeError,
-    _mat_apply,
+    _mat_identity,
     _mat_mul,
     build_group,
 )
@@ -46,6 +50,87 @@ def conjugated_member():
     )
     action = _mat_mul(_mat_mul(basis, action), basis_inv)
     return build_group(GroupSpec(4, 1, (action,), ()))
+
+
+def seeded_member(k, m, naming, seed):
+    """A family member with a seeded random action, of order 2^(k+m).
+
+    Each action matrix is I + N_j with N_j supported on rows R and columns
+    C of a random split of the coordinates (R and C disjoint), so every
+    product N_j N_l is 0: each matrix is an involution and any two commute.
+    They are then conjugated by a random product of transvections.
+    ``naming`` is "all" (every basis element named, coordinate 0 under two
+    names), "partial" (one basis name missing, one non-basis element named)
+    or "none".
+    """
+    rng = random.Random(f"member:{k}:{m}:{seed}")
+    coords = list(range(k))
+    rng.shuffle(coords)
+    cut = rng.randrange(1, k) if k > 1 else k
+    rows, cols = coords[:cut], coords[cut:]
+    basis, basis_inv = _mat_identity(k), _mat_identity(k)
+    for _ in range(3 * k if k > 1 else 0):
+        a, b = rng.sample(range(k), 2)
+        t = tuple(
+            tuple(int(i == j or (i, j) == (a, b)) for j in range(k)) for i in range(k)
+        )
+        basis, basis_inv = _mat_mul(basis, t), _mat_mul(t, basis_inv)
+    action = []
+    for _ in range(m):
+        a = [list(row) for row in _mat_identity(k)]
+        for r in rows:
+            for c in cols:
+                a[r][c] = rng.randrange(2)
+        a = tuple(tuple(row) for row in a)
+        action.append(_mat_mul(_mat_mul(basis, a), basis_inv))
+    unit = [(tuple(int(t == i) for t in range(k)), (0,) * m) for i in range(k)]
+    unit += [((0,) * k, tuple(int(t == j) for t in range(m))) for j in range(m)]
+    names = [(f"x{p}", coord) for p, coord in enumerate(unit)]
+    if naming == "all":
+        names.insert(0, ("alias", unit[0]))
+    elif naming == "partial":
+        del names[rng.randrange(len(names))]
+        both = tuple(tuple(x ^ y for x, y in zip(u, v)) for u, v in zip(*unit[:2]))
+        names.append(("y", both))
+    else:
+        names = []
+    return build_group(GroupSpec(k, m, tuple(action), tuple(names)))
+
+
+# (n_rank, q_rank, naming): orders 8 to 256, q_rank 0 and 3 included.
+SEEDED_SHAPES = [
+    (3, 0, "all"), (1, 2, "partial"), (2, 1, "none"), (3, 2, "all"),
+    (4, 2, "partial"), (5, 2, "none"), (6, 2, "all"), (5, 3, "partial"), (8, 0, "none"),
+]
+SEEDED_MEMBERS = [
+    pytest.param(partial(seeded_member, k, m, naming, seed), id=f"n{k}q{m}-{naming}-{seed}")
+    for seed in range(2)
+    for k, m, naming in SEEDED_SHAPES
+]
+
+
+def _mat_apply(mat, vec):
+    return tuple(sum(row[c] & vec[c] for c in range(len(vec))) & 1 for row in mat)
+
+
+def tuple_oracle(group):
+    """The group from its spec on bit tuples: coordinates, their index, Phi_q.
+
+    Element i is the i-th bit string (n, q) in lexicographic order, and
+    Phi_q is the product of the action matrices that q selects.
+    """
+    spec = group.spec
+    k, m = spec.n_rank, spec.q_rank
+    coords = [(bits[:k], bits[k:]) for bits in product((0, 1), repeat=k + m)]
+    index = {c: i for i, c in enumerate(coords)}
+    phi = {}
+    for qvec in product((0, 1), repeat=m):
+        mat = _mat_identity(k)
+        for j, bit in enumerate(qvec):
+            if bit:
+                mat = _mat_mul(mat, spec.action[j])
+        phi[qvec] = mat
+    return coords, index, phi
 
 
 def squaring_closure(group, seed):
@@ -129,6 +214,14 @@ def test_spec_rejects_bad_names():
         spec.validate()
 
 
+def test_generator_bits_are_read_as_validated():
+    # validate() reads each bit with int(), so True and 1.0 name bit 1
+    names = (("a", ((True, 0), (0,))), ("b", ((0, 1.0), (0,))), ("c", ((0, 0), (1,))))
+    group = build_group(GroupSpec(2, 1, (_mat_identity(2),), names))
+    assert [group.generator(n).index for n in "abc"] == [0b10_0, 0b01_0, 0b00_1]
+    assert group.generator("a").word() == "a"
+
+
 def test_build_rejects_huge_groups():
     spec = GroupSpec(
         n_rank=11,
@@ -156,7 +249,8 @@ def test_semidirect_twist(g32):
     g1 = g32.generator("g1")
     g2 = g32.generator("g2")
     prod = g1 * g2
-    assert prod.n == (1, 0, 1, 0) and prod.q == (1,)
+    # (0, f1)(e1, 0) = (Phi_f1(e1), f1) = ((1, 0, 1, 0), (1,))
+    assert prod.index == 0b1010_1 and prod.word() == "g2*g4*g1"
     assert prod.order() == 4
     # the defining relations: conjugation by g1 shifts g2 and g3
     g3, g4, g5 = (g32.generator(n) for n in ("g3", "g4", "g5"))
@@ -207,17 +301,64 @@ def test_foreign_elements_rejected(g32):
     assert g32.index(twin.generator("g2")) == 16
 
 
-@pytest.mark.parametrize("build", [build_g32_27, order_64_member])
+def test_element_is_its_index(g32):
+    assert [f.name for f in dataclasses.fields(GroupElement)] == ["group", "index"]
+    for i, g in enumerate(g32.elements):
+        assert g.index == g32.index(g) == i
+        assert g == GroupElement(g32, i) and hash(g) == hash(GroupElement(g32, i))
+        assert g.is_identity() == (i == 0)
+    assert GroupElement(g32, 3) != GroupElement(g32, 5)
+
+
+@pytest.mark.parametrize("build", [build_g32_27, order_64_member, *SEEDED_MEMBERS])
 def test_multiplication_table_matches_tuple_formula(build):
     group = build()
-    coords, index = group._coords, group._index
+    coords, index, phi = tuple_oracle(group)
+    image = {(n, q): _mat_apply(phi[q], n) for n, q in coords}
     for a, (n1, q1) in enumerate(coords):
-        image = group._phi_by_q[q1]
         for b, (n2, q2) in enumerate(coords):
-            n3 = tuple(x ^ y for x, y in zip(n1, _mat_apply(image, n2)))
+            n3 = tuple(x ^ y for x, y in zip(n1, image[(n2, q1)]))
             q3 = tuple(x ^ y for x, y in zip(q1, q2))
             assert group._mul[a][b] == index[(n3, q3)]
-        assert group._inv[a] == index[(_mat_apply(image, n1), q1)]
+        assert group._inv[a] == index[(image[(n1, q1)], q1)]
+
+
+@pytest.mark.parametrize("build", SEEDED_MEMBERS)
+def test_basis_and_words_match_tuple_oracle(build):
+    group = build()
+    spec = group.spec
+    k, m = spec.n_rank, spec.q_rank
+    coords, index, _ = tuple_oracle(group)
+    unit = [(tuple(int(t == i) for t in range(k)), (0,) * m) for i in range(k)]
+    unit += [((0,) * k, tuple(int(t == j) for t in range(m))) for j in range(m)]
+    basis = group.basis_generators()
+    assert [g.index for g in basis] == [index[c] for c in unit]
+    assert group.subgroup_closure(basis).order == group.order
+    by_coord = {coord: name for name, coord in spec.generator_names}
+    for name, coord in spec.generator_names:
+        assert group.generator(name).index == index[coord]
+    if all(c in by_coord for c in unit):
+        # the later of two names for one coordinate wins
+        assert [g.word() for g in basis] == [by_coord[c] for c in unit]
+        for g in group.elements:
+            assert group.evaluate_word(words(g.word())) == g
+    else:
+        for g, (n, q) in zip(group.elements[1:], coords[1:]):
+            assert g.word() == "(" + "".join(map(str, n)) + "|" + "".join(map(str, q)) + ")"
+    assert group.identity().word() == "1"
+
+
+def test_unnamed_words_are_pinned():
+    assert conjugated_member().element(0b0010_1).word() == "(0010|1)"
+    assert seeded_member(3, 2, "none", 0).element(0b101_10).word() == "(101|10)"
+    assert seeded_member(3, 0, "none", 0).element(0b101).word() == "(101|)"
+    # one basis name missing: every word falls back to the bit form
+    names = (("a", ((1, 0), (0,))), ("c", ((0, 0), (1,))))
+    partly_named = GroupSpec(2, 1, (_mat_identity(2),), names)
+    assert build_group(partly_named).element(0b11_1).word() == "(11|1)"
+    names = (("a", ((1,), (0,))), ("b", ((1,), (0,))), ("c", ((0,), (1,))))
+    shared = GroupSpec(1, 1, (_mat_identity(1),), names)
+    assert [g.word() for g in build_group(shared).elements] == ["1", "c", "b", "b*c"]
 
 
 # -- conjugacy classes --------------------------------------------------
