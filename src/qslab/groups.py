@@ -15,6 +15,7 @@ immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Sequence
@@ -38,7 +39,10 @@ class GroupTooLargeError(ValueError):
 
 
 def _as_bits(values: Iterable[int], length: int, what: str) -> BitVector:
-    vec = tuple(int(v) for v in values)
+    try:
+        vec = tuple(int(v) for v in values)
+    except (TypeError, ValueError):
+        raise GroupSpecError(f"{what} must consist of bits, got {values!r}") from None
     if len(vec) != length:
         raise GroupSpecError(f"{what} must have length {length}, got {len(vec)}")
     if any(b not in (0, 1) for b in vec):
@@ -91,16 +95,16 @@ class GroupSpec:
                 f"expected {self.q_rank} action matrices, got {len(self.action)}"
             )
         k = self.n_rank
+        mats = []
         for j, mat in enumerate(self.action):
             if len(mat) != k or any(len(row) != k for row in mat):
                 raise GroupSpecError(f"action matrix {j} is not {k}x{k}")
-            for row in mat:
-                _as_bits(row, k, f"action matrix {j} row")
-            if _mat_mul(mat, mat) != _mat_identity(k):
+            mats.append(tuple(_as_bits(row, k, f"action matrix {j} row") for row in mat))
+            if _mat_mul(mats[j], mats[j]) != _mat_identity(k):
                 raise GroupSpecError(f"action matrix {j} is not an involution")
-        for i, a in enumerate(self.action):
+        for i, a in enumerate(mats):
             for j in range(i + 1, self.q_rank):
-                b = self.action[j]
+                b = mats[j]
                 if _mat_mul(a, b) != _mat_mul(b, a):
                     raise GroupSpecError(f"action matrices {i} and {j} do not commute")
         seen: set[str] = set()
@@ -181,12 +185,13 @@ class Subgroup:
     parent: "FiniteGroup" = field(repr=False)
     indices: frozenset[int]
     generators: tuple[GroupElement, ...]
-    # Right-coset labels, set by FiniteGroup._right_cosets on first use.
-    # They die with this object; held by the group, they would wait for
+    # Right-coset labels (set by FiniteGroup._right_cosets on first use) and
+    # the lattice walk this came from: held by the group, they would wait for
     # the cyclic collector with it (GroupElement.group <-> elements).
     _cosets: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, init=False, repr=False
     )
+    _lattice: "_Lattice | None" = field(default=None, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -212,6 +217,11 @@ class Subgroup:
     def __repr__(self) -> str:
         gens = ", ".join(g.word() for g in self.generators) or "1"
         return f"Subgroup(<{gens}>, order={self.order})"
+
+
+class _Lattice(list):
+    """The (indices, witness) pairs of one lattice walk; a list takes a weakref."""
+    __slots__ = ("__weakref__",)
 
 
 @dataclass(frozen=True)
@@ -289,6 +299,7 @@ class FiniteGroup:
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._class_of: list[int] | None = None
         self._char_table_cache = None
+        self._lattice_ref: weakref.ref[_Lattice] | None = None
 
     # -- basic structure ------------------------------------------------
 
@@ -521,20 +532,26 @@ class FiniteGroup:
             raise RuntimeError("minimal generating set search failed")
         return tuple(picked)
 
-    def enumerate_subgroups(self) -> tuple[Subgroup, ...]:
-        """All subgroups, by breadth-first closure over one-element extensions.
+    def _lattice(self) -> _Lattice:
+        """Every subgroup with its witness, sorted by (order, sorted indices).
 
-        Each subgroup s is extended by every x outside it, in index order:
+        Breadth first: each subgroup s is extended, in index order, by the
+        least element x of a right coset s*x (<s, h*x> = <s, x> for h in s);
         <s, x> is walked out from s one right coset at a time, stepping by
-        the witness generators of s plus x.  Once x is tried, the rest of
-        the coset s*x is skipped: <s, h*x> = <s, x> for h in s, and the
-        smallest x of a coset comes first, so the witnesses are unchanged.
+        the witness of s plus x, which becomes the witness of a new subgroup.
+        The level of s is d(s), and within a level subgroups are found in
+        lexicographic order of their witnesses, so a witness is the least
+        generating tuple of length d(s): a basis modulo the Frattini
+        subgroup, hence the greedy choice of ``_minimal_generators``.  Being
+        least, a witness is strictly increasing, its prefix is the witness of
+        the subgroup s it generates, and its last element is the least of its
+        coset of s (else a smaller tuple would do); so s is only extended by
+        cosets whose least element exceeds witness[s][-1].  The group holds
+        the walk weakly; each subgroup built from it holds it.
         """
-        if self._n > DEFAULT_ENUMERATION_BOUND:
-            raise GroupTooLargeError(
-                "subgroup enumeration requires group order <= "
-                f"{DEFAULT_ENUMERATION_BOUND}, got {self._n}"
-            )
+        lattice = self._lattice_ref and self._lattice_ref()
+        if lattice:
+            return lattice
         mul = self._mul
         trivial = frozenset({0})
         witness: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
@@ -549,66 +566,47 @@ class FiniteGroup:
                     if x in tried:
                         continue
                     tried.update([r[x] for r in rows])
-                    c = self._extend(s, rows, base + (x,))
-                    if c not in witness:
-                        witness[c] = base + (x,)
-                        nxt.append(c)
+                    if not base or x > base[-1]:
+                        c = self._extend(s, rows, base + (x,))
+                        if c not in witness:
+                            witness[c] = base + (x,)
+                            nxt.append(c)
             frontier = nxt
-        subs = sorted(witness, key=lambda s: (len(s), sorted(s)))
-        return tuple(
-            Subgroup(
-                parent=self,
-                indices=s,
-                generators=tuple(self.elements[x] for x in witness[s]),
+        lattice = _Lattice(sorted(witness.items(), key=lambda p: (len(p[0]), sorted(p[0]))))
+        self._lattice_ref = weakref.ref(lattice)
+        return lattice
+
+    def enumerate_subgroups(self) -> tuple[Subgroup, ...]:
+        """All subgroups; each witness is its ``minimal_generators`` (see ``_lattice``)."""
+        if self._n > DEFAULT_ENUMERATION_BOUND:
+            raise GroupTooLargeError(
+                "subgroup enumeration requires group order <= "
+                f"{DEFAULT_ENUMERATION_BOUND}, got {self._n}"
             )
-            for s in subs
+        lattice = self._lattice()
+        return tuple(
+            Subgroup(self, s, tuple(self.elements[x] for x in w), _lattice=lattice)
+            for s, w in lattice
         )
 
     def enumerate_normal_subgroups(self) -> tuple[Subgroup, ...]:
-        """All normal subgroups, with minimal generating witnesses.
+        """The normal part of ``enumerate_subgroups``, same order and witnesses.
 
-        Breadth-first closure again, but extensions add a whole conjugacy
-        class at a time; a subgroup generated by full classes is normal,
-        and every normal subgroup arises this way.  An extension of s by a
-        new class C is walked out from s one right coset at a time, stepping
-        by C alone (s is normal); the classes inside the cosets s*x, x in C,
-        are then skipped, since each of them generates the same subgroup
-        together with s.
+        s is normal iff g*h*g^-1 is in s for each basis element g and each h
+        in its witness, which generates s.
         """
         if self._n > DEFAULT_ENUMERATION_BOUND:
             raise GroupTooLargeError(
                 "normal subgroup enumeration requires group order <= "
                 f"{DEFAULT_ENUMERATION_BOUND}, got {self._n}"
             )
-        mul = self._mul
-        class_sets = [
-            tuple(self.index(x) for x in cls.elements)
-            for cls in self.conjugacy_classes()
-        ]
-        trivial = frozenset({0})
-        gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-        frontier = [trivial]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                rows = [mul[h] for h in s]
-                tried = set(s)
-                for cs in class_sets:
-                    if cs[0] in tried:
-                        continue
-                    tried.update([r[x] for r in rows for x in cs])
-                    c = self._extend(s, rows, cs)
-                    if c not in gens:
-                        gens[c] = self._minimal_generators(c)
-                        nxt.append(c)
-            frontier = nxt
+        mul, inv = self._mul, self._inv
+        basis = [g.index for g in self.basis_generators()]
+        lattice = self._lattice()
         return tuple(
-            Subgroup(
-                parent=self,
-                indices=s,
-                generators=tuple(self.elements[x] for x in gens[s]),
-            )
-            for s in sorted(gens, key=lambda s: (len(s), sorted(s)))
+            Subgroup(self, s, tuple(self.elements[x] for x in w), _lattice=lattice)
+            for s, w in lattice
+            if all(mul[mul[g][h]][inv[g]] in s for g in basis for h in w)
         )
 
 

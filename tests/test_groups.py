@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import random
 from functools import partial
@@ -9,6 +10,7 @@ import pytest
 
 from qslab.builtin import G32_27_SPEC, SUBGROUP_WORDS, build_g32_27, named_subgroup
 from qslab.groups import (
+    FiniteGroup,
     GroupElement,
     GroupSpec,
     GroupSpecError,
@@ -220,6 +222,30 @@ def test_generator_bits_are_read_as_validated():
     group = build_group(GroupSpec(2, 1, (_mat_identity(2),), names))
     assert [group.generator(n).index for n in "abc"] == [0b10_0, 0b01_0, 0b00_1]
     assert group.generator("a").word() == "a"
+
+
+SHEAR = ((1, 1), (0, 1))
+
+
+@pytest.mark.parametrize("one", [1.0, "1", True])
+def test_action_entries_are_read_as_validated(one):
+    # an action entry follows the int() rule of a generator bit
+    GroupSpec(1, 1, (((one,),),), ()).validate()
+    names = (("a", ((1, 0), (0,))), ("b", ((0, 1), (0,))), ("c", ((0, 0), (1,))))
+    loose = tuple(tuple(one if b else 0 for b in row) for row in SHEAR)
+    strict, lax = (
+        [[x.index for x in c.elements] for c in build_group(spec).conjugacy_classes()]
+        for spec in (GroupSpec(2, 1, (SHEAR,), names), GroupSpec(2, 1, (loose,), names))
+    )
+    assert strict == lax and len(strict) == 5
+
+
+@pytest.mark.parametrize("bad", [2, "x", None])
+def test_spec_rejects_non_bit_action_entries(bad):
+    with pytest.raises(GroupSpecError, match="action matrix 0 row"):
+        GroupSpec(2, 1, (((1, bad), (0, 1)),), ()).validate()
+    with pytest.raises(GroupSpecError, match="generator a n-part"):
+        GroupSpec(2, 1, (SHEAR,), (("a", ((bad, 0), (0,))),)).validate()
 
 
 def test_build_rejects_huge_groups():
@@ -512,6 +538,41 @@ def test_lattices_match_reference_walks(build):
     assert {s.indices for s in normals} == normal
     for s in normals:
         assert squaring_closure(group, map(group.index, s.generators)) == s.indices
+    # the two facts the single walk and its pruning rest on
+    for s in subs + normals:
+        gens = [g.index for g in s.generators]
+        assert all(a < b for a, b in zip(gens, gens[1:]))
+        assert s.generators == group.minimal_generators(s)
+
+
+def test_lattice_walk_is_shared_and_dies_with_its_subgroups(monkeypatch):
+    group = order_64_member()
+    calls = []
+    extend = FiniteGroup._extend
+
+    def counted(self, *args):
+        calls.append(None)
+        return extend(self, *args)
+
+    monkeypatch.setattr(FiniteGroup, "_extend", counted)
+    subs = group.enumerate_subgroups()
+    walked = len(calls)
+    normals = group.enumerate_normal_subgroups()
+    assert walked > 0 and len(calls) == walked
+    assert subs[0]._lattice is normals[0]._lattice is group._lattice_ref()
+    # no reference cycle keeps the walk: it dies with the last subgroup
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del subs
+        assert group._lattice_ref() is not None
+        del normals
+        assert group._lattice_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    group.enumerate_normal_subgroups()
+    assert len(calls) == 2 * walked
 
 
 def test_frattini_is_generated_by_squares(g32):
