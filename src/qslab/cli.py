@@ -693,7 +693,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reference",
         metavar="FILE",
         default=None,
-        help="character table fixture to certify against (default: packaged)",
+        help="published fixture (class list, sizes, center, degrees and table "
+        "values) to certify against (default: packaged)",
     )
     return parser
 

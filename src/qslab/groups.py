@@ -39,10 +39,14 @@ class GroupTooLargeError(ValueError):
 
 
 def _as_bits(values: Iterable[int], length: int, what: str) -> BitVector:
+    """Each entry read with ``int()``, which must not round a number."""
     try:
-        vec = tuple(int(v) for v in values)
+        raw = tuple(values)
+        vec = tuple(int(v) for v in raw)
     except (TypeError, ValueError):
         raise GroupSpecError(f"{what} must consist of bits, got {values!r}") from None
+    if any(not isinstance(v, str) and v != b for v, b in zip(raw, vec)):
+        raise GroupSpecError(f"{what} must consist of bits, got {raw!r}")
     if len(vec) != length:
         raise GroupSpecError(f"{what} must have length {length}, got {len(vec)}")
     if any(b not in (0, 1) for b in vec):

@@ -227,6 +227,15 @@ def test_verify_paper_detects_bad_spec(capsys, tmp_path):
     assert out.splitlines()[1].startswith("[FAIL] relation-g2-conjugate")
 
 
+def test_verify_paper_on_other_group_reports_failures(capsys):
+    # n5q1 names no g1..g5: the battery fails, it does not crash
+    code, out, err = run(capsys, "verify-paper", *N5Q1)
+    assert code == 1 and err == ""
+    assert out.startswith("verification FAIL: ")
+    assert out.count("[FAIL]") + out.count("[PASS]") == 41
+    assert "unknown generator 'g1'" in out
+
+
 # -- error handling -----------------------------------------------------
 
 

@@ -240,7 +240,8 @@ def test_action_entries_are_read_as_validated(one):
     assert strict == lax and len(strict) == 5
 
 
-@pytest.mark.parametrize("bad", [2, "x", None])
+# int() truncates, so 0.7 and 1.5 must be refused rather than read as bits
+@pytest.mark.parametrize("bad", [2, "x", None, 0.7, 1.5])
 def test_spec_rejects_non_bit_action_entries(bad):
     with pytest.raises(GroupSpecError, match="action matrix 0 row"):
         GroupSpec(2, 1, (((1, bad), (0, 1)),), ()).validate()
