@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass, field
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import Iterable, Sequence
 
 BitVector = tuple[int, ...]
@@ -488,14 +490,18 @@ class FiniteGroup:
             raise ValueError("subgroup belongs to a different group")
 
     def is_normal(self, sub: Subgroup) -> bool:
+        """Whether ``sub`` is a union of conjugacy classes."""
         self._check_subgroup(sub)
-        mul, inv = self._mul, self._inv
-        for g in self.basis_generators():
-            gi = self.index(g)
-            for h in sub.indices:
-                if mul[mul[gi][h]][inv[gi]] not in sub.indices:
-                    return False
-        return True
+        return self._class_closed(sub.indices, sub.indices)
+
+    def _class_closed(self, sub: frozenset[int], elems: Iterable[int]) -> bool:
+        """Whether ``sub`` holds the conjugacy class of each of ``elems``.
+
+        When ``elems`` generate the subgroup ``sub`` this is normality:
+        g*sub*g^-1 is generated by the conjugates g*x*g^-1 of ``elems``.
+        """
+        classes, class_of = self.conjugacy_classes(), self._class_of
+        return all(y.index in sub for x in elems for y in classes[class_of[x]].elements)
 
     def center(self) -> Subgroup:
         idxs = frozenset(
@@ -550,13 +556,19 @@ class FiniteGroup:
         least, a witness is strictly increasing, its prefix is the witness of
         the subgroup s it generates, and its last element is the least of its
         coset of s (else a smaller tuple would do); so s is only extended by
-        cosets whose least element exceeds witness[s][-1].  The group holds
+        cosets whose least element exceeds witness[s][-1].  x is least in
+        s*x iff no h in s has h*x < x: bit x of descent[h] marks h*x < x, so
+        the candidates of s are the zero bits of the OR of descent[h] over
+        h in s, above witness[s][-1] and in ascending order.  The masks cost
+        one pass over the multiplication table per walk.  The group holds
         the walk weakly; each subgroup built from it holds it.
         """
         lattice = self._lattice_ref and self._lattice_ref()
         if lattice:
             return lattice
         mul = self._mul
+        descent = [sum(1 << x for x, y in enumerate(row) if y < x) for row in mul]
+        everything = (1 << self._n) - 1
         trivial = frozenset({0})
         witness: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
         frontier = [trivial]
@@ -565,16 +577,16 @@ class FiniteGroup:
             for s in frontier:
                 base = witness[s]
                 rows = [mul[h] for h in s]
-                tried = set(s)
-                for x in range(1, self._n):
-                    if x in tried:
-                        continue
-                    tried.update([r[x] for r in rows])
-                    if not base or x > base[-1]:
-                        c = self._extend(s, rows, base + (x,))
-                        if c not in witness:
-                            witness[c] = base + (x,)
-                            nxt.append(c)
+                floor = base[-1] if base else 0
+                free = ~reduce(or_, [descent[h] for h in s]) & everything & -(2 << floor)
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    x = bit.bit_length() - 1
+                    c = self._extend(s, rows, base + (x,))
+                    if c not in witness:
+                        witness[c] = base + (x,)
+                        nxt.append(c)
             frontier = nxt
         lattice = _Lattice(sorted(witness.items(), key=lambda p: (len(p[0]), sorted(p[0]))))
         self._lattice_ref = weakref.ref(lattice)
@@ -596,21 +608,20 @@ class FiniteGroup:
     def enumerate_normal_subgroups(self) -> tuple[Subgroup, ...]:
         """The normal part of ``enumerate_subgroups``, same order and witnesses.
 
-        s is normal iff g*h*g^-1 is in s for each basis element g and each h
-        in its witness, which generates s.
+        s is normal iff it holds the conjugacy class of each element of its
+        witness: the witness generates s, so each g*s*g^-1 is generated by
+        conjugates of witness elements (see ``_class_closed``).
         """
         if self._n > DEFAULT_ENUMERATION_BOUND:
             raise GroupTooLargeError(
                 "normal subgroup enumeration requires group order <= "
                 f"{DEFAULT_ENUMERATION_BOUND}, got {self._n}"
             )
-        mul, inv = self._mul, self._inv
-        basis = [g.index for g in self.basis_generators()]
         lattice = self._lattice()
         return tuple(
             Subgroup(self, s, tuple(self.elements[x] for x in w), _lattice=lattice)
             for s, w in lattice
-            if all(mul[mul[g][h]][inv[g]] in s for g in basis for h in w)
+            if self._class_closed(s, w)
         )
 
 

@@ -15,6 +15,7 @@ from qslab.groups import (
     GroupSpec,
     GroupSpecError,
     GroupTooLargeError,
+    Subgroup,
     _mat_identity,
     _mat_mul,
     build_group,
@@ -54,6 +55,32 @@ def conjugated_member():
     return build_group(GroupSpec(4, 1, (action,), ()))
 
 
+def random_basis_change(rng, k):
+    """A random product of 3k transvections of F2^k, and its inverse."""
+    basis, basis_inv = _mat_identity(k), _mat_identity(k)
+    for _ in range(3 * k if k > 1 else 0):
+        a, b = rng.sample(range(k), 2)
+        t = tuple(
+            tuple(int(i == j or (i, j) == (a, b)) for j in range(k)) for i in range(k)
+        )
+        basis, basis_inv = _mat_mul(basis, t), _mat_mul(t, basis_inv)
+    return basis, basis_inv
+
+
+def family_shape(k, m, twisted, seed):
+    """A shape of the benchmark's ``family`` workload, in a seeded basis of N.
+
+    Phi_j is I + E_{(j + m) mod k, j} when ``twisted``, else I.
+    """
+    basis, basis_inv = random_basis_change(random.Random(f"family:{k}:{m}:{seed}"), k)
+    action = []
+    for j in range(m):
+        twist = ((j + m) % k, j) if twisted else None
+        a = tuple(tuple(int(r == c or (r, c) == twist) for c in range(k)) for r in range(k))
+        action.append(_mat_mul(_mat_mul(basis, a), basis_inv))
+    return build_group(GroupSpec(k, m, tuple(action), ()))
+
+
 def seeded_member(k, m, naming, seed):
     """A family member with a seeded random action, of order 2^(k+m).
 
@@ -70,13 +97,7 @@ def seeded_member(k, m, naming, seed):
     rng.shuffle(coords)
     cut = rng.randrange(1, k) if k > 1 else k
     rows, cols = coords[:cut], coords[cut:]
-    basis, basis_inv = _mat_identity(k), _mat_identity(k)
-    for _ in range(3 * k if k > 1 else 0):
-        a, b = rng.sample(range(k), 2)
-        t = tuple(
-            tuple(int(i == j or (i, j) == (a, b)) for j in range(k)) for i in range(k)
-        )
-        basis, basis_inv = _mat_mul(basis, t), _mat_mul(t, basis_inv)
+    basis, basis_inv = random_basis_change(rng, k)
     action = []
     for _ in range(m):
         a = [list(row) for row in _mat_identity(k)]
@@ -108,6 +129,12 @@ SEEDED_MEMBERS = [
     pytest.param(partial(seeded_member, k, m, naming, seed), id=f"n{k}q{m}-{naming}-{seed}")
     for seed in range(2)
     for k, m, naming in SEEDED_SHAPES
+]
+
+# Every seeded member of order <= 64, and the four ``family`` shapes.
+LATTICE_MEMBERS = [p for p in SEEDED_MEMBERS if sum(p.values[0].args[:2]) <= 6] + [
+    pytest.param(partial(family_shape, k, m, twisted, 0), id=f"family-n{k}q{m}-{twisted}")
+    for k, m, twisted in [(4, 1, True), (4, 1, False), (4, 2, True), (5, 1, True)]
 ]
 
 
@@ -544,6 +571,79 @@ def test_lattices_match_reference_walks(build):
         gens = [g.index for g in s.generators]
         assert all(a < b for a, b in zip(gens, gens[1:]))
         assert s.generators == group.minimal_generators(s)
+
+
+def coset_marking_walk(group):
+    """The lattice walk of ``_lattice``, finding least coset elements by marking.
+
+    Each s is offered every x in index order; x is least in its right coset
+    s*x iff no earlier x marked it, and then the whole coset is marked.
+    """
+    mul = group._mul
+    trivial = frozenset({0})
+    witness = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            base = witness[s]
+            rows = [mul[h] for h in s]
+            tried = set(s)
+            for x in range(1, group.order):
+                if x in tried:
+                    continue
+                tried.update([r[x] for r in rows])
+                if not base or x > base[-1]:
+                    c = group._extend(s, rows, base + (x,))
+                    if c not in witness:
+                        witness[c] = base + (x,)
+                        nxt.append(c)
+        frontier = nxt
+    return sorted(witness.items(), key=lambda p: (len(p[0]), sorted(p[0])))
+
+
+@pytest.mark.parametrize("build", LATTICE_MEMBERS)
+def test_lattice_walk_matches_coset_marking_oracle(build, monkeypatch):
+    group = build()
+    calls = []
+    extend = FiniteGroup._extend
+
+    def recorded(self, sub, rows, gens):
+        calls.append((sub, gens))
+        return extend(self, sub, rows, gens)
+
+    monkeypatch.setattr(FiniteGroup, "_extend", recorded)
+    expected = coset_marking_walk(group)
+    expected_calls = calls.copy()
+    calls.clear()
+    lattice = group._lattice()
+    assert list(lattice) == expected
+    # the same extensions (s, witness of s plus x), in the same order
+    assert calls == expected_calls
+    # s is offered the least element of each right coset above its witness
+    offered = {}
+    for sub, gens in calls:
+        offered.setdefault(sub, []).append(gens[-1])
+    for s, w in random.Random(0).sample(lattice, min(40, len(lattice))):
+        reps, _ = group._right_cosets(Subgroup(group, s, ()))
+        assert offered.get(s, []) == [x for x in reps if x > (w[-1] if w else 0)]
+
+
+@pytest.mark.parametrize("build", LATTICE_MEMBERS)
+def test_normality_matches_conjugation_by_every_element(build):
+    group = build()
+    mul, inv = group._mul, group._inv
+    subs = group.enumerate_subgroups()
+    normal = [
+        s.indices
+        for s in subs
+        if all(mul[mul[g][h]][inv[g]] in s.indices for g in range(group.order) for h in s.indices)
+    ]
+    assert [s.indices for s in group.enumerate_normal_subgroups()] == normal
+    normal = set(normal)
+    for s in subs:
+        # built by hand, with no generators: is_normal reads every element
+        assert group.is_normal(Subgroup(group, s.indices, ())) == (s.indices in normal)
 
 
 def test_lattice_walk_is_shared_and_dies_with_its_subgroups(monkeypatch):
