@@ -176,6 +176,20 @@ def _pack(lanes: list[int], width: int) -> int:
     return sum(x << (width * j) for j, x in enumerate(lanes) if x)
 
 
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The lanes x_j of ``_pack``, given every |x_j| < 2^(width - 1).
+
+    Adding 2^(width - 1) to each lane makes it a digit in [0, 2^width), so
+    no lane borrows from the next and each is read off by shift and mask.
+    The bias sum_j 2^(width - 1) 2^(width j) is 2^(width - 1) times the
+    repunit (2^(width count) - 1) / (2^width - 1).
+    """
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    biased = packed + half * (((1 << (width * count)) - 1) // mask)
+    return [((biased >> (width * j)) & mask) - half for j in range(count)]
+
+
 def _is_diagonal_gram(
     vectors: list[list[int]], weights: list[int], diagonal: list[int]
 ) -> bool:

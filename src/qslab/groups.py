@@ -302,6 +302,7 @@ class FiniteGroup:
             name: _bits_to_int(nvec + qvec) for name, (nvec, qvec) in spec.generator_names
         }
         self._basis_names = self._match_basis_names()
+        self._words: tuple[str, ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._class_of: list[int] | None = None
         self._char_table_cache = None
@@ -317,6 +318,8 @@ class FiniteGroup:
         return self.elements[0]
 
     def element(self, index: int) -> GroupElement:
+        if not 0 <= index < self._n:
+            raise IndexError(f"element index {index} is outside 0..{self._n - 1}")
         return self.elements[index]
 
     def index(self, g: GroupElement) -> int:
@@ -364,14 +367,23 @@ class FiniteGroup:
         return None if None in names else names
 
     def element_to_word(self, g: GroupElement) -> str:
-        """Basis names in coordinate order, or ``(n-bits|q-bits)`` if one is unnamed."""
-        if g.is_identity():
-            return "1"
-        k, m = self.spec.n_rank, self.spec.q_rank
-        bits = format(g.index, f"0{k + m}b")
-        if self._basis_names is None:
-            return f"({bits[:k]}|{bits[k:]})"
-        return "*".join(name for name, b in zip(self._basis_names, bits) if b == "1")
+        """Basis names in coordinate order, or ``(n-bits|q-bits)`` if one is unnamed.
+
+        The words of all |G| elements are built on first use and kept.
+        """
+        if self._words is None:
+            k, m = self.spec.n_rank, self.spec.q_rank
+            bits = [format(i, f"0{k + m}b") for i in range(self._n)]
+            if self._basis_names is None:
+                words = [f"({b[:k]}|{b[k:]})" for b in bits]
+            else:
+                words = [
+                    "*".join(name for name, bit in zip(self._basis_names, b) if bit == "1")
+                    for b in bits
+                ]
+            words[0] = "1"
+            self._words = tuple(words)
+        return self._words[self.index(g)]
 
     # -- conjugacy ------------------------------------------------------
 

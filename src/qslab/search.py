@@ -12,15 +12,25 @@ Every character of the supported family is integer valued (Serre, Linear
 Representations of Finite Groups, 8.2, Prop. 25), so these sums run on
 plain ints.  A twist is admissible for a pair of degree-2 bundle
 parameters when the h0 and h2 invariants both vanish.
+
+``cohomology_dims`` takes these sums one twist at a time.  The search
+over all pairs takes each sum against every linear twist at once: the
+twist values at class K are packed into one int, Y_K = sum_j |K| t_j(K)
+2^(B j), so sum_K f(K) Y_K carries the sum of f * t_j in signed lane j
+(Kronecker substitution, as in ``characters._is_diagonal_gram``).  The
+lane width B comes from an explicit bound on every lane (``_twist_lanes``).
+h0 depends only on the parameter A and h2 only on B, so each is summed
+once per parameter; only h1 and the Euler characteristic take a sum per
+pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from operator import add, sub
+from operator import add, mul, sub
 
-from .characters import CharacterTable, ClassFunction
+from .characters import CharacterTable, ClassFunction, _pack, _unpack
 from .groups import FiniteGroup
 
 
@@ -50,10 +60,47 @@ def _invariants(sizes: tuple[int, ...], order: int, *factors: tuple[int, ...]) -
     total = sum(map(prod, zip(sizes, *factors)))
     m, rem = divmod(total, order)
     if rem:
-        from fractions import Fraction
-
-        raise ValueError(f"invariant multiplicity {Fraction(total, order)} is not integral")
+        raise _not_integral(total, order)
     return m
+
+
+def _not_integral(total: int, order: int) -> ValueError:
+    from fractions import Fraction
+
+    return ValueError(f"invariant multiplicity {Fraction(total, order)} is not integral")
+
+
+def _twist_lanes(
+    sizes: tuple[int, ...], twists: list[tuple[int, ...]], magnitude: list[int]
+) -> tuple[list[int], int]:
+    """Every twist packed into one int per class: (Y, B), Y_K = sum_j |K| t_j(K) 2^(B j).
+
+    Let f be a class function with |f(K)| <= magnitude[K] at every class.
+    Then sum_K f(K) Y_K = sum_j c_j 2^(B j) with lanes
+
+        c_j = sum_K |K| f(K) t_j(K),   |c_j| <= sum_K |K| magnitude[K] max|t|,
+
+    and B is chosen so that this bound is below 2^(B - 1).  Every lane is
+    then a signed digit that ``_unpack`` reads back exactly: no lane
+    carries into or borrows from the next.
+    """
+    top = max((abs(x) for t in twists for x in t), default=0)
+    width = (sum(map(mul, sizes, magnitude)) * top).bit_length() + 1
+    packed = [_pack([size * t[k] for t in twists], width) for k, size in enumerate(sizes)]
+    return packed, width
+
+
+def _lane_invariants(f, packed: list[int], width: int, count: int, order: int) -> list[int]:
+    """Invariant dimension of f * t_j for each of the ``count`` twists in ``packed``.
+
+    Floor division leaves remainders in [0, |G|), so they are all zero
+    exactly when the quotients times |G| sum to the sum of the lanes.
+    """
+    totals = _unpack(sum(map(mul, f, packed)), width, count)
+    dims = [total // order for total in totals]
+    if sum(dims) * order != sum(totals):
+        raise _not_integral(next(t for t in totals if t % order), order)
+    return dims
 
 
 def _dims(sizes, order, c0, c1, d0, d1, twist) -> tuple[int, int, int]:
@@ -121,7 +168,8 @@ def search_all_pairs(
     (real) canonical character in h1.  The second factor ranges over
     bundles whose h0 is trivial plus a degree-2 row A and whose h1 is the
     linear part of the canonical character plus a degree-2 row B; twists
-    range over all linear rows.  Characters are int tuples throughout.
+    range over all linear rows.  Characters are int tuples throughout, and
+    each invariant sum covers all twists at once (``_twist_lanes``).
     """
     group = table.group
     order = group.order
@@ -142,34 +190,41 @@ def search_all_pairs(
     mults = [_invariants(sizes, order, kd, row) for row in rows]
     base_d = tuple(sum(mults[i] * rows[i][c] for i in linear) for c in range(len(kd)))
 
-    results = []
-    trivial_anywhere = False
+    d0s = {a: tuple(map(add, c0, rows[a])) for a in two_dim}
+    d1s = {b: tuple(map(add, base_d, rows[b])) for b in two_dim}
+    # In the (A, B) order of the pairs, so the first failure reported is
+    # the first a pair-by-pair walk meets.
     for a in two_dim:
-        d0 = tuple(map(add, c0, rows[a]))
+        _check_dimension("h0", d0s[a])
         for b in two_dim:
-            d1 = tuple(map(add, base_d, rows[b]))
-            _check_dimension("h0", d0)
-            _check_dimension("h1", d1)
-            euler_d = tuple(map(sub, d0, d1))
-            admissible = []
-            dims = []
-            eulers = []
-            for t in linear:
-                twist = rows[t]
-                h0, h1, h2 = _dims(sizes, order, c0, c1, d0, d1, twist)
-                dims.append((t, (h0, h1, h2)))
-                eulers.append((t, _invariants(sizes, order, euler_c, euler_d, twist)))
-                if h0 == 0 and h2 == 0:
-                    admissible.append(t)
-                    if t == trivial_index:
-                        trivial_anywhere = True
+            _check_dimension("h1", d1s[b])
+
+    # Each integrand below (c0 d0, c1 d1, c0 d1 + c1 d0 and
+    # (c0 - c1)(d0 - d1)) is at most (|c0| + |c1|)(|d0| + |d1|) in absolute
+    # value, and |d0| + |d1| <= 2 max|d| over every d0 and d1.
+    top_d = [max(map(abs, column)) for column in zip(*d0s.values(), *d1s.values())]
+    magnitude = [2 * (abs(x) + abs(y)) * m for x, y, m in zip(c0, c1, top_d)]
+    packed, width = _twist_lanes(sizes, [rows[t] for t in linear], magnitude)
+
+    def invariants(f) -> list[int]:
+        return _lane_invariants(f, packed, width, len(linear), order)
+
+    h0_by_a = {a: invariants(map(mul, c0, d0)) for a, d0 in d0s.items()}
+    h2_by_b = {b: invariants(map(mul, c1, d1)) for b, d1 in d1s.items()}
+    results = []
+    for a in two_dim:
+        d0, h0s = d0s[a], h0_by_a[a]
+        for b in two_dim:
+            d1, h2s = d1s[b], h2_by_b[b]
+            h1s = invariants(map(add, map(mul, c0, d1), map(mul, c1, d0)))
+            eulers = tuple(zip(linear, invariants(map(mul, euler_c, map(sub, d0, d1)))))
             results.append(
                 PairResult(
                     a_index=a,
                     b_index=b,
-                    admissible=tuple(admissible),
-                    dims=tuple(dims),
-                    eulers=tuple(eulers),
+                    admissible=tuple(t for t, x, z in zip(linear, h0s, h2s) if x == 0 and z == 0),
+                    dims=tuple(zip(linear, zip(h0s, h1s, h2s))),
+                    eulers=eulers,
                     euler_flat=all(e == 0 for _, e in eulers),
                 )
             )
@@ -177,5 +232,5 @@ def search_all_pairs(
         table=table,
         pairs=tuple(results),
         theorem_holds=all(r.admissible for r in results),
-        trivial_admissible_anywhere=trivial_anywhere,
+        trivial_admissible_anywhere=any(trivial_index in r.admissible for r in results),
     )

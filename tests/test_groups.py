@@ -402,6 +402,55 @@ def test_basis_and_words_match_tuple_oracle(build):
     assert group.identity().word() == "1"
 
 
+def index_bits_word(group, i):
+    """The word of index i built from its bits: named basis, else (n-bits|q-bits)."""
+    k, m = group.spec.n_rank, group.spec.q_rank
+    bits = format(i, f"0{k + m}b")
+    unit = [(tuple(int(t == p) for t in range(k)), (0,) * m) for p in range(k)]
+    unit += [((0,) * k, tuple(int(t == j) for t in range(m))) for j in range(m)]
+    by_coord = {coord: name for name, coord in group.spec.generator_names}
+    if i == 0:
+        return "1"
+    if not all(u in by_coord for u in unit):
+        return f"({bits[:k]}|{bits[k:]})"
+    return "*".join(by_coord[u] for u, bit in zip(unit, bits) if bit == "1")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_g32_27,
+        order_64_member,
+        conjugated_member,
+        partial(seeded_member, 3, 2, "all", 0),
+        partial(seeded_member, 4, 2, "partial", 1),
+    ],
+)
+def test_every_word_is_built_from_its_index_bits(build):
+    group = build()
+    assert group._words is None
+    assert [g.word() for g in group.elements] == [
+        index_bits_word(group, i) for i in range(group.order)
+    ]
+    table = group._words
+    assert group.element(group.order - 1).word() and group._words is table
+
+
+def test_words_refuse_another_groups_elements(g32):
+    foreign = order_64_member().element(40)
+    with pytest.raises(ValueError, match="different group"):
+        g32.element_to_word(foreign)
+    # a second build of the same spec is interchangeable
+    assert g32.element_to_word(build_g32_27().element(0b10100)) == "g2*g4"
+
+
+@pytest.mark.parametrize("index", [-1, -32, 32, 10**6])
+def test_element_refuses_indices_out_of_range(g32, index):
+    with pytest.raises(IndexError, match=r"element index .* is outside 0\.\.31"):
+        g32.element(index)
+    assert g32.element(31).index == 31
+
+
 def test_unnamed_words_are_pinned():
     assert conjugated_member().element(0b0010_1).word() == "(0010|1)"
     assert seeded_member(3, 2, "none", 0).element(0b101_10).word() == "(101|10)"

@@ -4,12 +4,26 @@ The oracle works in plain integer arithmetic straight from the fixture
 matrix, so it shares no scalar or class-function code with the library.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from qslab.characters import ClassFunction, decompose
-from qslab.search import BundleCohomology, cohomology_dims, search_all_pairs
+from qslab.characters import (
+    ClassFunction,
+    _pack,
+    _unpack,
+    compute_character_table,
+    decompose,
+)
+from qslab.groups import GroupSpec, build_group
+from qslab.search import (
+    BundleCohomology,
+    _lane_invariants,
+    _twist_lanes,
+    cohomology_dims,
+    search_all_pairs,
+)
 from qslab.ramification import canonical_character
 
 GROUP_ORDER = 32
@@ -229,3 +243,168 @@ def test_cohomology_dims_consistency(table, t1, t2):
         e = _ip(_mul(euler_c, euler_d), table.rows[t].values, sizes)
         assert h0 - h1 + h2 == e
     assert kd.at_identity() == 9
+
+
+# -- all twists in one packed sum ----------------------------------------
+
+
+def per_twist_search(table, kc, kd):
+    """(a, b) -> ((t, dims), ...), ((t, euler), ...), one twist at a time.
+
+    The dimensions come from ``cohomology_dims``, the per-twist kernel, and
+    each Euler characteristic from its own plain integer sum.
+    """
+    group = table.group
+    sizes = [cls.size for cls in group.conjugacy_classes()]
+    rows = [row.values for row in table.rows]
+    linear = table.linear_indices()
+    mults = decompose(kd, table)
+    base_d = [sum(mults[i] * rows[i][c] for i in linear) for c in range(len(sizes))]
+    c0, c1 = table.trivial().values, kc.values
+    factor_c = BundleCohomology(h0=table.trivial(), h1=kc)
+    results = {}
+    for a in table.indices_of_degree(2):
+        d0 = [x + y for x, y in zip(c0, rows[a])]
+        for b in table.indices_of_degree(2):
+            d1 = [x + y for x, y in zip(base_d, rows[b])]
+            factor_d = BundleCohomology(
+                h0=ClassFunction(group, tuple(d0)), h1=ClassFunction(group, tuple(d1))
+            )
+            dims, eulers = [], []
+            for t in linear:
+                dims.append((t, cohomology_dims(factor_c, factor_d, table.rows[t])))
+                total = sum(
+                    s * (w - x) * (y - z) * u
+                    for s, w, x, y, z, u in zip(sizes, c0, c1, d0, d1, rows[t])
+                )
+                assert total % group.order == 0
+                eulers.append((t, total // group.order))
+            results[(a, b)] = (tuple(dims), tuple(eulers))
+    return results
+
+
+def assert_matches_per_twist(table, kc, kd):
+    report = search_all_pairs(table, kc, kd)
+    expected = per_twist_search(table, kc, kd)
+    assert [(p.a_index, p.b_index) for p in report.pairs] == list(expected)
+    trivial = table.trivial_index()
+    for pair in report.pairs:
+        dims, eulers = expected[(pair.a_index, pair.b_index)]
+        assert pair.dims == dims
+        assert pair.eulers == eulers
+        assert pair.admissible == tuple(t for t, (h0, _, h2) in dims if h0 == h2 == 0)
+        assert pair.euler_flat == all(e == 0 for _, e in eulers)
+    assert report.theorem_holds == all(p.admissible for p in report.pairs)
+    assert report.trivial_admissible_anywhere == any(
+        trivial in p.admissible for p in report.pairs
+    )
+    return report
+
+
+def family_shape_64():
+    """N rank 4, Q rank 2, Phi_j = I + E_{j + 2, j}: 16 linear rows, 8 of degree 2."""
+    action = tuple(
+        tuple(tuple(int(r == c or (r, c) == (j + 2, j)) for c in range(4)) for r in range(4))
+        for j in range(2)
+    )
+    return build_group(GroupSpec(4, 2, action, ()))
+
+
+def seeded_virtual(table, rng, bound):
+    """A seeded integer combination of the rows, coefficients in [-bound, bound]."""
+    coeffs = [rng.randint(-bound, bound) for _ in table.rows]
+    return [
+        sum(n * row.values[c] for n, row in zip(coeffs, table.rows))
+        for c in range(len(table.rows))
+    ]
+
+
+def test_packed_search_matches_per_twist_kernel(table, t1, t2):
+    report = assert_matches_per_twist(
+        table, canonical_character(t1, table), canonical_character(t2, table)
+    )
+    assert len(report.pairs) == 36 and all(len(p.dims) == 8 for p in report.pairs)
+
+
+@pytest.mark.parametrize("bound", [3, 10**9])
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_search_on_seeded_virtual_characters(seed, bound):
+    # Both factors are virtual characters with coefficients of both signs,
+    # up to 10^9, so lanes are wide and many are negative.  The trivial
+    # coefficient is raised just enough that the identity values are
+    # dimensions.
+    rng = random.Random(f"search:{seed}:{bound}")
+    group = family_shape_64()
+    table = compute_character_table(group)
+    assert len(table.linear_indices()) == 16 and len(table.indices_of_degree(2)) == 8
+    trivial = table.trivial()
+    kc = seeded_virtual(table, rng, bound)
+    kc = ClassFunction(group, tuple(x + max(0, -kc[0]) for x in kc))
+    kd = seeded_virtual(table, rng, bound)
+    mults = decompose(ClassFunction(group, tuple(kd)), table)
+    linear_at_identity = sum(mults[i] for i in table.linear_indices())
+    kd = ClassFunction(group, tuple(x + max(0, -linear_at_identity) for x in kd))
+    assert trivial.values == (1,) * len(kd.values)
+    report = assert_matches_per_twist(table, kc, kd)
+    lanes = [x for p in report.pairs for _, dims in p.dims for x in dims]
+    lanes += [e for p in report.pairs for _, e in p.eulers]
+    assert min(lanes) < 0 < max(lanes)
+    if bound > 3:
+        assert max(map(abs, lanes)) > 10**9
+
+
+def test_packed_search_refuses_a_non_virtual_first_factor(table, t1, t2):
+    # (t + t')/2 for two linear rows is integer valued but not a virtual
+    # character; only the lanes of the sums with h1 of the first factor see it
+    linear = table.linear_indices()
+    t, u = (table.rows[i].values for i in linear[1:3])
+    half = ClassFunction(table.group, tuple((x + y) // 2 for x, y in zip(t, u)))
+    kd = canonical_character(t2, table)
+    with pytest.raises(ValueError, match="invariant multiplicity .* is not integral"):
+        search_all_pairs(table, half, kd)
+    with pytest.raises(ValueError, match="not integral"):
+        per_twist_search(table, half, kd)
+
+
+@pytest.mark.parametrize(
+    "f, lanes, message",
+    [
+        ((-4, 8), [1, -3], None),
+        ((3, 1), None, "invariant multiplicity 1/2 is not integral"),  # lanes 4, 2
+        ((2, 0), None, "1/2 is not integral"),  # lanes 2, 2: their sum is a multiple of 4
+        ((2, 4), None, "3/2 is not integral"),  # lanes 6, -2: likewise
+    ],
+)
+def test_lane_invariants_check_every_lane(f, lanes, message):
+    packed, width = _twist_lanes((1, 1), [(1, 1), (1, -1)], [8, 8])
+    if message is None:
+        assert _lane_invariants(f, packed, width, 2, 4) == lanes
+    else:
+        with pytest.raises(ValueError, match=message):
+            _lane_invariants(f, packed, width, 2, 4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lane_width_holds_lanes_at_the_bound(table, seed):
+    # f = +-magnitude * t_j puts lane j exactly at the bound
+    # sum_K |K| magnitude[K] max|t|, the largest value the width must hold
+    rng = random.Random(f"lanes:{seed}")
+    sizes = tuple(cls.size for cls in table.group.conjugacy_classes())
+    twists = [table.rows[t].values for t in table.linear_indices()]
+    magnitude = [rng.randint(0, 10**9) for _ in sizes]
+    packed, width = _twist_lanes(sizes, twists, magnitude)
+    bound = sum(s * m for s, m in zip(sizes, magnitude))
+    for j, t in enumerate(twists):
+        for sign in (1, -1):
+            f = [sign * m * x for m, x in zip(magnitude, t)]
+            got = _lane_invariants(f, packed, width, len(twists), 1)
+            assert got[j] == sign * bound
+            assert got == [sum(s * y * x for s, y, x in zip(sizes, f, u)) for u in twists]
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 31, 64])
+def test_unpack_inverts_pack_on_extreme_lanes(width):
+    top = (1 << (width - 1)) - 1
+    rng = random.Random(width)
+    for lanes in ([top, -top, 0, top], [-top] * 5, [rng.randint(-top, top) for _ in range(9)], []):
+        assert _unpack(_pack(lanes, width), width, len(lanes)) == lanes
