@@ -159,39 +159,34 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def expect(self, ok: bool, what: str) -> Token:
+        """Take the next token if ``ok``, else fail: ``expected <what>, found <it>``."""
+        if not ok:
+            text = self.peek().text
+            self.fail(f"expected {what}, found {repr(text) if text else 'end of input'}")
+        return self.advance()
+
     def expect_punct(self, ch: str) -> Token:
         tok = self.peek()
-        if tok.kind != "punct" or tok.text != ch:
-            self.fail(f"expected {ch!r}, found {tok.text!r}" if tok.text else f"expected {ch!r}, found end of input")
-        return self.advance()
+        return self.expect(tok.kind == "punct" and tok.text == ch, repr(ch))
 
     def expect_keyword(self, word: str) -> Token:
         tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            self.fail(f"expected {word!r}, found {tok.text!r}" if tok.text else f"expected {word!r}, found end of input")
-        return self.advance()
+        return self.expect(tok.kind == "ident" and tok.text == word, repr(word))
 
     def expect_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
-        return self.advance()
+        return self.expect(self.peek().kind == "ident", what)
 
     def expect_int(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
-        return self.advance()
+        return self.expect(self.peek().kind == "int", what)
 
     def expect_bits(self, what: str, allow_empty: bool = False) -> tuple[int, ...]:
         tok = self.peek()
-        if tok.kind != "int":
-            if allow_empty:
-                return ()
-            self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
+        if tok.kind != "int" and allow_empty:
+            return ()
+        self.expect(tok.kind == "int", what)
         if any(c not in "01" for c in tok.text):
-            self.fail(f"{what} must consist of bits, found {tok.text!r}")
-        self.advance()
+            self.fail(f"{what} must consist of bits, found {tok.text!r}", tok)
         return tuple(int(c) for c in tok.text)
 
     # -- declarations ---------------------------------------------------

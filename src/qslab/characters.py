@@ -73,7 +73,7 @@ class ClassFunction:
     values: tuple[ExactScalar, ...]
 
     def __post_init__(self) -> None:
-        k = len(self.group.conjugacy_classes())
+        k = len(self.group._partition())
         # Values that already are ExactScalar pass through, so a table keeps
         # one object per distinct value.
         vals = tuple(v if type(v) is ExactScalar else ExactScalar(v) for v in self.values)
@@ -108,8 +108,8 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> int:
     """
     f._check_same_group(h)
     total = sum(
-        cls.size * a * b
-        for cls, a, b in zip(f.group.conjugacy_classes(), f.values, h.values)
+        len(members) * a * b
+        for members, a, b in zip(f.group._partition(), f.values, h.values)
     )
     value, rem = divmod(total, f.group.order)
     if rem:
@@ -154,7 +154,7 @@ class CharacterTable:
         the relations need no conjugate.
         """
         order = self.group.order
-        sizes = [cls.size for cls in self.group.conjugacy_classes()]
+        sizes = list(map(len, self.group._partition()))
         rows = [row.values for row in self.rows]
         return _is_diagonal_gram(rows, sizes, [order] * len(rows)) and _is_diagonal_gram(
             [[row[c] for row in rows] for c in range(len(sizes))],
@@ -227,16 +227,19 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
     induced character takes the value rho(q) * sum_{w in O} (-1)^(w.n) at
     (n, q) when q lies in Q_v, and 0 otherwise.  Vectors are the integer
     bitmasks of the element index, so v.n is the parity of (v & n).
+
+    The values are certified once per group and kept on it; each call
+    returns a new table object over them.
     """
-    if group._char_table_cache is not None:
-        return group._char_table_cache
+    if group._char_grid is not None:
+        return _table(group, group._char_grid)
 
     k, m = group.spec.n_rank, group.spec.q_rank
     # Column p of Phi_q is the image of the basis vector 1 << p, and bit p
     # of Phi_q^T v is the parity of v & (column p).
     columns = [[img[1 << p] for p in range(k)] for img in group._image]
     # (n_int, q_int) of each class representative's index.
-    reps = [divmod(group.index(c.representative), 1 << m) for c in group.conjugacy_classes()]
+    reps = [divmod(members[0], 1 << m) for members in group._partition()]
     grid = []
     seen: set[int] = set()
     for v in range(1 << k):
@@ -260,14 +263,18 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
 
     grid.sort(key=lambda values: (values[0], values))
     scalars = {x: ExactScalar(x) for x in {x for values in grid for x in values}}
-    rows = tuple(ClassFunction(group, tuple(scalars[x] for x in values)) for values in grid)
-    table = CharacterTable(group=group, rows=rows)
+    grid = tuple(tuple(scalars[x] for x in values) for values in grid)
+    table = _table(group, grid)
     if sum(d * d for d in table.degrees) != group.order:
         raise CharacterTableError("degree squares do not sum to the group order")
     if not table.verify_orthogonality():
         raise CharacterTableError("induced table fails orthogonality")
-    group._char_table_cache = table
+    group._char_grid = grid
     return table
+
+
+def _table(group: FiniteGroup, grid: tuple[tuple[ExactScalar, ...], ...]) -> CharacterTable:
+    return CharacterTable(group, tuple(ClassFunction(group, values) for values in grid))
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
@@ -280,7 +287,7 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
     """
     group = table.group
     f._check_same_group(table.rows[0])
-    weighted = [cls.size * v for cls, v in zip(group.conjugacy_classes(), f.values)]
+    weighted = [len(members) * v for members, v in zip(group._partition(), f.values)]
     mults = []
     for row in table.rows:
         total = sum(map(mul, weighted, row.values))
@@ -345,7 +352,7 @@ def reference_column_map(group: FiniteGroup, ref: ReferenceTable) -> tuple[int, 
     Resolves every listed member word and checks that each reference
     class is exactly one full computed class.
     """
-    classes = group.conjugacy_classes()
+    classes = group._partition()
     k = len(classes)
     if len(ref.class_members) != k:
         raise AlignmentError(
@@ -358,10 +365,11 @@ def reference_column_map(group: FiniteGroup, ref: ReferenceTable) -> tuple[int, 
         if len(indices) != 1:
             raise AlignmentError(f"reference class {j} words span several classes")
         ci = indices.pop()
-        if len(set(elems)) != classes[ci].size or len(members) != ref.class_sizes[j]:
+        size = len(classes[ci])
+        if len(set(elems)) != size or len(members) != ref.class_sizes[j]:
             raise AlignmentError(
                 f"reference class {j} lists {len(members)} members, computed size is "
-                f"{classes[ci].size}"
+                f"{size}"
             )
         col_perm.append(ci)
     if len(set(col_perm)) != k:
@@ -379,7 +387,7 @@ def align_to_reference(
     Raises AlignmentError when class resolution or row matching fails.
     """
     group = table.group
-    k = len(group.conjugacy_classes())
+    k = len(group._partition())
     if len(ref.matrix) != len(table.rows):
         raise AlignmentError(
             f"reference has {len(ref.matrix)} rows, computed table {len(table.rows)}"
@@ -434,7 +442,7 @@ def table_from_cache_dict(group: FiniteGroup, data: dict) -> CharacterTable:
     rows = data.get("rows")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("cached rows are not a list of lists")
-    k = len(group.conjugacy_classes())
+    k = len(group._partition())
     if len(rows) != k:
         raise ValueError(f"cached table has {len(rows)} rows, expected {k}")
     return CharacterTable(

@@ -221,7 +221,7 @@ def _cmd_info(model, args, group_name, group, structures):
         ],
         "class_count": len(classes),
         "center_order": center.order,
-        "center": [g.word() for g in sorted(center.elements, key=group.index)],
+        "center": [g.word() for g in center.elements],
         "minimal_generator_count": rank,
         "structures": [],
         "subgroups": [],
@@ -285,9 +285,7 @@ def _cmd_classes(model, args, group_name, group, structures):
                 "representative": cls.representative.word(),
                 "size": cls.size,
                 "element_order": cls.representative.order(),
-                "members": [
-                    g.word() for g in sorted(cls.elements, key=group.index)
-                ],
+                "members": [g.word() for g in cls.elements],
             }
         )
     payload = {"group": group_name, "order": _order_note(published), "classes": rows}

@@ -8,14 +8,21 @@ where Phi is a commuting family of involutive F2 matrices indexed by the
 basis of Q and Phi_q is the product of the matrices selected by the set
 bits of q.  An element is encoded by one integer, its index
 (n_int << q_rank) | q_int, each vector read first coordinate most
-significant; bit vectors appear only in a ``GroupSpec``.  All objects are
-immutable after construction and safe for concurrent reads.
+significant; bit vectors appear only in a ``GroupSpec``.
+
+Ownership: a ``FiniteGroup`` stores only ints and strings (its tables, the
+class partition, the element words, the certified character values and
+the subgroup lattice walk), so nothing it holds points back at it and a
+dropped group is freed by reference counting alone.  Element, class,
+subgroup and character-table objects point at their group, and are built
+when an API call asks for one.  All objects are immutable after
+construction, apart from lazily filled tables, and safe for concurrent
+reads.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from math import lcm
@@ -152,6 +159,10 @@ class GroupElement:
     group: "FiniteGroup" = field(repr=False)
     index: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.index < self.group._n:
+            raise IndexError(f"element index {self.index} is outside 0..{self.group._n - 1}")
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
@@ -191,13 +202,10 @@ class Subgroup:
     parent: "FiniteGroup" = field(repr=False)
     indices: frozenset[int]
     generators: tuple[GroupElement, ...]
-    # Right-coset labels (set by FiniteGroup._right_cosets on first use) and
-    # the lattice walk this came from: held by the group, they would wait for
-    # the cyclic collector with it (GroupElement.group <-> elements).
+    # Right-coset labels, set by FiniteGroup._right_cosets on first use.
     _cosets: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, init=False, repr=False
     )
-    _lattice: "_Lattice | None" = field(default=None, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -223,11 +231,6 @@ class Subgroup:
     def __repr__(self) -> str:
         gens = ", ".join(g.word() for g in self.generators) or "1"
         return f"Subgroup(<{gens}>, order={self.order})"
-
-
-class _Lattice(list):
-    """The (indices, witness) pairs of one lattice walk; a list takes a weakref."""
-    __slots__ = ("__weakref__",)
 
 
 @dataclass(frozen=True)
@@ -259,9 +262,6 @@ class FiniteGroup:
         self.spec = spec
         k, m = spec.n_rank, spec.q_rank
         self._n = 1 << (k + m)
-        self.elements: tuple[GroupElement, ...] = tuple(
-            GroupElement(self, i) for i in range(self._n)
-        )
 
         # image[q_int][n_int] is Phi_q(n) as an integer.  Each basis matrix
         # acts by linearity from its columns; Phi_q composes the matrices
@@ -303,10 +303,12 @@ class FiniteGroup:
         }
         self._basis_names = self._match_basis_names()
         self._words: tuple[str, ...] | None = None
-        self._classes: tuple[ConjugacyClass, ...] | None = None
+        self._class_members: tuple[tuple[int, ...], ...] | None = None
         self._class_of: list[int] | None = None
-        self._char_table_cache = None
-        self._lattice_ref: weakref.ref[_Lattice] | None = None
+        # Rows of character values, set by characters.compute_character_table
+        # once they are certified.
+        self._char_grid: tuple[tuple[int, ...], ...] | None = None
+        self._walk: tuple[tuple[frozenset[int], tuple[int, ...]], ...] | None = None
 
     # -- basic structure ------------------------------------------------
 
@@ -314,13 +316,16 @@ class FiniteGroup:
     def order(self) -> int:
         return self._n
 
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """Every element in index order, built on each access."""
+        return tuple(GroupElement(self, i) for i in range(self._n))
+
     def identity(self) -> GroupElement:
-        return self.elements[0]
+        return GroupElement(self, 0)
 
     def element(self, index: int) -> GroupElement:
-        if not 0 <= index < self._n:
-            raise IndexError(f"element index {index} is outside 0..{self._n - 1}")
-        return self.elements[index]
+        return GroupElement(self, index)
 
     def index(self, g: GroupElement) -> int:
         if g.group is not self and g.group.spec != self.spec:
@@ -328,10 +333,10 @@ class FiniteGroup:
         return g.index
 
     def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.elements[self._mul[self.index(a)][self.index(b)]]
+        return GroupElement(self, self._mul[self.index(a)][self.index(b)])
 
     def inverse(self, a: GroupElement) -> GroupElement:
-        return self.elements[self._inv[self.index(a)]]
+        return GroupElement(self, self._inv[self.index(a)])
 
     def element_order(self, a: GroupElement) -> int:
         return self._orders[self.index(a)]
@@ -342,14 +347,14 @@ class FiniteGroup:
     def basis_generators(self) -> tuple[GroupElement, ...]:
         """The elements (e_i, 0) and (0, f_j); always a generating set."""
         total = self.spec.n_rank + self.spec.q_rank
-        return tuple(self.elements[1 << (total - 1 - p)] for p in range(total))
+        return tuple(GroupElement(self, 1 << (total - 1 - p)) for p in range(total))
 
     # -- words ----------------------------------------------------------
 
     def generator(self, name: str) -> GroupElement:
         if name not in self._gen_index:
             raise KeyError(f"unknown generator {name!r}")
-        return self.elements[self._gen_index[name]]
+        return GroupElement(self, self._gen_index[name])
 
     def evaluate_word(self, names: Sequence[str]) -> GroupElement:
         """Multiply named generators left to right; empty word is the identity."""
@@ -358,7 +363,7 @@ class FiniteGroup:
             if name not in self._gen_index:
                 raise KeyError(f"unknown generator {name!r}")
             acc = self._mul[acc][self._gen_index[name]]
-        return self.elements[acc]
+        return GroupElement(self, acc)
 
     def _match_basis_names(self) -> tuple[str, ...] | None:
         """Basis names in coordinate order, if all are named; a later name wins."""
@@ -367,10 +372,11 @@ class FiniteGroup:
         return None if None in names else names
 
     def element_to_word(self, g: GroupElement) -> str:
-        """Basis names in coordinate order, or ``(n-bits|q-bits)`` if one is unnamed.
+        """Basis names in coordinate order, or ``(n-bits|q-bits)`` if one is unnamed."""
+        return self._word_table()[self.index(g)]
 
-        The words of all |G| elements are built on first use and kept.
-        """
+    def _word_table(self) -> tuple[str, ...]:
+        """The word of every element index, built on first use and kept."""
         if self._words is None:
             k, m = self.spec.n_rank, self.spec.q_rank
             bits = [format(i, f"0{k + m}b") for i in range(self._n)]
@@ -383,50 +389,51 @@ class FiniteGroup:
                 ]
             words[0] = "1"
             self._words = tuple(words)
-        return self._words[self.index(g)]
+        return self._words
 
     # -- conjugacy ------------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
+        """The classes in canonical order, built from the partition on each call."""
+        return tuple(map(self._conjugacy_class, range(len(self._partition()))))
 
     def class_index_of(self, g: GroupElement) -> int:
-        if self._class_of is None:
-            self._compute_classes()
+        self._partition()
         return self._class_of[self.index(g)]
 
     def class_of(self, g: GroupElement) -> ConjugacyClass:
-        return self.conjugacy_classes()[self.class_index_of(g)]
+        return self._conjugacy_class(self.class_index_of(g))
 
-    def _compute_classes(self) -> None:
-        mul, inv = self._mul, self._inv
-        assigned = [-1] * self._n
-        raw: list[list[int]] = []
-        for e in range(self._n):
-            if assigned[e] >= 0:
-                continue
-            orbit = sorted({mul[mul[c][e]][inv[c]] for c in range(self._n)})
-            label = len(raw)
-            for x in orbit:
-                assigned[x] = label
-            raw.append(orbit)
-        raw.sort(key=lambda orb: (self._orders[orb[0]], len(orb), orb[0]))
-        classes = []
-        class_of = [0] * self._n
-        for ci, orbit in enumerate(raw):
-            for x in orbit:
-                class_of[x] = ci
-            classes.append(
-                ConjugacyClass(
-                    index=ci,
-                    representative=self.elements[orbit[0]],
-                    elements=tuple(self.elements[x] for x in orbit),
-                )
-            )
-        self._classes = tuple(classes)
-        self._class_of = class_of
+    def _conjugacy_class(self, ci: int) -> ConjugacyClass:
+        elements = tuple(GroupElement(self, x) for x in self._partition()[ci])
+        return ConjugacyClass(index=ci, representative=elements[0], elements=elements)
+
+    def _partition(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted member indices of each class in canonical order.
+
+        Computed on first use, together with ``_class_of``, the class index
+        of each element index; both are kept.
+        """
+        if self._class_members is None:
+            mul, inv = self._mul, self._inv
+            assigned = [-1] * self._n
+            raw: list[tuple[int, ...]] = []
+            for e in range(self._n):
+                if assigned[e] >= 0:
+                    continue
+                orbit = tuple(sorted({mul[mul[c][e]][inv[c]] for c in range(self._n)}))
+                label = len(raw)
+                for x in orbit:
+                    assigned[x] = label
+                raw.append(orbit)
+            raw.sort(key=lambda orb: (self._orders[orb[0]], len(orb), orb[0]))
+            class_of = [0] * self._n
+            for ci, orbit in enumerate(raw):
+                for x in orbit:
+                    class_of[x] = ci
+            self._class_of = class_of
+            self._class_members = tuple(raw)
+        return self._class_members
 
     # -- subgroups ------------------------------------------------------
 
@@ -472,7 +479,7 @@ class FiniteGroup:
         """One representative per right coset H*g, identity coset first."""
         self._check_subgroup(sub)
         reps, _ = self._right_cosets(sub)
-        return tuple(self.elements[e] for e in reps)
+        return tuple(GroupElement(self, e) for e in reps)
 
     def _right_cosets(self, sub: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Right-coset labels for H\\G: (representative indices, label of each index).
@@ -512,15 +519,11 @@ class FiniteGroup:
         When ``elems`` generate the subgroup ``sub`` this is normality:
         g*sub*g^-1 is generated by the conjugates g*x*g^-1 of ``elems``.
         """
-        classes, class_of = self.conjugacy_classes(), self._class_of
-        return all(y.index in sub for x in elems for y in classes[class_of[x]].elements)
+        members, class_of = self._partition(), self._class_of
+        return all(y in sub for x in elems for y in members[class_of[x]])
 
     def center(self) -> Subgroup:
-        idxs = frozenset(
-            self.index(cls.representative)
-            for cls in self.conjugacy_classes()
-            if cls.size == 1
-        )
+        idxs = frozenset(members[0] for members in self._partition() if len(members) == 1)
         sub = Subgroup(parent=self, indices=idxs, generators=())
         return Subgroup(parent=self, indices=idxs, generators=self.minimal_generators(sub))
 
@@ -533,7 +536,7 @@ class FiniteGroup:
         so the squares alone generate the Frattini subgroup.
         """
         self._check_subgroup(sub)
-        return tuple(self.elements[x] for x in self._minimal_generators(sub.indices))
+        return tuple(GroupElement(self, x) for x in self._minimal_generators(sub.indices))
 
     def _minimal_generators(self, indices: frozenset[int]) -> tuple[int, ...]:
         if len(indices) == 1:
@@ -554,7 +557,7 @@ class FiniteGroup:
             raise RuntimeError("minimal generating set search failed")
         return tuple(picked)
 
-    def _lattice(self) -> _Lattice:
+    def _lattice(self) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
         """Every subgroup with its witness, sorted by (order, sorted indices).
 
         Breadth first: each subgroup s is extended, in index order, by the
@@ -572,12 +575,11 @@ class FiniteGroup:
         s*x iff no h in s has h*x < x: bit x of descent[h] marks h*x < x, so
         the candidates of s are the zero bits of the OR of descent[h] over
         h in s, above witness[s][-1] and in ascending order.  The masks cost
-        one pass over the multiplication table per walk.  The group holds
-        the walk weakly; each subgroup built from it holds it.
+        one pass over the multiplication table per walk, which runs once
+        per group and is kept.
         """
-        lattice = self._lattice_ref and self._lattice_ref()
-        if lattice:
-            return lattice
+        if self._walk is not None:
+            return self._walk
         mul = self._mul
         descent = [sum(1 << x for x, y in enumerate(row) if y < x) for row in mul]
         everything = (1 << self._n) - 1
@@ -600,9 +602,8 @@ class FiniteGroup:
                         witness[c] = base + (x,)
                         nxt.append(c)
             frontier = nxt
-        lattice = _Lattice(sorted(witness.items(), key=lambda p: (len(p[0]), sorted(p[0]))))
-        self._lattice_ref = weakref.ref(lattice)
-        return lattice
+        self._walk = tuple(sorted(witness.items(), key=lambda p: (len(p[0]), sorted(p[0]))))
+        return self._walk
 
     def enumerate_subgroups(self) -> tuple[Subgroup, ...]:
         """All subgroups; each witness is its ``minimal_generators`` (see ``_lattice``)."""
@@ -611,10 +612,9 @@ class FiniteGroup:
                 "subgroup enumeration requires group order <= "
                 f"{DEFAULT_ENUMERATION_BOUND}, got {self._n}"
             )
-        lattice = self._lattice()
+        elements = self.elements
         return tuple(
-            Subgroup(self, s, tuple(self.elements[x] for x in w), _lattice=lattice)
-            for s, w in lattice
+            Subgroup(self, s, tuple(elements[x] for x in w)) for s, w in self._lattice()
         )
 
     def enumerate_normal_subgroups(self) -> tuple[Subgroup, ...]:
@@ -629,10 +629,10 @@ class FiniteGroup:
                 "normal subgroup enumeration requires group order <= "
                 f"{DEFAULT_ENUMERATION_BOUND}, got {self._n}"
             )
-        lattice = self._lattice()
+        elements = self.elements
         return tuple(
-            Subgroup(self, s, tuple(self.elements[x] for x in w), _lattice=lattice)
-            for s, w in lattice
+            Subgroup(self, s, tuple(elements[x] for x in w))
+            for s, w in self._lattice()
             if self._class_closed(s, w)
         )
 

@@ -39,7 +39,7 @@ class SphericalSystem:
     entries: tuple[GroupElement, ...]
     # Derived data, computed once per system: entry indices, cyclic entry
     # subgroups, their index sets with index right transversals, the fixed
-    # point table and, per table, the canonical character.
+    # point table and the canonical character.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -76,13 +76,14 @@ def validate_spherical(group: FiniteGroup, entries) -> SphericalSystem:
 def stabilizer_set(system: SphericalSystem) -> frozenset[GroupElement]:
     """Union of all conjugates of all powers of the entries (identity included)."""
     group = system.group
-    out: set[GroupElement] = set()
-    for t in system.entries:
-        power = group.identity()
-        for _ in range(t.order()):
-            out.update(group.class_of(power).elements)
-            power = power * t
-    return frozenset(out)
+    members, class_of, mul = group._partition(), group._class_of, group._mul
+    out: set[int] = set()
+    for t in _entry_indices(system):
+        power = 0
+        for _ in range(group._orders[t]):
+            out.update(members[class_of[power]])
+            power = mul[power][t]
+    return frozenset(map(group.element, out))
 
 
 def is_disjoint(a: SphericalSystem, b: SphericalSystem) -> bool:
@@ -203,11 +204,10 @@ def fixed_point_table(system: SphericalSystem) -> tuple[int | None, ...]:
     the identity class (whole curve).  Computed once per system."""
     memo = system._memo
     if "fixed_points" not in memo:
+        group = system.group
         memo["fixed_points"] = tuple(
-            None
-            if cls.representative.is_identity()
-            else fixed_point_count(system, cls.representative)
-            for cls in system.group.conjugacy_classes()
+            None if members[0] == 0 else fixed_point_count(system, group.element(members[0]))
+            for members in group._partition()
         )
     return memo["fixed_points"]
 
@@ -217,12 +217,12 @@ def canonical_character(system: SphericalSystem, table: CharacterTable) -> Class
 
     Every character of the family is integer valued, so the Lefschetz
     relation fix(g) = 2 - 2 chi(g) inverts to exact integer values, with
-    chi(1) the curve genus.  Computed once per (system, table).
+    chi(1) the curve genus.  The values do not depend on ``table``, and are
+    computed once per system.
     """
     memo = system._memo
-    key = ("canonical", table)
-    if key in memo:
-        return memo[key]
+    if "canonical" in memo:
+        return memo["canonical"]
     genus = curve_genus(system)
     values = []
     for fix in fixed_point_table(system):
@@ -234,8 +234,8 @@ def canonical_character(system: SphericalSystem, table: CharacterTable) -> Class
                 f"odd fixed point count {fix} contradicts a real-valued action"
             )
         values.append((2 - fix) // 2)
-    memo[key] = ClassFunction(system.group, tuple(values))
-    return memo[key]
+    memo["canonical"] = ClassFunction(system.group, tuple(values))
+    return memo["canonical"]
 
 
 def quotient_genus(system: SphericalSystem, sub: Subgroup) -> int:

@@ -365,8 +365,27 @@ def test_table_shape(table):
     assert table.rows[table.trivial_index()].values == (1,) * 14
 
 
-def test_table_memoized(g32):
-    assert compute_character_table(g32) is compute_character_table(g32)
+def test_table_values_are_certified_once_per_group(monkeypatch):
+    group = build_g32_27()
+    calls = []
+    verify = CharacterTable.verify_orthogonality
+
+    def counted(self):
+        calls.append(None)
+        return verify(self)
+
+    monkeypatch.setattr(CharacterTable, "verify_orthogonality", counted)
+    first = compute_character_table(group)
+    second = compute_character_table(group)
+    # a new table object over the same certified values
+    assert second is not first and second.group is first.group is group
+    assert second.rows == first.rows
+    assert all(
+        x is y for a, b in zip(first.rows, second.rows) for x, y in zip(a.values, b.values)
+    )
+    assert len(calls) == 1
+    compute_character_table(build_g32_27())
+    assert len(calls) == 2
 
 
 def test_cyclic_table():

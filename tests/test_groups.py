@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import json
 import random
 from functools import partial
@@ -446,9 +445,11 @@ def test_words_refuse_another_groups_elements(g32):
 
 @pytest.mark.parametrize("index", [-1, -32, 32, 10**6])
 def test_element_refuses_indices_out_of_range(g32, index):
-    with pytest.raises(IndexError, match=r"element index .* is outside 0\.\.31"):
-        g32.element(index)
-    assert g32.element(31).index == 31
+    # the constructor itself refuses, so no element outside the group exists
+    for build in (g32.element, partial(GroupElement, g32)):
+        with pytest.raises(IndexError, match=rf"^element index {index} is outside 0\.\.31$"):
+            build(index)
+    assert g32.element(31).index == GroupElement(g32, 31).index == 31
 
 
 def test_unnamed_words_are_pinned():
@@ -695,7 +696,7 @@ def test_normality_matches_conjugation_by_every_element(build):
         assert group.is_normal(Subgroup(group, s.indices, ())) == (s.indices in normal)
 
 
-def test_lattice_walk_is_shared_and_dies_with_its_subgroups(monkeypatch):
+def test_lattice_walk_runs_once_per_group(monkeypatch):
     group = order_64_member()
     calls = []
     extend = FiniteGroup._extend
@@ -709,19 +710,12 @@ def test_lattice_walk_is_shared_and_dies_with_its_subgroups(monkeypatch):
     walked = len(calls)
     normals = group.enumerate_normal_subgroups()
     assert walked > 0 and len(calls) == walked
-    assert subs[0]._lattice is normals[0]._lattice is group._lattice_ref()
-    # no reference cycle keeps the walk: it dies with the last subgroup
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del subs
-        assert group._lattice_ref() is not None
-        del normals
-        assert group._lattice_ref() is None
-    finally:
-        if enabled:
-            gc.enable()
-    group.enumerate_normal_subgroups()
+    # the group keeps the walk after every subgroup built from it is gone
+    del subs, normals
+    subs = group.enumerate_subgroups()
+    normals = group.enumerate_normal_subgroups()
+    assert len(calls) == walked
+    assert subs == order_64_member().enumerate_subgroups()
     assert len(calls) == 2 * walked
 
 

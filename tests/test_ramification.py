@@ -1,9 +1,12 @@
+import gc
+import weakref
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from qslab import ramification
-from qslab.builtin import T1_WORDS, T2_WORDS, named_subgroup
+from qslab.builtin import T1_WORDS, T2_WORDS, build_g32_27, named_subgroup
 from qslab.characters import ExactScalar, compute_character_table, decompose
 from qslab.groups import FiniteGroup, GroupSpec, _mat_identity, _mat_mul, build_group
 from qslab.ramification import (
@@ -414,6 +417,39 @@ def fiber_orbits_oracle(system, branch_index, sub):
     return len(points), tuple(sorted(orbits))
 
 
+def basis_system(group):
+    """The basis generators closed up by the inverse of their product."""
+    basis = group.basis_generators()
+    closing = group.identity()
+    for g in basis:
+        closing = closing * g
+    return validate_spherical(group, basis + (closing.inverse(),))
+
+
+@pytest.mark.parametrize("build", [build_g32_27, partial(order_64_member, "class-3")])
+def test_group_is_freed_without_the_collector(build):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        group = build()
+        classes = group.conjugacy_classes()
+        table = compute_character_table(group)
+        subgroups = group.enumerate_subgroups()
+        normals = group.enumerate_normal_subgroups()
+        system = basis_system(group)
+        assert quotient_genus(system, subgroups[1]) == quotient_genus_by_character(
+            system, subgroups[1], table
+        )
+        assert fiber_orbit_structure(system, 1, normals[-1]).fiber_size > 0
+        assert stabilizer_set(system)
+        alive = weakref.ref(group)
+        del group, classes, table, subgroups, normals, system
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("shape", ["plain", "conjugated", "class-3"])
 def test_routes_agree_on_order_64_member(shape):
     group = order_64_member(shape)
@@ -423,11 +459,7 @@ def test_routes_agree_on_order_64_member(shape):
     squares = {mul[x][x] for x in elements}
     central = all(mul[s][y] == mul[y][s] for s in squares for y in elements)
     assert central == (shape != "class-3")
-    basis = group.basis_generators()
-    closing = group.identity()
-    for g in basis:
-        closing = closing * g
-    system = validate_spherical(group, basis + (closing.inverse(),))
+    system = basis_system(group)
 
     fixed = fixed_point_table(system)
     for g in group.elements[1:]:

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 from importlib import resources
 
@@ -126,6 +128,37 @@ def test_group_without_published_names_reports_every_check():
     assert by_name["relation-g2-conjugate"].computed == "error: \"unknown generator 'g1'\""
     assert by_name["class-membership"].expected.startswith("error:")
     assert by_name["group-order"].computed == 4
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        None,
+        transposed_spec(),
+        GroupSpec(2, 0, (), (("a", ((1, 0), ())), ("b", ((0, 1), ())))),
+    ],
+)
+def test_verify_paper_leaves_no_group_alive(monkeypatch, spec):
+    # the group holds nothing that points back at it, so reference counting
+    # frees it, also after checks that failed with an exception
+    built = []
+    build = verify.build_group
+
+    def recorded(spec):
+        group = build(spec)
+        built.append(weakref.ref(group))
+        return group
+
+    monkeypatch.setattr(verify, "build_group", recorded)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = verify_paper(spec=spec)
+        assert len(report.checks) == 41 and len(built) == 1
+        assert built[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- mutation gate: a wrong published value fails exactly its checks ------
