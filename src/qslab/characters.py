@@ -73,7 +73,7 @@ class ClassFunction:
     values: tuple[ExactScalar, ...]
 
     def __post_init__(self) -> None:
-        k = len(self.group._partition())
+        k = len(self.group._partition)
         # Values that already are ExactScalar pass through, so a table keeps
         # one object per distinct value.
         vals = tuple(v if type(v) is ExactScalar else ExactScalar(v) for v in self.values)
@@ -109,7 +109,7 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> int:
     f._check_same_group(h)
     total = sum(
         len(members) * a * b
-        for members, a, b in zip(f.group._partition(), f.values, h.values)
+        for members, a, b in zip(f.group._partition, f.values, h.values)
     )
     value, rem = divmod(total, f.group.order)
     if rem:
@@ -154,7 +154,7 @@ class CharacterTable:
         the relations need no conjugate.
         """
         order = self.group.order
-        sizes = list(map(len, self.group._partition()))
+        sizes = list(map(len, self.group._partition))
         rows = [row.values for row in self.rows]
         return _is_diagonal_gram(rows, sizes, [order] * len(rows)) and _is_diagonal_gram(
             [[row[c] for row in rows] for c in range(len(sizes))],
@@ -239,7 +239,7 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
     # of Phi_q^T v is the parity of v & (column p).
     columns = [[img[1 << p] for p in range(k)] for img in group._image]
     # (n_int, q_int) of each class representative's index.
-    reps = [divmod(members[0], 1 << m) for members in group._partition()]
+    reps = [divmod(members[0], 1 << m) for members in group._partition]
     grid = []
     seen: set[int] = set()
     for v in range(1 << k):
@@ -287,7 +287,7 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
     """
     group = table.group
     f._check_same_group(table.rows[0])
-    weighted = [len(members) * v for members, v in zip(group._partition(), f.values)]
+    weighted = [len(members) * v for members, v in zip(group._partition, f.values)]
     mults = []
     for row in table.rows:
         total = sum(map(mul, weighted, row.values))
@@ -352,7 +352,7 @@ def reference_column_map(group: FiniteGroup, ref: ReferenceTable) -> tuple[int, 
     Resolves every listed member word and checks that each reference
     class is exactly one full computed class.
     """
-    classes = group._partition()
+    classes = group._partition
     k = len(classes)
     if len(ref.class_members) != k:
         raise AlignmentError(
@@ -386,14 +386,19 @@ def align_to_reference(
     ``table.rows[row_perm[i]].values[col_perm[j]] == ref.matrix[i][j]``.
     Raises AlignmentError when class resolution or row matching fails.
     """
-    group = table.group
-    k = len(group._partition())
+    col_perm = reference_column_map(table.group, ref)
+    return _match_rows(table, ref, col_perm), col_perm
+
+
+def _match_rows(
+    table: CharacterTable, ref: ReferenceTable, col_perm: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The row of ``table`` matching each reference row under ``col_perm``."""
     if len(ref.matrix) != len(table.rows):
         raise AlignmentError(
             f"reference has {len(ref.matrix)} rows, computed table {len(table.rows)}"
         )
-    col_perm = reference_column_map(group, ref)
-
+    k = len(table.group._partition)
     used: set[int] = set()
     row_perm = []
     for i, ref_row in enumerate(ref.matrix):
@@ -411,7 +416,7 @@ def align_to_reference(
             )
         used.add(matches[0])
         row_perm.append(matches[0])
-    return tuple(row_perm), tuple(col_perm)
+    return tuple(row_perm)
 
 
 # -- cache serialization ------------------------------------------------
@@ -442,7 +447,7 @@ def table_from_cache_dict(group: FiniteGroup, data: dict) -> CharacterTable:
     rows = data.get("rows")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("cached rows are not a list of lists")
-    k = len(group._partition())
+    k = len(group._partition)
     if len(rows) != k:
         raise ValueError(f"cached table has {len(rows)} rows, expected {k}")
     return CharacterTable(

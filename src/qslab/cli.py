@@ -156,7 +156,7 @@ def _column_layout(group: FiniteGroup) -> tuple[tuple[int, ...], bool]:
             return reference_column_map(group, load_reference_table()), True
         except AlignmentError:
             pass
-    return tuple(range(len(group.conjugacy_classes()))), False
+    return tuple(range(len(group._partition))), False
 
 
 def _table_layout(table: CharacterTable):
@@ -167,7 +167,7 @@ def _table_layout(table: CharacterTable):
             return row_perm, col_perm, True
         except AlignmentError:
             pass
-    k = len(table.group.conjugacy_classes())
+    k = len(table.group._partition)
     return tuple(range(len(table.rows))), tuple(range(k)), False
 
 

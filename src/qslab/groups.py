@@ -15,16 +15,18 @@ class partition, the element words, the certified character values and
 the subgroup lattice walk), so nothing it holds points back at it and a
 dropped group is freed by reference counting alone.  Element, class,
 subgroup and character-table objects point at their group, and are built
-when an API call asks for one.  All objects are immutable after
-construction, apart from lazily filled tables, and safe for concurrent
-reads.
+when an API call asks for one.  Derived tables (the class partition and
+class index of each element, the element words, the lattice walk and a
+subgroup's right cosets) are cached properties: computed on first read
+and kept by their owner.  All objects are immutable after construction,
+apart from those caches, and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 from operator import or_
 from typing import Iterable, Sequence
@@ -202,10 +204,6 @@ class Subgroup:
     parent: "FiniteGroup" = field(repr=False)
     indices: frozenset[int]
     generators: tuple[GroupElement, ...]
-    # Right-coset labels, set by FiniteGroup._right_cosets on first use.
-    _cosets: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False
-    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -227,6 +225,11 @@ class Subgroup:
 
     def __contains__(self, g: GroupElement) -> bool:
         return self.parent.index(g) in self.indices
+
+    @cached_property
+    def _cosets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Right-coset labels, see ``FiniteGroup._right_cosets``."""
+        return self.parent._right_cosets(self)
 
     def __repr__(self) -> str:
         gens = ", ".join(g.word() for g in self.generators) or "1"
@@ -289,26 +292,16 @@ class FiniteGroup:
             inv.append((image[q1][n1] << m) | q1)
         self._mul = mul
         self._inv = inv
-        orders = [0] * self._n
-        for a in range(self._n):
-            acc, o = a, 1
-            while acc != 0:
-                acc = mul[acc][a]
-                o += 1
-            orders[a] = o
-        self._orders = orders
+        # (n, q)^2 = (n + Phi_q(n), 0) lies in N, whose elements square to 1,
+        # so every order is 1, 2 or 4.
+        self._orders = [1] + [2 if mul[a][a] == 0 else 4 for a in range(1, self._n)]
 
         self._gen_index = {
             name: _bits_to_int(nvec + qvec) for name, (nvec, qvec) in spec.generator_names
         }
-        self._basis_names = self._match_basis_names()
-        self._words: tuple[str, ...] | None = None
-        self._class_members: tuple[tuple[int, ...], ...] | None = None
-        self._class_of: list[int] | None = None
         # Rows of character values, set by characters.compute_character_table
         # once they are certified.
         self._char_grid: tuple[tuple[int, ...], ...] | None = None
-        self._walk: tuple[tuple[frozenset[int], tuple[int, ...]], ...] | None = None
 
     # -- basic structure ------------------------------------------------
 
@@ -365,75 +358,63 @@ class FiniteGroup:
             acc = self._mul[acc][self._gen_index[name]]
         return GroupElement(self, acc)
 
-    def _match_basis_names(self) -> tuple[str, ...] | None:
-        """Basis names in coordinate order, if all are named; a later name wins."""
-        by_index = {i: name for name, i in self._gen_index.items()}
-        names = tuple(by_index.get(g.index) for g in self.basis_generators())
-        return None if None in names else names
-
     def element_to_word(self, g: GroupElement) -> str:
         """Basis names in coordinate order, or ``(n-bits|q-bits)`` if one is unnamed."""
-        return self._word_table()[self.index(g)]
+        return self._words[self.index(g)]
 
-    def _word_table(self) -> tuple[str, ...]:
-        """The word of every element index, built on first use and kept."""
-        if self._words is None:
-            k, m = self.spec.n_rank, self.spec.q_rank
-            bits = [format(i, f"0{k + m}b") for i in range(self._n)]
-            if self._basis_names is None:
-                words = [f"({b[:k]}|{b[k:]})" for b in bits]
-            else:
-                words = [
-                    "*".join(name for name, bit in zip(self._basis_names, b) if bit == "1")
-                    for b in bits
-                ]
-            words[0] = "1"
-            self._words = tuple(words)
-        return self._words
+    @cached_property
+    def _words(self) -> tuple[str, ...]:
+        """The word of every element index; a later name of a basis element wins."""
+        k, m = self.spec.n_rank, self.spec.q_rank
+        by_index = {i: name for name, i in self._gen_index.items()}
+        names = [by_index.get(1 << p) for p in reversed(range(k + m))]
+        bits = [format(i, f"0{k + m}b") for i in range(self._n)]
+        if None in names:
+            words = [f"({b[:k]}|{b[k:]})" for b in bits]
+        else:
+            words = ["*".join(name for name, bit in zip(names, b) if bit == "1") for b in bits]
+        words[0] = "1"
+        return tuple(words)
 
     # -- conjugacy ------------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         """The classes in canonical order, built from the partition on each call."""
-        return tuple(map(self._conjugacy_class, range(len(self._partition()))))
+        return tuple(map(self._conjugacy_class, range(len(self._partition))))
 
     def class_index_of(self, g: GroupElement) -> int:
-        self._partition()
         return self._class_of[self.index(g)]
 
     def class_of(self, g: GroupElement) -> ConjugacyClass:
         return self._conjugacy_class(self.class_index_of(g))
 
     def _conjugacy_class(self, ci: int) -> ConjugacyClass:
-        elements = tuple(GroupElement(self, x) for x in self._partition()[ci])
+        elements = tuple(GroupElement(self, x) for x in self._partition[ci])
         return ConjugacyClass(index=ci, representative=elements[0], elements=elements)
 
+    @cached_property
     def _partition(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted member indices of each class in canonical order.
-
-        Computed on first use, together with ``_class_of``, the class index
-        of each element index; both are kept.
-        """
-        if self._class_members is None:
-            mul, inv = self._mul, self._inv
-            assigned = [-1] * self._n
-            raw: list[tuple[int, ...]] = []
-            for e in range(self._n):
-                if assigned[e] >= 0:
-                    continue
+        """Sorted member indices of each class in canonical order."""
+        mul, inv = self._mul, self._inv
+        seen = [False] * self._n
+        raw: list[tuple[int, ...]] = []
+        for e in range(self._n):
+            if not seen[e]:
                 orbit = tuple(sorted({mul[mul[c][e]][inv[c]] for c in range(self._n)}))
-                label = len(raw)
                 for x in orbit:
-                    assigned[x] = label
+                    seen[x] = True
                 raw.append(orbit)
-            raw.sort(key=lambda orb: (self._orders[orb[0]], len(orb), orb[0]))
-            class_of = [0] * self._n
-            for ci, orbit in enumerate(raw):
-                for x in orbit:
-                    class_of[x] = ci
-            self._class_of = class_of
-            self._class_members = tuple(raw)
-        return self._class_members
+        raw.sort(key=lambda orb: (self._orders[orb[0]], len(orb), orb[0]))
+        return tuple(raw)
+
+    @cached_property
+    def _class_of(self) -> tuple[int, ...]:
+        """The canonical class index of each element index."""
+        class_of = [0] * self._n
+        for ci, members in enumerate(self._partition):
+            for x in members:
+                class_of[x] = ci
+        return tuple(class_of)
 
     # -- subgroups ------------------------------------------------------
 
@@ -478,8 +459,7 @@ class FiniteGroup:
     def right_transversal(self, sub: Subgroup) -> tuple[GroupElement, ...]:
         """One representative per right coset H*g, identity coset first."""
         self._check_subgroup(sub)
-        reps, _ = self._right_cosets(sub)
-        return tuple(GroupElement(self, e) for e in reps)
+        return tuple(GroupElement(self, e) for e in sub._cosets[0])
 
     def _right_cosets(self, sub: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Right-coset labels for H\\G: (representative indices, label of each index).
@@ -487,22 +467,20 @@ class FiniteGroup:
         Cosets are labelled in the order of their smallest element index, so
         the identity coset is label 0; each representative is that smallest
         index.  Right multiplication by g sends label c to
-        labels[mul[reps[c]][g]].  Each subgroup is labelled once, on first
-        use, and keeps its labels.
+        labels[mul[reps[c]][g]].  Each subgroup keeps its labels as
+        ``Subgroup._cosets``.
         """
-        if sub._cosets is None:
-            mul = self._mul
-            members = sub.indices
-            labels = [-1] * self._n
-            reps = []
-            for e in range(self._n):
-                if labels[e] < 0:
-                    label = len(reps)
-                    reps.append(e)
-                    for h in members:
-                        labels[mul[h][e]] = label
-            object.__setattr__(sub, "_cosets", (tuple(reps), tuple(labels)))
-        return sub._cosets
+        mul = self._mul
+        members = sub.indices
+        labels = [-1] * self._n
+        reps = []
+        for e in range(self._n):
+            if labels[e] < 0:
+                label = len(reps)
+                reps.append(e)
+                for h in members:
+                    labels[mul[h][e]] = label
+        return tuple(reps), tuple(labels)
 
     def _check_subgroup(self, sub: Subgroup) -> None:
         if sub.parent is not self and sub.parent.spec != self.spec:
@@ -519,11 +497,11 @@ class FiniteGroup:
         When ``elems`` generate the subgroup ``sub`` this is normality:
         g*sub*g^-1 is generated by the conjugates g*x*g^-1 of ``elems``.
         """
-        members, class_of = self._partition(), self._class_of
+        members, class_of = self._partition, self._class_of
         return all(y in sub for x in elems for y in members[class_of[x]])
 
     def center(self) -> Subgroup:
-        idxs = frozenset(members[0] for members in self._partition() if len(members) == 1)
+        idxs = frozenset(members[0] for members in self._partition if len(members) == 1)
         sub = Subgroup(parent=self, indices=idxs, generators=())
         return Subgroup(parent=self, indices=idxs, generators=self.minimal_generators(sub))
 
@@ -557,6 +535,7 @@ class FiniteGroup:
             raise RuntimeError("minimal generating set search failed")
         return tuple(picked)
 
+    @cached_property
     def _lattice(self) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
         """Every subgroup with its witness, sorted by (order, sorted indices).
 
@@ -576,10 +555,8 @@ class FiniteGroup:
         the candidates of s are the zero bits of the OR of descent[h] over
         h in s, above witness[s][-1] and in ascending order.  The masks cost
         one pass over the multiplication table per walk, which runs once
-        per group and is kept.
+        per group.
         """
-        if self._walk is not None:
-            return self._walk
         mul = self._mul
         descent = [sum(1 << x for x, y in enumerate(row) if y < x) for row in mul]
         everything = (1 << self._n) - 1
@@ -602,8 +579,7 @@ class FiniteGroup:
                         witness[c] = base + (x,)
                         nxt.append(c)
             frontier = nxt
-        self._walk = tuple(sorted(witness.items(), key=lambda p: (len(p[0]), sorted(p[0]))))
-        return self._walk
+        return tuple(sorted(witness.items(), key=lambda p: (len(p[0]), sorted(p[0]))))
 
     def enumerate_subgroups(self) -> tuple[Subgroup, ...]:
         """All subgroups; each witness is its ``minimal_generators`` (see ``_lattice``)."""
@@ -614,7 +590,7 @@ class FiniteGroup:
             )
         elements = self.elements
         return tuple(
-            Subgroup(self, s, tuple(elements[x] for x in w)) for s, w in self._lattice()
+            Subgroup(self, s, tuple(elements[x] for x in w)) for s, w in self._lattice
         )
 
     def enumerate_normal_subgroups(self) -> tuple[Subgroup, ...]:
@@ -632,7 +608,7 @@ class FiniteGroup:
         elements = self.elements
         return tuple(
             Subgroup(self, s, tuple(elements[x] for x in w))
-            for s, w in self._lattice()
+            for s, w in self._lattice
             if self._class_closed(s, w)
         )
 

@@ -15,6 +15,7 @@ enter as their index sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 from .characters import CharacterTable, ClassFunction
@@ -37,15 +38,45 @@ class IdentityFixedPoints(ValueError):
 class SphericalSystem:
     group: FiniteGroup = field(repr=False)
     entries: tuple[GroupElement, ...]
-    # Derived data, computed once per system: entry indices, cyclic entry
-    # subgroups, their index sets with index right transversals, the fixed
-    # point table and the canonical character.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Derived data are cached properties, computed on first read and kept
+    # by the system.
 
     @property
     def signature(self) -> tuple[int, ...]:
         """Entry orders, in entry order."""
         return tuple(t.order() for t in self.entries)
+
+    @cached_property
+    def _entry_indices(self) -> tuple[int, ...]:
+        return tuple(self.group.index(t) for t in self.entries)
+
+    @cached_property
+    def _cyclic(self) -> tuple[Subgroup, ...]:
+        """The cyclic subgroup of each entry; each keeps its right cosets."""
+        return tuple(self.group.subgroup_closure([t]) for t in self.entries)
+
+    @cached_property
+    def _fixed_points(self) -> tuple[int | None, ...]:
+        group = self.group
+        return tuple(
+            None if members[0] == 0 else fixed_point_count(self, group.element(members[0]))
+            for members in group._partition
+        )
+
+    @cached_property
+    def _canonical(self) -> ClassFunction:
+        genus = curve_genus(self)
+        values = []
+        for fix in self._fixed_points:
+            if fix is None:
+                values.append(genus)
+                continue
+            if fix % 2:
+                raise RuntimeError(
+                    f"odd fixed point count {fix} contradicts a real-valued action"
+                )
+            values.append((2 - fix) // 2)
+        return ClassFunction(self.group, tuple(values))
 
     def __repr__(self) -> str:
         words = ", ".join(t.word() for t in self.entries)
@@ -76,9 +107,9 @@ def validate_spherical(group: FiniteGroup, entries) -> SphericalSystem:
 def stabilizer_set(system: SphericalSystem) -> frozenset[GroupElement]:
     """Union of all conjugates of all powers of the entries (identity included)."""
     group = system.group
-    members, class_of, mul = group._partition(), group._class_of, group._mul
+    members, class_of, mul = group._partition, group._class_of, group._mul
     out: set[int] = set()
-    for t in _entry_indices(system):
+    for t in system._entry_indices:
         power = 0
         for _ in range(group._orders[t]):
             out.update(members[class_of[power]])
@@ -127,35 +158,6 @@ def curve_genus(system: SphericalSystem) -> int:
     return genus_from_type(system.group.order, system.signature)
 
 
-def _entry_indices(system: SphericalSystem) -> tuple[int, ...]:
-    memo = system._memo
-    if "entry_indices" not in memo:
-        memo["entry_indices"] = tuple(system.group.index(t) for t in system.entries)
-    return memo["entry_indices"]
-
-
-def _cyclic_entries(system: SphericalSystem) -> tuple[Subgroup, ...]:
-    memo = system._memo
-    if "cyclic" not in memo:
-        group = system.group
-        memo["cyclic"] = tuple(group.subgroup_closure([t]) for t in system.entries)
-    return memo["cyclic"]
-
-
-def _cyclic_transversals(
-    system: SphericalSystem,
-) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
-    """(index set, index right transversal) of each cyclic entry subgroup."""
-    memo = system._memo
-    if "transversals" not in memo:
-        group = system.group
-        memo["transversals"] = tuple(
-            (sub.indices, group._right_cosets(sub)[0])
-            for sub in _cyclic_entries(system)
-        )
-    return memo["transversals"]
-
-
 def fixed_point_count(system: SphericalSystem, g: GroupElement) -> int:
     """Fixed points of g on the covering curve, for nontrivial g.
 
@@ -169,8 +171,9 @@ def fixed_point_count(system: SphericalSystem, g: GroupElement) -> int:
     gi = group.index(g)
     mul, inv = group._mul, group._inv
     count = 0
-    for members, transversal in _cyclic_transversals(system):
-        for t in transversal:
+    for sub in system._cyclic:
+        members = sub.indices
+        for t in sub._cosets[0]:
             if mul[mul[t][gi]][inv[t]] in members:
                 count += 1
     return count
@@ -190,7 +193,7 @@ def fixed_point_count_by_membership(system: SphericalSystem, g: GroupElement) ->
     mul, inv = group._mul, group._inv
     conjugates = [mul[mul[x][gi]][inv[x]] for x in range(group.order)]
     count = 0
-    for sub in _cyclic_entries(system):
+    for sub in system._cyclic:
         members = sub.indices
         hits = sum(1 for c in conjugates if c in members)
         if hits % sub.order:
@@ -202,14 +205,7 @@ def fixed_point_count_by_membership(system: SphericalSystem, g: GroupElement) ->
 def fixed_point_table(system: SphericalSystem) -> tuple[int | None, ...]:
     """Per-class fixed point counts in canonical class order; None marks
     the identity class (whole curve).  Computed once per system."""
-    memo = system._memo
-    if "fixed_points" not in memo:
-        group = system.group
-        memo["fixed_points"] = tuple(
-            None if members[0] == 0 else fixed_point_count(system, group.element(members[0]))
-            for members in group._partition()
-        )
-    return memo["fixed_points"]
+    return system._fixed_points
 
 
 def canonical_character(system: SphericalSystem, table: CharacterTable) -> ClassFunction:
@@ -220,22 +216,7 @@ def canonical_character(system: SphericalSystem, table: CharacterTable) -> Class
     chi(1) the curve genus.  The values do not depend on ``table``, and are
     computed once per system.
     """
-    memo = system._memo
-    if "canonical" in memo:
-        return memo["canonical"]
-    genus = curve_genus(system)
-    values = []
-    for fix in fixed_point_table(system):
-        if fix is None:
-            values.append(genus)
-            continue
-        if fix % 2:
-            raise RuntimeError(
-                f"odd fixed point count {fix} contradicts a real-valued action"
-            )
-        values.append((2 - fix) // 2)
-    memo["canonical"] = ClassFunction(system.group, tuple(values))
-    return memo["canonical"]
+    return system._canonical
 
 
 def quotient_genus(system: SphericalSystem, sub: Subgroup) -> int:
@@ -247,11 +228,11 @@ def quotient_genus(system: SphericalSystem, sub: Subgroup) -> int:
     """
     group = system.group
     group._check_subgroup(sub)
-    reps, coset_of = group._right_cosets(sub)
+    reps, coset_of = sub._cosets
     index = len(reps)
     mul = group._mul
     correction = 0
-    for ti in _entry_indices(system):
+    for ti in system._entry_indices:
         step = [coset_of[mul[r][ti]] for r in reps]
         seen = [False] * index
         orbits = 0
@@ -319,8 +300,8 @@ def fiber_orbit_structure(
         raise ValueError(
             f"branch index {branch_index} out of range 1..{len(system.entries)}"
         )
-    cyclic = _cyclic_entries(system)[branch_index - 1]
-    reps, coset_of = group._right_cosets(cyclic)
+    cyclic = system._cyclic[branch_index - 1]
+    reps, coset_of = cyclic._cosets
     mul, inv = group._mul, group._inv
     hidx, members = sub.indices, cyclic.indices
     seen = [False] * len(reps)

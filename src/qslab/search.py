@@ -48,7 +48,7 @@ class BundleCohomology:
 
 
 def _class_sizes(group: FiniteGroup) -> tuple[int, ...]:
-    return tuple(map(len, group._partition()))
+    return tuple(map(len, group._partition))
 
 
 def _invariants(sizes: tuple[int, ...], order: int, *factors: tuple[int, ...]) -> int:

@@ -16,8 +16,8 @@ from typing import Callable
 
 from . import builtin
 from .characters import (
+    _match_rows,
     _split_word,
-    align_to_reference,
     compute_character_table,
     decompose,
     load_reference_table,
@@ -191,7 +191,7 @@ def verify_paper(
         return word(_split_word(w))
 
     def sorted_words(indices):
-        return sorted(group._word_table()[x] for x in indices)
+        return sorted(group._words[x] for x in indices)
 
     def conjugate_by_g1(name):
         g1 = word(("g1",))
@@ -199,8 +199,8 @@ def verify_paper(
 
     table = cache(lambda: compute_character_table(group))
     ref = cache(lambda: load_reference_table(reference_path))
-    alignment = cache(lambda: align_to_reference(table(), ref()))
     col_perm = cache(lambda: reference_column_map(group, ref()))
+    row_perm = cache(lambda: _match_rows(table(), ref(), col_perm()))
     run(
         "relation-g2-conjugate",
         "published presentation",
@@ -218,13 +218,13 @@ def verify_paper(
         "class-count",
         "published conjugacy class list",
         lambda: len(ref().class_members),
-        lambda: len(group._partition()),
+        lambda: len(group._partition),
     )
     run(
         "class-sizes",
         "published conjugacy class list",
         lambda: ref().class_sizes,
-        lambda: tuple(map(len, group._partition())),
+        lambda: tuple(map(len, group._partition)),
     )
     run(
         "class-membership",
@@ -232,7 +232,7 @@ def verify_paper(
         lambda: sorted(
             sorted(parse(w).word() for w in members) for members in ref().class_members
         ),
-        lambda: sorted(map(sorted_words, group._partition())),
+        lambda: sorted(map(sorted_words, group._partition)),
     )
     run(
         "center",
@@ -276,7 +276,7 @@ def verify_paper(
     )
 
     def aligned_matrix():
-        rows, cols = alignment()
+        rows, cols = row_perm(), col_perm()
         return [
             [table().rows[rows[i]].values[cols[j]] for j in range(len(cols))]
             for i in range(len(rows))
@@ -362,11 +362,11 @@ def verify_paper(
 
     def decomposition_rows(canonical):
         def compute():
-            row_perm, _ = alignment()
+            rows = row_perm()
             mults = decompose(canonical(), table())
             out = []
-            for ref_row in range(len(row_perm)):
-                m = mults[row_perm[ref_row]]
+            for ref_row in range(len(rows)):
+                m = mults[rows[ref_row]]
                 if m == 1:
                     out.append(ref_row + 1)
                 elif m != 0:

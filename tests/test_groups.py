@@ -331,6 +331,16 @@ def test_element_orders(g32):
     # 19 involutions: 15 in the normal part plus the 4 twisted elements
     # whose n-part the action fixes
     assert counts == {1: 1, 2: 19, 4: 12}
+    # every order is read off the square; compare with repeated multiplication
+    for param in SEEDED_MEMBERS:
+        group = param.values[0]()
+        mul = group._mul
+        for a in range(group.order):
+            acc, o = a, 1
+            while acc != 0:
+                acc = mul[acc][a]
+                o += 1
+            assert group._orders[a] == o
 
 
 def test_word_roundtrip(g32):
@@ -427,7 +437,7 @@ def index_bits_word(group, i):
 )
 def test_every_word_is_built_from_its_index_bits(build):
     group = build()
-    assert group._words is None
+    assert "_words" not in vars(group)
     assert [g.word() for g in group.elements] == [
         index_bits_word(group, i) for i in range(group.order)
     ]
@@ -494,6 +504,18 @@ def test_classes_closed_under_conjugation(g32):
                 assert h.inverse() * g * h in members
 
 
+@pytest.mark.parametrize("build", [build_g32_27, order_64_member])
+def test_class_of_is_built_on_first_read(build):
+    # read before anything else: the partition is built for it
+    group = build()
+    assert "_partition" not in vars(group)
+    class_of = group._class_of
+    assert group._class_of is class_of
+    for ci, members in enumerate(group._partition):
+        assert {class_of[x] for x in members} == {ci}
+    assert len(class_of) == group.order
+
+
 # -- subgroups ----------------------------------------------------------
 
 
@@ -524,11 +546,12 @@ def test_right_transversal(g32):
 
 def test_right_cosets_are_labelled_once_per_subgroup(g32):
     h = named_subgroup(g32, "H1")
-    labels = g32._right_cosets(h)
-    assert g32._right_cosets(h) is labels
+    assert "_cosets" not in vars(h)
+    labels = h._cosets
+    assert h._cosets is labels and labels == g32._right_cosets(h)
     assert g32.right_transversal(h) == tuple(g32.element(e) for e in labels[0])
     again = g32.subgroup_closure(h.elements)
-    assert again == h and g32._right_cosets(again) == labels
+    assert again == h and again._cosets == labels and again._cosets is not labels
 
 
 def test_center(g32):
@@ -666,7 +689,7 @@ def test_lattice_walk_matches_coset_marking_oracle(build, monkeypatch):
     expected = coset_marking_walk(group)
     expected_calls = calls.copy()
     calls.clear()
-    lattice = group._lattice()
+    lattice = group._lattice
     assert list(lattice) == expected
     # the same extensions (s, witness of s plus x), in the same order
     assert calls == expected_calls
@@ -675,7 +698,7 @@ def test_lattice_walk_matches_coset_marking_oracle(build, monkeypatch):
     for sub, gens in calls:
         offered.setdefault(sub, []).append(gens[-1])
     for s, w in random.Random(0).sample(lattice, min(40, len(lattice))):
-        reps, _ = group._right_cosets(Subgroup(group, s, ()))
+        reps, _ = Subgroup(group, s, ())._cosets
         assert offered.get(s, []) == [x for x in reps if x > (w[-1] if w else 0)]
 
 

@@ -252,11 +252,12 @@ def test_quotient_genus_character_route(g32, t1, t2, table):
 
 
 def test_bridge_builds_each_fixed_point_table_once(g32, table, monkeypatch):
-    # fresh systems, so no earlier test has warmed their memo
+    # fresh systems, so no earlier test has filled their cached properties
     systems = [
         validate_spherical(g32, [g32.evaluate_word(w) for w in words])
         for words in (T1_WORDS, T2_WORDS)
     ]
+    assert not any("_fixed_points" in vars(system) for system in systems)
     calls = Counter()
     count = ramification.fixed_point_count
 
@@ -290,7 +291,7 @@ def test_fixed_point_routes_agree_on_order_64_after_memo(monkeypatch):
     for g in basis:
         closing = closing * g
     system = validate_spherical(group, basis + (closing.inverse(),))
-    fixed_point_table(system)  # warms the memo
+    fixed_point_table(system)  # builds the cyclic subgroups and their cosets
 
     transversals = Counter()
     right_cosets = FiniteGroup._right_cosets

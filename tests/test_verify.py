@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from qslab import verify
+from qslab import characters, verify
 from qslab.builtin import G32_27_SPEC
 from qslab.groups import GroupSpec
 from qslab.verify import render_report, verify_paper
@@ -159,6 +159,21 @@ def test_verify_paper_leaves_no_group_alive(monkeypatch, spec):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_verify_paper_resolves_reference_columns_once(monkeypatch):
+    # the rows are matched against the one column map the battery resolves
+    calls = []
+    column_map = characters.reference_column_map
+
+    def counted(group, ref):
+        calls.append(None)
+        return column_map(group, ref)
+
+    monkeypatch.setattr(characters, "reference_column_map", counted)
+    monkeypatch.setattr(verify, "reference_column_map", counted)
+    assert verify_paper().passed
+    assert len(calls) == 1
 
 
 # -- mutation gate: a wrong published value fails exactly its checks ------
