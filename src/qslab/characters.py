@@ -420,17 +420,9 @@ def _match_rows(
 
 
 # -- cache serialization ------------------------------------------------
-# Nothing in the package reads or writes a table cache any more; these two
-# stay while the benchmark's characters.cache_load_s layer wraps
+# Nothing in the package reads or writes a table cache any more; the reader
+# stays while the benchmark's characters.cache_load_s layer wraps
 # table_from_cache_dict by name.
-
-
-def table_to_cache_dict(table: CharacterTable) -> dict:
-    return {
-        "format": CACHE_FORMAT,
-        "spec_hash": table.group.spec.content_hash(),
-        "rows": [list(row.values) for row in table.rows],
-    }
 
 
 def table_from_cache_dict(group: FiniteGroup, data: dict) -> CharacterTable:

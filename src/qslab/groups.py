@@ -258,12 +258,13 @@ class FiniteGroup:
 
     def __init__(self, spec: GroupSpec):
         spec.validate()
-        if spec.order() > MAX_BUILD_ORDER:
+        k, m = spec.n_rank, spec.q_rank
+        # Compared by exponent: the order of a huge rank is never formed.
+        if k + m >= MAX_BUILD_ORDER.bit_length():
             raise GroupTooLargeError(
-                f"group order {spec.order()} exceeds the build bound {MAX_BUILD_ORDER}"
+                f"group order 2^{k + m} exceeds the build bound {MAX_BUILD_ORDER}"
             )
         self.spec = spec
-        k, m = spec.n_rank, spec.q_rank
         self._n = 1 << (k + m)
 
         # image[q_int][n_int] is Phi_q(n) as an integer.  Each basis matrix
@@ -385,9 +386,6 @@ class FiniteGroup:
     def class_index_of(self, g: GroupElement) -> int:
         return self._class_of[self.index(g)]
 
-    def class_of(self, g: GroupElement) -> ConjugacyClass:
-        return self._conjugacy_class(self.class_index_of(g))
-
     def _conjugacy_class(self, ci: int) -> ConjugacyClass:
         elements = tuple(GroupElement(self, x) for x in self._partition[ci])
         return ConjugacyClass(index=ci, representative=elements[0], elements=elements)
@@ -502,8 +500,8 @@ class FiniteGroup:
 
     def center(self) -> Subgroup:
         idxs = frozenset(members[0] for members in self._partition if len(members) == 1)
-        sub = Subgroup(parent=self, indices=idxs, generators=())
-        return Subgroup(parent=self, indices=idxs, generators=self.minimal_generators(sub))
+        gens = tuple(GroupElement(self, x) for x in self._minimal_generators(idxs))
+        return Subgroup(parent=self, indices=idxs, generators=gens)
 
     def minimal_generators(self, sub: Subgroup) -> tuple[GroupElement, ...]:
         """A generating set of minimum size, via the Frattini quotient.

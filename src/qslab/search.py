@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from math import prod
 from operator import add, mul, sub
 
-from .characters import CharacterTable, ClassFunction, _pack, _unpack
+from .characters import CharacterTable, ClassFunction, _pack, _unpack, decompose
 from .groups import FiniteGroup
 
 
@@ -187,7 +187,7 @@ def search_all_pairs(
     # Linear part of the canonical character; every multiplicity must be
     # integral, or canonical_d is not a virtual character.
     kd = canonical_d.values
-    mults = [_invariants(sizes, order, kd, row) for row in rows]
+    mults = decompose(canonical_d, table)
     base_d = tuple(sum(mults[i] * rows[i][c] for i in linear) for c in range(len(kd)))
 
     d0s = {a: tuple(map(add, c0, rows[a])) for a in two_dim}

@@ -7,6 +7,7 @@ import pytest
 
 from qslab.builtin import build_g32_27
 from qslab.characters import (
+    CACHE_FORMAT,
     AlignmentError,
     CharacterTable,
     ClassFunction,
@@ -19,51 +20,13 @@ from qslab.characters import (
     load_reference_table,
     reference_column_map,
     table_from_cache_dict,
-    table_to_cache_dict,
     _is_diagonal_gram,
     _lane_width,
     _pack,
 )
-from qslab.groups import GroupSpec, _mat_identity, _mat_mul, build_group
+from qslab.groups import _mat_identity, _mat_mul
 
-
-def cyclic2():
-    return build_group(
-        GroupSpec(n_rank=1, q_rank=0, action=(), generator_names=(("a", ((1,), ())),))
-    )
-
-
-def d4():
-    # Z2^2 twisted by the swap matrix
-    return build_group(
-        GroupSpec(
-            n_rank=2,
-            q_rank=1,
-            action=(((0, 1), (1, 0)),),
-            generator_names=(("r", ((1, 0), (0,))), ("s", ((0, 0), (1,)))),
-        )
-    )
-
-
-# A basis change of F2^4 and its inverse.
-BASIS = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
-BASIS_INV = ((1, 1, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1))
-
-
-def family_member(k, m, basis=None, basis_inv=None):
-    """action_j = I + E_{(j+m) mod k, j}, optionally conjugated by a basis change."""
-    action = []
-    for j in range(m):
-        a = [list(row) for row in _mat_identity(k)]
-        a[(j + m) % k][j] ^= 1
-        a = tuple(tuple(row) for row in a)
-        if basis is not None:
-            a = _mat_mul(_mat_mul(basis, a), basis_inv)
-        action.append(a)
-    names = tuple(
-        (f"n{i}", (tuple(int(t == i) for t in range(k)), (0,) * m)) for i in range(k)
-    ) + tuple((f"q{j}", ((0,) * k, tuple(int(t == j) for t in range(m)))) for j in range(m))
-    return build_group(GroupSpec(k, m, tuple(action), names))
+from members import bidiagonal_basis, d4, elementary_abelian, twisted_member
 
 
 def abelianization_order(group):
@@ -117,7 +80,7 @@ def test_class_function_algebra(g32, table):
 
 
 def test_class_function_rejects_mismatched_groups(g32, table):
-    other = cyclic2()
+    other = elementary_abelian(1)
     f = ClassFunction(other, (1, 1))
     with pytest.raises(ValueError):
         inner_product(table.trivial(), f)
@@ -136,7 +99,7 @@ def test_row_orthonormality(table):
 
 def test_inner_product_is_an_exact_integer():
     # <f, h> = (1/|G|) sum |K| f(K) h(K); conjugation fixes integer values
-    g = cyclic2()
+    g = elementary_abelian(1)
     f = ClassFunction(g, (3, 1))
     assert inner_product(f, ClassFunction(g, (1, 1))) == 2
     assert inner_product(f, ClassFunction(g, (1, -1))) == 1
@@ -148,22 +111,21 @@ def test_inner_product_is_an_exact_integer():
 
 
 def test_basis_change_conjugates_the_action():
-    assert _mat_mul(BASIS, BASIS_INV) == _mat_identity(4)
-    assert (
-        family_member(4, 1, BASIS, BASIS_INV).spec.action
-        != family_member(4, 1).spec.action
-    )
+    for k in (4, 5):
+        assert _mat_mul(*bidiagonal_basis(k)) == _mat_identity(k)
+    conjugated = twisted_member(4, 1, bidiagonal_basis(4))
+    assert conjugated.spec.action != twisted_member(4, 1).spec.action
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: family_member(3, 0),
+        lambda: twisted_member(3, 0),
         d4,
         build_g32_27,
-        lambda: family_member(4, 2),
-        lambda: family_member(4, 1, BASIS, BASIS_INV),
-        lambda: family_member(5, 2),
+        lambda: twisted_member(4, 2),
+        lambda: twisted_member(4, 1, bidiagonal_basis(4)),
+        lambda: twisted_member(5, 2),
     ],
     ids=["q-rank-0", "d4", "g32-27", "n4q2", "n4q1-conjugated", "n5q2-order-128"],
 )
@@ -178,7 +140,7 @@ def test_little_group_table_invariants(make):
 
 
 def test_n4q2_has_degree_four_rows():
-    assert compute_character_table(family_member(4, 2)).indices_of_degree(4)
+    assert compute_character_table(twisted_member(4, 2)).indices_of_degree(4)
 
 
 def test_d4_grid_is_pinned():
@@ -272,7 +234,7 @@ def perturbed(rng, vectors, weights, diagonal):
 
 @pytest.mark.parametrize(
     "make",
-    [d4, build_g32_27, lambda: family_member(4, 2), lambda: family_member(5, 1)],
+    [d4, build_g32_27, lambda: twisted_member(4, 2), lambda: twisted_member(5, 1)],
     ids=["d4", "g32-27", "n4q2", "n5q1"],
 )
 def test_packed_gram_matches_oracle(make):
@@ -389,7 +351,7 @@ def test_table_values_are_certified_once_per_group(monkeypatch):
 
 
 def test_cyclic_table():
-    table = compute_character_table(cyclic2())
+    table = compute_character_table(elementary_abelian(1))
     grid = [list(row.values) for row in table.rows]
     # canonical row order sorts by values, so the sign row precedes the
     # all-ones trivial row
@@ -398,19 +360,7 @@ def test_cyclic_table():
 
 
 def test_elementary_abelian_cube_table():
-    g = build_group(
-        GroupSpec(
-            n_rank=3,
-            q_rank=0,
-            action=(),
-            generator_names=(
-                ("a", ((1, 0, 0), ())),
-                ("b", ((0, 1, 0), ())),
-                ("c", ((0, 0, 1), ())),
-            ),
-        )
-    )
-    table = compute_character_table(g)
+    table = compute_character_table(elementary_abelian(3))
     assert table.degrees == (1,) * 8
     assert table.verify_orthogonality()
     for row in table.rows:
@@ -546,16 +496,20 @@ def test_reference_loader_refuses_non_int_sizes(tmp_path, size):
 # -- cache serialization ------------------------------------------------
 
 
-def test_cache_roundtrip(g32, table):
-    payload = table_to_cache_dict(table)
-    assert payload["spec_hash"] == g32.spec.content_hash()
+@pytest.fixture
+def payload(g32, table):
+    """The bundled table as a cache payload: format, spec hash and value rows."""
+    rows = [list(row.values) for row in table.rows]
+    return {"format": CACHE_FORMAT, "spec_hash": g32.spec.content_hash(), "rows": rows}
+
+
+def test_cache_roundtrip(g32, table, payload):
     loaded = table_from_cache_dict(g32, payload)
     assert loaded.rows == table.rows
     assert loaded.verify_orthogonality()
 
 
-def test_cache_rejects_wrong_group(g32, table):
-    payload = table_to_cache_dict(table)
+def test_cache_rejects_wrong_group(g32, payload):
     payload["spec_hash"] = "0" * 64
     with pytest.raises(ValueError, match="different group spec"):
         table_from_cache_dict(g32, payload)
@@ -585,6 +539,6 @@ def test_cache_rejects_malformed_payload(g32):
         "gaussian", "half", "bool",
     ],
 )
-def test_cache_malformed_payload_raises_value_error(g32, table, corrupt):
+def test_cache_malformed_payload_raises_value_error(g32, payload, corrupt):
     with pytest.raises(ValueError):
-        table_from_cache_dict(g32, corrupt(table_to_cache_dict(table)))
+        table_from_cache_dict(g32, corrupt(payload))

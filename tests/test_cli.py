@@ -295,25 +295,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # An order-64 model outside the bundled data, printed in canonical order.
 N5Q1 = ("n5q1", "--input", str(GOLDEN / "n5q1.alg"))
 
+# (golden file stem, argv) of each command line of golden/commands.txt.
 GOLDEN_COMMANDS = [
-    ("info", ("info",)),
-    ("classes", ("classes",)),
-    ("chartable", ("chartable",)),
-    ("sigma.T1", ("sigma", "--structure", "T1")),
-    ("disjoint.T1.T2", ("disjoint", "--structure", "T1", "--structure", "T2")),
-    ("search", ("search",)),
-    ("verify-paper", ("verify-paper",)),
-    ("canonical.T1", ("canonical", "--structure", "T1")),
-    ("canonical.T2", ("canonical", "--structure", "T2")),
-    ("fixed-points.T2", ("fixed-points", "--structure", "T2")),
-    ("quotient-genus.T1.H", ("quotient-genus", "--structure", "T1", "--subgroup", "H")),
-    (
-        "fiber-orbits.T2.H1.b4",
-        ("fiber-orbits", "--structure", "T2", "--subgroup", "H1", "--branch", "4"),
-    ),
-    ("n5q1.info", ("info",) + N5Q1),
-    ("n5q1.classes", ("classes",) + N5Q1),
-    ("n5q1.chartable", ("chartable",) + N5Q1),
+    (name, tuple(arg.format(golden=GOLDEN) for arg in argv))
+    for name, *argv in map(str.split, (GOLDEN / "commands.txt").read_text().splitlines())
+    if not name.startswith("#")
 ]
 
 
@@ -333,8 +319,8 @@ def test_command_matches_golden(capsys, argv, golden):
 
 # Usage and input errors: exit 2, nothing on stdout, one line on stderr.
 # "{golden}" and "{tmp}" in an argument stand for the golden directory and
-# a per-test temporary directory holding broken.alg (a parse error) and
-# binary.alg (bytes that are not UTF-8).
+# a per-test temporary directory holding broken.alg (a parse error),
+# binary.alg (bytes that are not UTF-8) and rank<r>.alg (a group of order 2^r).
 ERROR_CASES = [
     ("unknown-group", ("info", "nosuch"),
      "unknown group 'nosuch'; input declares: g32_27"),
@@ -379,6 +365,10 @@ ERROR_CASES = [
     ("input-not-utf8", ("info", "--input", "{tmp}/binary.alg"),
      "cannot read {tmp}/binary.alg: 'utf-8' codec can't decode byte 0xff in position 0: "
      "invalid start byte"),
+    ("rank-20000", ("info", "--input", "{tmp}/rank20000.alg"),
+     "group big: group order 2^20000 exceeds the build bound 1024"),
+    ("rank-10^18", ("info", "--input", "{tmp}/rank1000000000000000000.alg"),
+     "group big: group order 2^1000000000000000000 exceeds the build bound 1024"),
 ]
 
 
@@ -388,6 +378,9 @@ ERROR_CASES = [
 def test_error_exits_2(capsys, tmp_path, argv, message):
     (tmp_path / "broken.alg").write_text("group broken on")
     (tmp_path / "binary.alg").write_bytes(b"\xff\xfe")
+    for rank in (20000, 10**18):
+        model = f"group big {{ normal rank {rank}; quotient rank 0; }}"
+        (tmp_path / f"rank{rank}.alg").write_text(model)
     paths = {"golden": str(GOLDEN), "tmp": str(tmp_path)}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")

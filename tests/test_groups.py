@@ -20,6 +20,15 @@ from qslab.groups import (
     build_group,
 )
 
+from members import (
+    elementary_abelian,
+    family_shape,
+    n4q1_conjugated,
+    n5q1_named,
+    seeded_member,
+    unit_coords,
+)
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,95 +37,9 @@ def words(text):
     return () if text == "1" else tuple(text.split("*"))
 
 
-def order_64_member():
-    """N rank 5, Q rank 1, action I + E_{1,0}, basis elements named n1..n5, q1."""
-    action = tuple(
-        tuple(int(i == j or (i, j) == (1, 0)) for j in range(5)) for i in range(5)
-    )
-    names = tuple(
-        (f"n{i + 1}", (tuple(int(t == i) for t in range(5)), (0,))) for i in range(5)
-    ) + (("q1", ((0,) * 5, (1,))),)
-    return build_group(GroupSpec(5, 1, (action,), names))
-
-
-def conjugated_member():
-    """N rank 4, Q rank 1: the action I + E_{1,0} after a basis change.
-
-    Unlike the other test groups, its action is not triangular in the
-    index bits, so an element's square need not have a smaller index.
-    """
-    basis = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
-    basis_inv = ((1, 1, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1), (0, 0, 0, 1))
-    action = tuple(
-        tuple(int(i == j or (i, j) == (1, 0)) for j in range(4)) for i in range(4)
-    )
-    action = _mat_mul(_mat_mul(basis, action), basis_inv)
-    return build_group(GroupSpec(4, 1, (action,), ()))
-
-
-def random_basis_change(rng, k):
-    """A random product of 3k transvections of F2^k, and its inverse."""
-    basis, basis_inv = _mat_identity(k), _mat_identity(k)
-    for _ in range(3 * k if k > 1 else 0):
-        a, b = rng.sample(range(k), 2)
-        t = tuple(
-            tuple(int(i == j or (i, j) == (a, b)) for j in range(k)) for i in range(k)
-        )
-        basis, basis_inv = _mat_mul(basis, t), _mat_mul(t, basis_inv)
-    return basis, basis_inv
-
-
-def family_shape(k, m, twisted, seed):
-    """A shape of the benchmark's ``family`` workload, in a seeded basis of N.
-
-    Phi_j is I + E_{(j + m) mod k, j} when ``twisted``, else I.
-    """
-    basis, basis_inv = random_basis_change(random.Random(f"family:{k}:{m}:{seed}"), k)
-    action = []
-    for j in range(m):
-        twist = ((j + m) % k, j) if twisted else None
-        a = tuple(tuple(int(r == c or (r, c) == twist) for c in range(k)) for r in range(k))
-        action.append(_mat_mul(_mat_mul(basis, a), basis_inv))
-    return build_group(GroupSpec(k, m, tuple(action), ()))
-
-
-def seeded_member(k, m, naming, seed):
-    """A family member with a seeded random action, of order 2^(k+m).
-
-    Each action matrix is I + N_j with N_j supported on rows R and columns
-    C of a random split of the coordinates (R and C disjoint), so every
-    product N_j N_l is 0: each matrix is an involution and any two commute.
-    They are then conjugated by a random product of transvections.
-    ``naming`` is "all" (every basis element named, coordinate 0 under two
-    names), "partial" (one basis name missing, one non-basis element named)
-    or "none".
-    """
-    rng = random.Random(f"member:{k}:{m}:{seed}")
-    coords = list(range(k))
-    rng.shuffle(coords)
-    cut = rng.randrange(1, k) if k > 1 else k
-    rows, cols = coords[:cut], coords[cut:]
-    basis, basis_inv = random_basis_change(rng, k)
-    action = []
-    for _ in range(m):
-        a = [list(row) for row in _mat_identity(k)]
-        for r in rows:
-            for c in cols:
-                a[r][c] = rng.randrange(2)
-        a = tuple(tuple(row) for row in a)
-        action.append(_mat_mul(_mat_mul(basis, a), basis_inv))
-    unit = [(tuple(int(t == i) for t in range(k)), (0,) * m) for i in range(k)]
-    unit += [((0,) * k, tuple(int(t == j) for t in range(m))) for j in range(m)]
-    names = [(f"x{p}", coord) for p, coord in enumerate(unit)]
-    if naming == "all":
-        names.insert(0, ("alias", unit[0]))
-    elif naming == "partial":
-        del names[rng.randrange(len(names))]
-        both = tuple(tuple(x ^ y for x, y in zip(u, v)) for u, v in zip(*unit[:2]))
-        names.append(("y", both))
-    else:
-        names = []
-    return build_group(GroupSpec(k, m, tuple(action), tuple(names)))
+# Pinned IDs, so test names do not follow the catalogue's names.
+ORDER_64 = pytest.param(n5q1_named, id="order_64_member")
+CONJUGATED = pytest.param(n4q1_conjugated, id="conjugated_member")
 
 
 # (n_rank, q_rank, naming): orders 8 to 256, q_rank 0 and 3 included.
@@ -284,6 +207,9 @@ def test_build_rejects_huge_groups():
     )
     with pytest.raises(GroupTooLargeError):
         build_group(spec)
+    for rank in (20000, 10**18):  # refused from the ranks: 2^rank is never formed
+        with pytest.raises(GroupTooLargeError, match=rf"^group order 2\^{rank} exceeds"):
+            build_group(GroupSpec(rank, 0, (), ()))
 
 
 # -- element arithmetic -------------------------------------------------
@@ -352,11 +278,7 @@ def test_word_roundtrip(g32):
 
 
 def test_foreign_elements_rejected(g32):
-    other = build_group(
-        GroupSpec(
-            n_rank=1, q_rank=0, action=(), generator_names=(("a", ((1,), ())),)
-        )
-    )
+    other = elementary_abelian(1)
     with pytest.raises(ValueError, match="different group"):
         g32.index(other.identity())
     # a second build of the same spec is interchangeable
@@ -373,7 +295,7 @@ def test_element_is_its_index(g32):
     assert GroupElement(g32, 3) != GroupElement(g32, 5)
 
 
-@pytest.mark.parametrize("build", [build_g32_27, order_64_member, *SEEDED_MEMBERS])
+@pytest.mark.parametrize("build", [build_g32_27, ORDER_64, *SEEDED_MEMBERS])
 def test_multiplication_table_matches_tuple_formula(build):
     group = build()
     coords, index, phi = tuple_oracle(group)
@@ -392,8 +314,7 @@ def test_basis_and_words_match_tuple_oracle(build):
     spec = group.spec
     k, m = spec.n_rank, spec.q_rank
     coords, index, _ = tuple_oracle(group)
-    unit = [(tuple(int(t == i) for t in range(k)), (0,) * m) for i in range(k)]
-    unit += [((0,) * k, tuple(int(t == j) for t in range(m))) for j in range(m)]
+    unit = unit_coords(k, m)
     basis = group.basis_generators()
     assert [g.index for g in basis] == [index[c] for c in unit]
     assert group.subgroup_closure(basis).order == group.order
@@ -415,8 +336,7 @@ def index_bits_word(group, i):
     """The word of index i built from its bits: named basis, else (n-bits|q-bits)."""
     k, m = group.spec.n_rank, group.spec.q_rank
     bits = format(i, f"0{k + m}b")
-    unit = [(tuple(int(t == p) for t in range(k)), (0,) * m) for p in range(k)]
-    unit += [((0,) * k, tuple(int(t == j) for t in range(m))) for j in range(m)]
+    unit = unit_coords(k, m)
     by_coord = {coord: name for name, coord in group.spec.generator_names}
     if i == 0:
         return "1"
@@ -429,8 +349,8 @@ def index_bits_word(group, i):
     "build",
     [
         build_g32_27,
-        order_64_member,
-        conjugated_member,
+        ORDER_64,
+        CONJUGATED,
         partial(seeded_member, 3, 2, "all", 0),
         partial(seeded_member, 4, 2, "partial", 1),
     ],
@@ -446,7 +366,7 @@ def test_every_word_is_built_from_its_index_bits(build):
 
 
 def test_words_refuse_another_groups_elements(g32):
-    foreign = order_64_member().element(40)
+    foreign = n5q1_named().element(40)
     with pytest.raises(ValueError, match="different group"):
         g32.element_to_word(foreign)
     # a second build of the same spec is interchangeable
@@ -463,7 +383,7 @@ def test_element_refuses_indices_out_of_range(g32, index):
 
 
 def test_unnamed_words_are_pinned():
-    assert conjugated_member().element(0b0010_1).word() == "(0010|1)"
+    assert n4q1_conjugated().element(0b0010_1).word() == "(0010|1)"
     assert seeded_member(3, 2, "none", 0).element(0b101_10).word() == "(101|10)"
     assert seeded_member(3, 0, "none", 0).element(0b101).word() == "(101|)"
     # one basis name missing: every word falls back to the bit form
@@ -504,7 +424,7 @@ def test_classes_closed_under_conjugation(g32):
                 assert h.inverse() * g * h in members
 
 
-@pytest.mark.parametrize("build", [build_g32_27, order_64_member])
+@pytest.mark.parametrize("build", [build_g32_27, ORDER_64])
 def test_class_of_is_built_on_first_read(build):
     # read before anything else: the partition is built for it
     group = build()
@@ -579,7 +499,7 @@ def test_minimal_generators(g32):
     assert g32.subgroup_closure(gens).order == 32
 
 
-@pytest.mark.parametrize("build", [build_g32_27, order_64_member])
+@pytest.mark.parametrize("build", [build_g32_27, ORDER_64])
 def test_closure_matches_squaring_oracle(build):
     group = build()
     rng = random.Random(f"closure:{group.order}")
@@ -588,7 +508,7 @@ def test_closure_matches_squaring_oracle(build):
         assert group._closure(seed) == squaring_closure(group, seed)
 
 
-@pytest.mark.parametrize("build", [build_g32_27, order_64_member])
+@pytest.mark.parametrize("build", [build_g32_27, ORDER_64])
 def test_coset_walk_matches_squaring_oracle(build):
     # <s, x> walked out from a random subgroup s, stepping by s's seed plus
     # x, and from a normal s stepping by x alone
@@ -606,7 +526,7 @@ def test_coset_walk_matches_squaring_oracle(build):
         assert group._extend(n, rows, (x,)) == squaring_closure(group, n | {x})
 
 
-@pytest.mark.parametrize("build", [build_g32_27, conjugated_member])
+@pytest.mark.parametrize("build", [build_g32_27, CONJUGATED])
 def test_lattices_match_reference_walks(build):
     # the same breadth-first walks, closing whole sets by squaring
     group = build()
@@ -720,7 +640,7 @@ def test_normality_matches_conjugation_by_every_element(build):
 
 
 def test_lattice_walk_runs_once_per_group(monkeypatch):
-    group = order_64_member()
+    group = n5q1_named()
     calls = []
     extend = FiniteGroup._extend
 
@@ -738,7 +658,7 @@ def test_lattice_walk_runs_once_per_group(monkeypatch):
     subs = group.enumerate_subgroups()
     normals = group.enumerate_normal_subgroups()
     assert len(calls) == walked
-    assert subs == order_64_member().enumerate_subgroups()
+    assert subs == n5q1_named().enumerate_subgroups()
     assert len(calls) == 2 * walked
 
 
@@ -794,13 +714,7 @@ def test_enumeration_bound():
 
 
 def test_plain_elementary_abelian():
-    spec = GroupSpec(
-        n_rank=2,
-        q_rank=0,
-        action=(),
-        generator_names=(("a", ((1, 0), ())), ("b", ((0, 1), ()))),
-    )
-    g = build_group(spec)
+    g = elementary_abelian(2)
     assert g.order == 4
     assert g.exponent() == 2
     assert len(g.conjugacy_classes()) == 4
@@ -824,7 +738,8 @@ def lattice_lines(group):
 
 
 @pytest.mark.parametrize(
-    "name, build", [("g32_27", build_g32_27), ("n5q1", order_64_member)]
+    "name, build",
+    [("g32_27", build_g32_27), pytest.param("n5q1", n5q1_named, id="n5q1-order_64_member")],
 )
 def test_lattice_matches_golden(name, build):
     golden = (GOLDEN / f"lattice_{name}.jsonl").read_bytes()

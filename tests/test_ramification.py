@@ -1,14 +1,13 @@
 import gc
 import weakref
 from collections import Counter
-from functools import partial
 
 import pytest
 
 from qslab import ramification
 from qslab.builtin import T1_WORDS, T2_WORDS, build_g32_27, named_subgroup
 from qslab.characters import ExactScalar, compute_character_table, decompose
-from qslab.groups import FiniteGroup, GroupSpec, _mat_identity, _mat_mul, build_group
+from qslab.groups import FiniteGroup
 from qslab.ramification import (
     IdentityFixedPoints,
     SphericalSystemError,
@@ -25,6 +24,8 @@ from qslab.ramification import (
     stabilizer_set,
     validate_spherical,
 )
+
+from members import basis_system, class3, n5q1, n5q1_conjugated
 
 T1_FIXED = (8, 0, 0, 0, 0, 8, 0, 8, 0, 4, 0, 0, 4)
 T2_FIXED = (0, 8, 8, 8, 8, 0, 0, 0, 0, 0, 4, 4, 0)
@@ -280,17 +281,9 @@ def test_bridge_builds_each_fixed_point_table_once(g32, table, monkeypatch):
 
 
 def test_fixed_point_routes_agree_on_order_64_after_memo(monkeypatch):
-    # N rank 5, Q rank 1, action I + E_{1,0}
-    action = tuple(
-        tuple(int(i == j or (i, j) == (1, 0)) for j in range(5)) for i in range(5)
-    )
-    group = build_group(GroupSpec(5, 1, (action,), ()))
+    group = n5q1()
     assert group.order == 64
-    basis = group.basis_generators()
-    closing = group.identity()
-    for g in basis:
-        closing = closing * g
-    system = validate_spherical(group, basis + (closing.inverse(),))
+    system = basis_system(group)
     fixed_point_table(system)  # builds the cyclic subgroups and their cosets
 
     transversals = Counter()
@@ -356,34 +349,6 @@ def test_fiber_branch_bounds(g32, t1):
 # -- an order-64 member off the bundled model ---------------------------
 
 
-def order_64_member(shape):
-    """An order-64 member of the family off the bundled model.
-
-    "plain": N rank 5, Q rank 1, action I + E_{1,0}.  "conjugated": the same
-    action after the basis change B (ones on the diagonal and the first
-    superdiagonal), so the action is not triangular in the index bits.
-    "class-3": N rank 4, Q rank 2, actions I + E_{2,0} + E_{3,1} and
-    I + E_{1,0} + E_{3,2}; the product of their deviations is E_{3,0}, so
-    not every square is central and x^-1 C x can differ from x C x^-1.
-    """
-
-    def unit_plus(k, cells):
-        return tuple(
-            tuple(int(i == j or (i, j) in cells) for j in range(k)) for i in range(k)
-        )
-
-    if shape == "class-3":
-        actions = (unit_plus(4, {(2, 0), (3, 1)}), unit_plus(4, {(1, 0), (3, 2)}))
-        return build_group(GroupSpec(4, 2, actions, ()))
-    action = unit_plus(5, {(1, 0)})
-    if shape == "conjugated":
-        basis = tuple(tuple(int(j in (i, i + 1)) for j in range(5)) for i in range(5))
-        basis_inv = tuple(tuple(int(j >= i) for j in range(5)) for i in range(5))
-        assert _mat_mul(basis, basis_inv) == _mat_identity(5)
-        action = _mat_mul(_mat_mul(basis, action), basis_inv)
-    return build_group(GroupSpec(5, 1, (action,), ()))
-
-
 def fiber_orbits_oracle(system, branch_index, sub):
     """(fiber size, sorted (orbit size, stabilizer order)) on coset objects.
 
@@ -418,16 +383,7 @@ def fiber_orbits_oracle(system, branch_index, sub):
     return len(points), tuple(sorted(orbits))
 
 
-def basis_system(group):
-    """The basis generators closed up by the inverse of their product."""
-    basis = group.basis_generators()
-    closing = group.identity()
-    for g in basis:
-        closing = closing * g
-    return validate_spherical(group, basis + (closing.inverse(),))
-
-
-@pytest.mark.parametrize("build", [build_g32_27, partial(order_64_member, "class-3")])
+@pytest.mark.parametrize("build", [build_g32_27, pytest.param(class3, id="build1")])
 def test_group_is_freed_without_the_collector(build):
     enabled = gc.isenabled()
     gc.disable()
@@ -451,15 +407,17 @@ def test_group_is_freed_without_the_collector(build):
             gc.enable()
 
 
-@pytest.mark.parametrize("shape", ["plain", "conjugated", "class-3"])
-def test_routes_agree_on_order_64_member(shape):
-    group = order_64_member(shape)
+@pytest.mark.parametrize(
+    "build", [n5q1, n5q1_conjugated, class3], ids=["plain", "conjugated", "class-3"]
+)
+def test_routes_agree_on_order_64_member(build):
+    group = build()
     assert group.order == 64
     mul, elements = group._mul, range(group.order)
-    assert any(mul[x][x] > x for x in elements) == (shape == "conjugated")
+    assert any(mul[x][x] > x for x in elements) == (build is n5q1_conjugated)
     squares = {mul[x][x] for x in elements}
     central = all(mul[s][y] == mul[y][s] for s in squares for y in elements)
-    assert central == (shape != "class-3")
+    assert central == (build is not class3)
     system = basis_system(group)
 
     fixed = fixed_point_table(system)

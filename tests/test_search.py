@@ -16,7 +16,6 @@ from qslab.characters import (
     compute_character_table,
     decompose,
 )
-from qslab.groups import GroupSpec, build_group
 from qslab.search import (
     BundleCohomology,
     _lane_invariants,
@@ -25,6 +24,8 @@ from qslab.search import (
     search_all_pairs,
 )
 from qslab.ramification import canonical_character
+
+from members import n4q2
 
 GROUP_ORDER = 32
 
@@ -301,15 +302,6 @@ def assert_matches_per_twist(table, kc, kd):
     return report
 
 
-def family_shape_64():
-    """N rank 4, Q rank 2, Phi_j = I + E_{j + 2, j}: 16 linear rows, 8 of degree 2."""
-    action = tuple(
-        tuple(tuple(int(r == c or (r, c) == (j + 2, j)) for c in range(4)) for r in range(4))
-        for j in range(2)
-    )
-    return build_group(GroupSpec(4, 2, action, ()))
-
-
 def seeded_virtual(table, rng, bound):
     """A seeded integer combination of the rows, coefficients in [-bound, bound]."""
     coeffs = [rng.randint(-bound, bound) for _ in table.rows]
@@ -334,7 +326,7 @@ def test_packed_search_on_seeded_virtual_characters(seed, bound):
     # coefficient is raised just enough that the identity values are
     # dimensions.
     rng = random.Random(f"search:{seed}:{bound}")
-    group = family_shape_64()
+    group = n4q2()
     table = compute_character_table(group)
     assert len(table.linear_indices()) == 16 and len(table.indices_of_degree(2)) == 8
     trivial = table.trivial()
