@@ -471,19 +471,20 @@ def _cmd_canonical(model, args, group_name, group, structures):
         },
     }
     values = [str(canonical.values[c]) for c in col_perm]
+    decomposition = " + ".join(terms) or "0"  # the empty sum of a genus-0 curve
     text = (
         f"canonical character of the genus {payload['genus']} curve of {sname} "
         f"({_order_note(published)}):\n"
         + "  ".join(values)
         + "\ndecomposition: "
-        + " + ".join(terms)
+        + decomposition
     )
     md = _md(
         f"Canonical character of the curve of {sname}",
         _bullets(
             f"genus: {payload['genus']}",
             f"values ({_order_note(published)}): " + ", ".join(values),
-            "decomposition: " + " + ".join(terms),
+            "decomposition: " + decomposition,
         ),
     )
     return payload, text, md

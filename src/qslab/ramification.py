@@ -163,7 +163,12 @@ def fixed_point_count(system: SphericalSystem, g: GroupElement) -> int:
 
     Counts pairs (entry i, right coset <t_i>t) with g in t^-1 <t_i> t,
     walking a right transversal of each cyclic entry subgroup; the
-    conjugate t g t^-1 is read from the index tables.
+    conjugate t g t^-1 is read from the index tables.  Any element of a
+    coset may stand for it: for H = <t_i> and h in H, (hx) g (hx)^-1 =
+    h (x g x^-1) h^-1 lies in H exactly when x g x^-1 does.  The wrong-way
+    conjugate x^-1 g x lacks this property, and
+    ``test_fixed_point_routes_match_the_coset_oracle_on_the_transversal_witness``
+    pins a system on which it miscounts.
     """
     group = system.group
     if g.is_identity():

@@ -120,9 +120,15 @@ n4q2 = partial(twisted_member, 4, 2, first=None)
 # The product of the deviations is E_{3,0}: not every square is central, and
 # x^-1 C x can differ from x C x^-1.
 class3 = partial(member, 4, 2, [{(2, 0), (3, 1)}, {(1, 0), (3, 2)}])
+# N4/Q2, unnamed: with element 13 leading the basis system, a transversal
+# that conjugates the wrong way (t^-1 g t) miscounts fixed points.
+transversal_witness = partial(build_group, GroupSpec(4, 2, (
+    ((1, 1, 1, 0), (0, 0, 1, 0), (0, 1, 0, 0), (1, 1, 0, 1)),
+    ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 0)),
+), ()))
 
 
-def basis_system(group):
-    """The basis generators closed up by the inverse of their product."""
-    basis = group.basis_generators()
-    return validate_spherical(group, basis + (reduce(mul, basis).inverse(),))
+def basis_system(group, *lead):
+    """``lead``, then the basis generators, closed up by the inverse of their product."""
+    entries = lead + group.basis_generators()
+    return validate_spherical(group, entries + (reduce(mul, entries).inverse(),))

@@ -5,12 +5,14 @@ visible under pytest's capture; each test also asserts, so a regression
 fails the suite loudly.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qslab
 from qslab.builtin import named_subgroup
 from qslab.characters import align_to_reference, decompose
 from qslab.ramification import (
@@ -226,10 +228,13 @@ def test_criterion_8_twist_search(check, t1, t2, table):
 
 def test_criterion_9_property_suites_standalone(check):
     suite = Path(__file__).with_name("test_properties.py")
+    # the child imports the same qslab as this process
+    paths = [str(Path(qslab.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", str(suite)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     ok = result.returncode == 0
     check(9, "property suites pass standalone", ok)

@@ -27,13 +27,7 @@ from qslab.characters import (
 from qslab.groups import _mat_identity, _mat_mul
 
 from members import bidiagonal_basis, d4, elementary_abelian, twisted_member
-
-
-def abelianization_order(group):
-    """|G:G'| with G' closed from all commutators a^-1 b^-1 a b."""
-    elems = group.elements
-    commutators = {a.inverse() * b.inverse() * a * b for a in elems for b in elems}
-    return group.order // group.subgroup_closure(commutators).order
+from oracles import abelianization_order, gram_oracle
 
 
 # -- scalars ------------------------------------------------------------
@@ -181,15 +175,6 @@ def test_orthogonality_rejects_a_dropped_row(table):
 
 
 # -- packed certification -----------------------------------------------
-
-
-def gram_oracle(vectors, weights, diagonal):
-    """Reference: every Gram entry summed on its own."""
-    return all(
-        sum(map(lambda w, a, b: w * a * b, weights, u, v)) == (d if i == j else 0)
-        for i, (u, d) in enumerate(zip(vectors, diagonal))
-        for j, v in enumerate(vectors)
-    )
 
 
 def relations(table):

@@ -236,59 +236,6 @@ def test_verify_paper_on_other_group_reports_failures(capsys):
     assert "unknown generator 'g1'" in out
 
 
-# -- error handling -----------------------------------------------------
-
-
-def test_unknown_group_exits_2(capsys):
-    code, out, err = run(capsys, "info", "nosuch")
-    assert code == 2 and out == ""
-    assert "unknown group 'nosuch'" in err
-
-
-def test_unknown_structure_exits_2(capsys):
-    code, _, err = run(capsys, "sigma", "--structure", "T9")
-    assert code == 2
-    assert "unknown structure 'T9'" in err
-    assert "declared: T1, T2" in err
-
-
-def test_bad_subgroup_fragment_exits_2(capsys):
-    code, _, err = run(
-        capsys, "quotient-genus", "--structure", "T1", "--subgroup", "g2, zz"
-    )
-    assert code == 2
-    assert "unknown generator 'zz'" in err
-
-
-def test_parse_error_exits_2(capsys, tmp_path):
-    bad = tmp_path / "bad.alg"
-    bad.write_text("group broken on")
-    code, _, err = run(capsys, "info", "--input", str(bad))
-    assert code == 2
-    assert "line 1, col 14" in err
-
-
-def test_missing_input_exits_2(capsys, tmp_path):
-    code, _, err = run(capsys, "info", "--input", str(tmp_path / "nope.alg"))
-    assert code == 2
-    assert "cannot read" in err
-
-
-def test_branch_out_of_range_exits_2(capsys):
-    code, _, err = run(
-        capsys,
-        "fiber-orbits", "--structure", "T1", "--branch", "9", "--subgroup", "H",
-    )
-    assert code == 2
-    assert "out of range" in err
-
-
-def test_single_structure_search_exits_2(capsys):
-    code, _, err = run(capsys, "search", "--structure", "T1")
-    assert code == 2
-    assert "exactly 2 structures" in err
-
-
 # -- golden output -----------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -316,6 +263,8 @@ def test_command_matches_golden(capsys, argv, golden):
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
+
+# -- error handling -----------------------------------------------------
 
 # Usage and input errors: exit 2, nothing on stdout, one line on stderr.
 # "{golden}" and "{tmp}" in an argument stand for the golden directory and

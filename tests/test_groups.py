@@ -2,7 +2,6 @@ import dataclasses
 import json
 import random
 from functools import partial
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,6 @@ from qslab.groups import (
     GroupTooLargeError,
     Subgroup,
     _mat_identity,
-    _mat_mul,
     build_group,
 )
 
@@ -27,6 +25,14 @@ from members import (
     n5q1_named,
     seeded_member,
     unit_coords,
+)
+from oracles import (
+    _mat_apply,
+    coset_marking_walk,
+    index_bits_word,
+    squaring_closure,
+    squaring_walk,
+    tuple_oracle,
 )
 
 
@@ -60,41 +66,9 @@ LATTICE_MEMBERS = [p for p in SEEDED_MEMBERS if sum(p.values[0].args[:2]) <= 6] 
 ]
 
 
-def _mat_apply(mat, vec):
-    return tuple(sum(row[c] & vec[c] for c in range(len(vec))) & 1 for row in mat)
-
-
-def tuple_oracle(group):
-    """The group from its spec on bit tuples: coordinates, their index, Phi_q.
-
-    Element i is the i-th bit string (n, q) in lexicographic order, and
-    Phi_q is the product of the action matrices that q selects.
-    """
-    spec = group.spec
-    k, m = spec.n_rank, spec.q_rank
-    coords = [(bits[:k], bits[k:]) for bits in product((0, 1), repeat=k + m)]
-    index = {c: i for i, c in enumerate(coords)}
-    phi = {}
-    for qvec in product((0, 1), repeat=m):
-        mat = _mat_identity(k)
-        for j, bit in enumerate(qvec):
-            if bit:
-                mat = _mat_mul(mat, spec.action[j])
-        phi[qvec] = mat
-    return coords, index, phi
-
-
-def squaring_closure(group, seed):
-    """Reference closure: multiply the set by itself until it is stable."""
-    s = {0} | set(seed)
-    while True:
-        new = {group._mul[a][b] for a in s for b in s}
-        if new <= s:
-            return frozenset(s)
-        s |= new
-
-
 # -- spec validation ----------------------------------------------------
+
+SHEAR = ((1, 1), (0, 1))
 
 
 def test_spec_validates():
@@ -110,59 +84,28 @@ def test_spec_rejects_bad_ranks():
 
 
 def test_spec_rejects_wrong_matrix_count():
-    spec = GroupSpec(
-        n_rank=2,
-        q_rank=1,
-        action=(),
-        generator_names=(("a", ((1, 0), (0,))),),
-    )
     with pytest.raises(GroupSpecError, match="matrices"):
-        spec.validate()
+        GroupSpec(2, 1, (), (("a", ((1, 0), (0,))),)).validate()
 
 
 def test_spec_rejects_non_involution():
     # the shear [[1,1],[0,1]] squares to the identity over F2, so use a
     # genuinely non-involutive matrix
-    spec = GroupSpec(
-        n_rank=2,
-        q_rank=1,
-        action=(((1, 1), (1, 0)),),
-        generator_names=(("a", ((1, 0), (0,))),),
-    )
     with pytest.raises(GroupSpecError, match="involution"):
-        spec.validate()
+        GroupSpec(2, 1, (((1, 1), (1, 0)),), (("a", ((1, 0), (0,))),)).validate()
 
 
 def test_spec_rejects_non_commuting_matrices():
     swap = ((0, 1), (1, 0))
-    shear = ((1, 1), (0, 1))
-    spec = GroupSpec(
-        n_rank=2,
-        q_rank=2,
-        action=(swap, shear),
-        generator_names=(("a", ((1, 0), (0, 0))),),
-    )
     with pytest.raises(GroupSpecError, match="commute"):
-        spec.validate()
+        GroupSpec(2, 2, (swap, SHEAR), (("a", ((1, 0), (0, 0))),)).validate()
 
 
 def test_spec_rejects_bad_names():
-    spec = GroupSpec(
-        n_rank=1,
-        q_rank=0,
-        action=(),
-        generator_names=(("not a name", ((1,), ())),),
-    )
     with pytest.raises(GroupSpecError, match="identifier"):
-        spec.validate()
-    spec = GroupSpec(
-        n_rank=1,
-        q_rank=0,
-        action=(),
-        generator_names=(("a", ((1,), ())), ("a", ((1,), ()))),
-    )
+        GroupSpec(1, 0, (), (("not a name", ((1,), ())),)).validate()
     with pytest.raises(GroupSpecError, match="duplicate"):
-        spec.validate()
+        GroupSpec(1, 0, (), (("a", ((1,), ())), ("a", ((1,), ())))).validate()
 
 
 def test_generator_bits_are_read_as_validated():
@@ -171,9 +114,6 @@ def test_generator_bits_are_read_as_validated():
     group = build_group(GroupSpec(2, 1, (_mat_identity(2),), names))
     assert [group.generator(n).index for n in "abc"] == [0b10_0, 0b01_0, 0b00_1]
     assert group.generator("a").word() == "a"
-
-
-SHEAR = ((1, 1), (0, 1))
 
 
 @pytest.mark.parametrize("one", [1.0, "1", True])
@@ -199,14 +139,8 @@ def test_spec_rejects_non_bit_action_entries(bad):
 
 
 def test_build_rejects_huge_groups():
-    spec = GroupSpec(
-        n_rank=11,
-        q_rank=0,
-        action=(),
-        generator_names=(("a", ((1,) + (0,) * 10, ())),),
-    )
     with pytest.raises(GroupTooLargeError):
-        build_group(spec)
+        elementary_abelian(11)
     for rank in (20000, 10**18):  # refused from the ranks: 2^rank is never formed
         with pytest.raises(GroupTooLargeError, match=rf"^group order 2\^{rank} exceeds"):
             build_group(GroupSpec(rank, 0, (), ()))
@@ -312,37 +246,18 @@ def test_multiplication_table_matches_tuple_formula(build):
 def test_basis_and_words_match_tuple_oracle(build):
     group = build()
     spec = group.spec
-    k, m = spec.n_rank, spec.q_rank
-    coords, index, _ = tuple_oracle(group)
-    unit = unit_coords(k, m)
+    _, index, _ = tuple_oracle(group)
     basis = group.basis_generators()
-    assert [g.index for g in basis] == [index[c] for c in unit]
+    assert [g.index for g in basis] == [index[c] for c in unit_coords(spec.n_rank, spec.q_rank)]
     assert group.subgroup_closure(basis).order == group.order
-    by_coord = {coord: name for name, coord in spec.generator_names}
     for name, coord in spec.generator_names:
         assert group.generator(name).index == index[coord]
-    if all(c in by_coord for c in unit):
-        # the later of two names for one coordinate wins
-        assert [g.word() for g in basis] == [by_coord[c] for c in unit]
-        for g in group.elements:
+    assert [g.word() for g in group.elements] == [
+        index_bits_word(group, i) for i in range(group.order)
+    ]
+    for g in group.elements:
+        if "(" not in g.word():
             assert group.evaluate_word(words(g.word())) == g
-    else:
-        for g, (n, q) in zip(group.elements[1:], coords[1:]):
-            assert g.word() == "(" + "".join(map(str, n)) + "|" + "".join(map(str, q)) + ")"
-    assert group.identity().word() == "1"
-
-
-def index_bits_word(group, i):
-    """The word of index i built from its bits: named basis, else (n-bits|q-bits)."""
-    k, m = group.spec.n_rank, group.spec.q_rank
-    bits = format(i, f"0{k + m}b")
-    unit = unit_coords(k, m)
-    by_coord = {coord: name for name, coord in group.spec.generator_names}
-    if i == 0:
-        return "1"
-    if not all(u in by_coord for u in unit):
-        return f"({bits[:k]}|{bits[k:]})"
-    return "*".join(by_coord[u] for u, bit in zip(unit, bits) if bit == "1")
 
 
 @pytest.mark.parametrize(
@@ -530,33 +445,12 @@ def test_coset_walk_matches_squaring_oracle(build):
 def test_lattices_match_reference_walks(build):
     # the same breadth-first walks, closing whole sets by squaring
     group = build()
-    witness = {frozenset({0}): ()}
-    frontier = [frozenset({0})]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in range(1, group.order):
-                c = squaring_closure(group, s | {x})
-                if c not in witness:
-                    witness[c] = witness[s] + (x,)
-                    nxt.append(c)
-        frontier = nxt
+    witness = squaring_walk(group, [(x, {x}) for x in range(1, group.order)])
     subs = group.enumerate_subgroups()
     assert {s.indices: tuple(group.index(g) for g in s.generators) for s in subs} == witness
-    classes = [{group.index(x) for x in cls.elements} for cls in group.conjugacy_classes()]
-    normal = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for cs in classes:
-                c = squaring_closure(group, s | cs)
-                if c not in normal:
-                    normal.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    classes = [(c.index, {x.index for x in c.elements}) for c in group.conjugacy_classes()]
     normals = group.enumerate_normal_subgroups()
-    assert {s.indices for s in normals} == normal
+    assert {s.indices for s in normals} == set(squaring_walk(group, classes))
     for s in normals:
         assert squaring_closure(group, map(group.index, s.generators)) == s.indices
     # the two facts the single walk and its pruning rest on
@@ -564,35 +458,6 @@ def test_lattices_match_reference_walks(build):
         gens = [g.index for g in s.generators]
         assert all(a < b for a, b in zip(gens, gens[1:]))
         assert s.generators == group.minimal_generators(s)
-
-
-def coset_marking_walk(group):
-    """The lattice walk of ``_lattice``, finding least coset elements by marking.
-
-    Each s is offered every x in index order; x is least in its right coset
-    s*x iff no earlier x marked it, and then the whole coset is marked.
-    """
-    mul = group._mul
-    trivial = frozenset({0})
-    witness = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            base = witness[s]
-            rows = [mul[h] for h in s]
-            tried = set(s)
-            for x in range(1, group.order):
-                if x in tried:
-                    continue
-                tried.update([r[x] for r in rows])
-                if not base or x > base[-1]:
-                    c = group._extend(s, rows, base + (x,))
-                    if c not in witness:
-                        witness[c] = base + (x,)
-                        nxt.append(c)
-        frontier = nxt
-    return sorted(witness.items(), key=lambda p: (len(p[0]), sorted(p[0])))
 
 
 @pytest.mark.parametrize("build", LATTICE_MEMBERS)
@@ -699,13 +564,7 @@ def test_enumerate_subgroups(g32):
 
 
 def test_enumeration_bound():
-    spec = GroupSpec(
-        n_rank=7,
-        q_rank=0,
-        action=(),
-        generator_names=(("a", ((1,) + (0,) * 6, ())),),
-    )
-    big = build_group(spec)
+    big = elementary_abelian(7)
     assert big.order == 128
     with pytest.raises(GroupTooLargeError):
         big.enumerate_subgroups()

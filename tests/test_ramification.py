@@ -25,7 +25,8 @@ from qslab.ramification import (
     validate_spherical,
 )
 
-from members import basis_system, class3, n5q1, n5q1_conjugated
+from members import basis_system, class3, n5q1, n5q1_conjugated, transversal_witness
+from oracles import fiber_orbits_oracle, fixed_point_oracle
 
 T1_FIXED = (8, 0, 0, 0, 0, 8, 0, 8, 0, 4, 0, 0, 4)
 T2_FIXED = (0, 8, 8, 8, 8, 0, 0, 0, 0, 0, 4, 4, 0)
@@ -141,14 +142,19 @@ def test_fixed_point_table_layout(g32, t1):
             assert counts[i] == fixed_point_count(t1, cls.representative)
 
 
-def test_fixed_point_routes_agree(g32, t1, t2):
+def assert_fixed_point_routes_agree(system):
+    """Both routes, the class table and the coset oracle agree at every g != 1."""
+    group, fixed = system.group, fixed_point_table(system)
+    oracle = fixed_point_oracle(system)
+    for g in group.elements[1:]:
+        fix = oracle[g.index]
+        assert fixed_point_count(system, g) == fixed_point_count_by_membership(system, g) == fix
+        assert fixed[group.class_index_of(g)] == fix
+
+
+def test_fixed_point_routes_agree(t1, t2):
     for system in (t1, t2):
-        for g in g32.elements:
-            if g.is_identity():
-                continue
-            assert fixed_point_count(system, g) == fixed_point_count_by_membership(
-                system, g
-            )
+        assert_fixed_point_routes_agree(system)
 
 
 def test_fixed_points_constant_on_classes(g32, t1):
@@ -294,13 +300,7 @@ def test_fixed_point_routes_agree_on_order_64_after_memo(monkeypatch):
         return right_cosets(self, sub)
 
     monkeypatch.setattr(FiniteGroup, "_right_cosets", counting)
-    table = fixed_point_table(system)
-    for g in group.elements:
-        if g.is_identity():
-            continue
-        fix = fixed_point_count(system, g)
-        assert fix == fixed_point_count_by_membership(system, g)
-        assert fix == table[group.class_index_of(g)]
+    assert_fixed_point_routes_agree(system)
     assert not transversals
 
 
@@ -349,40 +349,6 @@ def test_fiber_branch_bounds(g32, t1):
 # -- an order-64 member off the bundled model ---------------------------
 
 
-def fiber_orbits_oracle(system, branch_index, sub):
-    """(fiber size, sorted (orbit size, stabilizer order)) on coset objects.
-
-    Fiber points are the right cosets <t>x as sets of group elements; H
-    acts by right multiplication, and a stabilizer is counted directly as
-    the elements of H mapping the coset onto itself.
-    """
-    group = system.group
-    cyclic = group.subgroup_closure([system.entries[branch_index - 1]]).elements
-    points = {frozenset(c * x for c in cyclic) for x in group.elements}
-    hs = sub.elements
-
-    def act(point, h):
-        return frozenset(y * h for y in point)
-
-    orbits = []
-    remaining = set(points)
-    while remaining:
-        start = remaining.pop()
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            point = frontier.pop()
-            for h in hs:
-                image = act(point, h)
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        remaining -= orbit
-        stab = sum(1 for h in hs if act(start, h) == start)
-        orbits.append((len(orbit), stab))
-    return len(points), tuple(sorted(orbits))
-
-
 @pytest.mark.parametrize("build", [build_g32_27, pytest.param(class3, id="build1")])
 def test_group_is_freed_without_the_collector(build):
     enabled = gc.isenabled()
@@ -419,12 +385,7 @@ def test_routes_agree_on_order_64_member(build):
     central = all(mul[s][y] == mul[y][s] for s in squares for y in elements)
     assert central == (build is not class3)
     system = basis_system(group)
-
-    fixed = fixed_point_table(system)
-    for g in group.elements[1:]:
-        fix = fixed_point_count(system, g)
-        assert fix == fixed_point_count_by_membership(system, g)
-        assert fix == fixed[group.class_index_of(g)]
+    assert_fixed_point_routes_agree(system)
 
     table = compute_character_table(group)
     subgroups = group.enumerate_subgroups()
@@ -439,3 +400,12 @@ def test_routes_agree_on_order_64_member(build):
             assert (fiber.fiber_size, fiber.orbits) == fiber_orbits_oracle(
                 system, branch, sub
             )
+
+
+def test_fixed_point_routes_match_the_coset_oracle_on_the_transversal_witness():
+    # The transversal route must conjugate t g t^-1: with t^-1 g t, element 9
+    # of this system gets 2 fixed points instead of 4.
+    group = transversal_witness()
+    system = basis_system(group, group.element(13))
+    assert system.signature == (4, 2, 2, 2, 2, 2, 2, 4)
+    assert_fixed_point_routes_agree(system)

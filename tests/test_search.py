@@ -1,7 +1,8 @@
 """The twist search against a brute-force oracle over the reference grid.
 
-The oracle works in plain integer arithmetic straight from the fixture
-matrix, so it shares no scalar or class-function code with the library.
+The oracle (``oracles._oracle_search``) works in plain integer arithmetic
+straight from the fixture matrix, so it shares no scalar or class-function
+code with the library.
 """
 
 import random
@@ -26,8 +27,7 @@ from qslab.search import (
 from qslab.ramification import canonical_character
 
 from members import n4q2
-
-GROUP_ORDER = 32
+from oracles import _add, _fixture_grid, _ip, _mul, _oracle_search
 
 # reference row numbers (1-based): canonical characters of the two curves
 KC_ROWS = (7, 9, 11)
@@ -60,64 +60,10 @@ def ref_numbering(perms):
     return {canonical: i + 1 for i, canonical in enumerate(row_perm)}
 
 
-# -- oracle over fixture integers ---------------------------------------
-
-
-def _fixture_grid(ref):
-    rows = [list(map(int, row)) for row in ref.matrix]
-    return rows, list(ref.class_sizes)
-
-
-def _ip(f, h, sizes):
-    total = sum(sz * a * b for sz, a, b in zip(sizes, f, h))
-    assert total % GROUP_ORDER == 0
-    return total // GROUP_ORDER
-
-
-def _add(*fs):
-    return [sum(vals) for vals in zip(*fs)]
-
-
-def _mul(f, h):
-    return [a * b for a, b in zip(f, h)]
-
-
-def _oracle_search(ref):
-    rows, sizes = _fixture_grid(ref)
-    triv = rows[0]
-    deg1 = [r for r in range(14) if rows[r][0] == 1]
-    deg2 = [r for r in range(14) if rows[r][0] == 2]
-    assert len(deg1) == 8 and len(deg2) == 6
-    kc = _add(*(rows[r - 1] for r in KC_ROWS))
-    kd = _add(*(rows[r - 1] for r in KD_ROWS))
-    kd_linear = [0] * 14
-    for r in deg1:
-        m = _ip(kd, rows[r], sizes)
-        kd_linear = _add(kd_linear, [m * v for v in rows[r]])
-    results = {}
-    for a in deg2:
-        for b in deg2:
-            d0 = _add(triv, rows[a])
-            d1 = _add(kd_linear, rows[b])
-            admissible = set()
-            eulers = {}
-            dims = {}
-            for t in deg1:
-                twist = rows[t]
-                h0 = _ip(_mul(_mul(triv, d0), twist), triv, sizes)
-                h1 = _ip(_mul(_add(_mul(triv, d1), _mul(kc, d0)), twist), triv, sizes)
-                h2 = _ip(_mul(_mul(kc, d1), twist), triv, sizes)
-                if h0 == 0 and h2 == 0:
-                    admissible.add(t + 1)
-                eulers[t + 1] = h0 - h1 + h2
-                dims[t + 1] = (h0, h1, h2)
-            results[(a + 1, b + 1)] = (admissible, eulers, dims)
-    return results
-
-
 def test_search_matches_oracle(report, ref, ref_numbering):
-    oracle = _oracle_search(ref)
+    oracle = _oracle_search(ref, KC_ROWS, KD_ROWS)
     assert len(report.pairs) == 36
+    assert {len(dims) for _, _, dims in oracle.values()} == {8}
     seen = set()
     for pair in report.pairs:
         a = ref_numbering[pair.a_index]
