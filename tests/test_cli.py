@@ -325,6 +325,10 @@ ERROR_CASES = [
     "argv, message", [pytest.param(a, m, id=i) for i, a, m in ERROR_CASES]
 )
 def test_error_exits_2(capsys, tmp_path, argv, message):
+    assert_exits_2(capsys, tmp_path, argv, message)
+
+
+def assert_exits_2(capsys, tmp_path, argv, message):
     (tmp_path / "broken.alg").write_text("group broken on")
     (tmp_path / "binary.alg").write_bytes(b"\xff\xfe")
     for rank in (20000, 10**18):
@@ -334,6 +338,22 @@ def test_error_exits_2(capsys, tmp_path, argv, message):
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")
     assert err == f"qslab: error: {message.format(**paths)}\n"
+
+
+# The single-case error tests that came before ERROR_CASES keep their names;
+# each now runs its ERROR_CASES row.
+def error_case(case_id):
+    argv, message = next((a, m) for i, a, m in ERROR_CASES if i == case_id)
+    return lambda capsys, tmp_path: assert_exits_2(capsys, tmp_path, argv, message)
+
+
+test_unknown_group_exits_2 = error_case("unknown-group")
+test_unknown_structure_exits_2 = error_case("unknown-structure")
+test_bad_subgroup_fragment_exits_2 = error_case("subgroup-unknown-generator")
+test_parse_error_exits_2 = error_case("parse-error")
+test_missing_input_exits_2 = error_case("missing-input")
+test_branch_out_of_range_exits_2 = error_case("branch-9")
+test_single_structure_search_exits_2 = error_case("search-one-structure")
 
 
 # -- no table cache -----------------------------------------------------
