@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .groups import FiniteGroup
 
-REFERENCE_FORMAT = "qslab-chartable-ref/1"
+REFERENCE_FORMAT = "qslab-published/1"
 CACHE_FORMAT = "qslab-chartable-cache/1"
 
 
@@ -308,13 +308,19 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ReferenceTable:
-    """A published character table: class words, sizes, and a value grid."""
+    """A published record: class words, sizes, a value grid, and the
+    remaining published values keyed by the verify check that reads each."""
 
     group_name: str
     class_reps: tuple[str, ...]
     class_members: tuple[tuple[str, ...], ...]
     class_sizes: tuple[int, ...]
     matrix: tuple[tuple[ExactScalar, ...], ...]
+    published: dict[str, object]
+
+
+_RECORD_KEYS = frozenset({"format", "group", "classes", "rows", "published"})
+_CLASS_KEYS = frozenset({"rep", "size", "members"})
 
 
 def _split_word(word: str) -> tuple[str, ...]:
@@ -324,25 +330,53 @@ def _split_word(word: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in word.split("*"))
 
 
+def _check_keys(where: str, obj, keys) -> None:
+    """Raise ValueError unless ``obj`` is a JSON object with exactly ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    found = [
+        f"{what} keys {sorted(names)}"
+        for what, names in (("missing", keys - obj.keys()), ("unexpected", obj.keys() - keys))
+        if names
+    ]
+    if found:
+        raise ValueError(f"{where}: {', '.join(found)}")
+
+
 def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
-    """Load a reference fixture; the packaged table is the default."""
+    """Load a published record; the packaged G(32,27) record is the default.
+
+    The record is read strictly: exactly its five top-level keys and the
+    three keys of each class, a string ``rep``, a non-empty list of string
+    ``members``, and JSON-integer sizes and table values.  Each refusal is a
+    ValueError naming the class and key.  ``published`` is read as it
+    stands; ``verify_paper`` checks its keys against its own checks.
+    """
     if path is None:
-        path = Path(__file__).parent / "data" / "g32_27_chartable.json"
-    text = Path(path).read_text()
-    data = json.loads(text)
-    if data.get("format") != REFERENCE_FORMAT:
-        raise ValueError(f"unsupported reference fixture format {data.get('format')!r}")
+        path = Path(__file__).parent / "data" / "g32_27_published.json"
+    data = json.loads(Path(path).read_text())
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != REFERENCE_FORMAT:
+        raise ValueError(f"unsupported reference fixture format {fmt!r}")
+    _check_keys("reference record", data, _RECORD_KEYS)
     classes = data["classes"]
-    sizes = tuple(c["size"] for c in classes)
-    for size in sizes:
-        if type(size) is not int:
-            raise ValueError(f"class size {size!r} is not a JSON integer")
+    for j, c in enumerate(classes):
+        where = f"reference class {j}"
+        _check_keys(where, c, _CLASS_KEYS)
+        if type(c["rep"]) is not str:
+            raise ValueError(f"{where}: 'rep' {c['rep']!r} is not a string")
+        members = c["members"]
+        if not (type(members) is list and members and all(type(w) is str for w in members)):
+            raise ValueError(f"{where}: 'members' {members!r} is not a non-empty list of strings")
+        if type(c["size"]) is not int:
+            raise ValueError(f"{where}: 'size' {c['size']!r} is not a JSON integer")
     return ReferenceTable(
         group_name=data["group"],
         class_reps=tuple(c["rep"] for c in classes),
         class_members=tuple(tuple(c["members"]) for c in classes),
-        class_sizes=sizes,
+        class_sizes=tuple(c["size"] for c in classes),
         matrix=tuple(tuple(map(ExactScalar, row)) for row in data["rows"]),
+        published=data["published"],
     )
 
 

@@ -692,8 +692,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reference",
         metavar="FILE",
         default=None,
-        help="published fixture (class list, sizes, center, degrees and table "
-        "values) to certify against (default: packaged)",
+        help="published record (class list, table and every other published "
+        "value) to certify against (default: packaged)",
     )
     return parser
 

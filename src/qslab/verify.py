@@ -1,10 +1,11 @@
 """Certification battery for the bundled order-32 model.
 
 Every published value the toolkit is built to reproduce is re-derived
-from first principles here and compared against the stored reference
-data.  Each comparison becomes one report check carrying the published
-anchor it certifies; rendering is deterministic so identical inputs give
-identical reports.
+from first principles here and compared against the published record,
+``data/g32_27_published.json``, the one copy of those values.  This module
+holds only how each value is computed.  Each comparison becomes one report
+check carrying the published anchor it certifies; rendering is
+deterministic so identical inputs give identical reports.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable
 
 from . import builtin
 from .characters import (
+    _check_keys,
     _match_rows,
     _split_word,
     compute_character_table,
@@ -41,72 +43,34 @@ from .search import search_all_pairs
 
 SCHEMA_VERSION = "qslab-report/1"
 
-# Published reference data for the bundled group that the character-table
-# fixture does not hold; class lists and table values are read from it.
+# Check parameters; every value the checks compare against is read from the
+# published record (``data/g32_27_published.json`` by default).
 
-EXPECTED_NORMAL_SUBGROUPS = (
-    ("g1", "g2", "g3", "g4", "g5"),
-    ("g1", "g3", "g4", "g5"),
-    ("g1", "g2*g3", "g4", "g5"),
-    ("g1", "g2", "g4", "g5"),
-    ("g2", "g3", "g4", "g5"),
-    ("g1*g2*g4", "g3", "g4", "g5"),
-    ("g1*g3*g5", "g2", "g4", "g5"),
-    ("g1*g2*g4", "g2*g3*g4*g5", "g4", "g5"),
-    ("g3", "g4", "g5"),
-    ("g1*g3*g5", "g4", "g5"),
-    ("g2*g3", "g4", "g5"),
-    ("g1*g2*g3*g4*g5", "g4", "g5"),
-    ("g2", "g4", "g5"),
-    ("g1*g2*g4", "g4", "g5"),
-    ("g1", "g4", "g5"),
-    ("g2", "g4"),
-    ("g2*g5", "g4"),
-    ("g4", "g5"),
-    ("g3", "g5"),
-    ("g3*g4", "g5"),
-    ("g2*g3", "g4*g5"),
-    ("g2*g3*g4", "g4*g5"),
-    ("g5",),
-    ("g4*g5",),
-    ("g4",),
-    (),
+# (structure, subgroup label, generator words) of each published quotient genus
+QUOTIENT_GENUS_SUBGROUPS = (
+    ("T1", "<g5>", (("g5",),)),
+    ("T1", "H", builtin.SUBGROUP_WORDS["H"]),
+    ("T2", "H1", builtin.SUBGROUP_WORDS["H1"]),
+    ("T2", "H2", builtin.SUBGROUP_WORDS["H2"]),
+    ("T2", "H4", builtin.SUBGROUP_WORDS["H4"]),
 )
 
-EXPECTED_T1_TYPE = (2, 2, 2, 4)
-EXPECTED_T2_TYPE = (2, 2, 4, 4)
-
-EXPECTED_T1_FIXED = (WHOLE_CURVE, 8, 0, 0, 0, 0, 8, 0, 8, 0, 4, 0, 0, 4)
-EXPECTED_T2_FIXED = (WHOLE_CURVE, 0, 8, 8, 8, 8, 0, 0, 0, 0, 0, 4, 4, 0)
-
-EXPECTED_GENUS_FIRST = 5
-EXPECTED_GENUS_SECOND = 9
-
-EXPECTED_CANONICAL_FIRST = (5, -3, 1, 1, 1, 1, -3, 1, -3, 1, -1, 1, 1, -1)
-EXPECTED_CANONICAL_SECOND = (9, 1, -3, -3, -3, -3, 1, 1, 1, 1, 1, -1, -1, 1)
-
-EXPECTED_DECOMPOSITION_FIRST = (7, 9, 11)
-EXPECTED_DECOMPOSITION_SECOND = (4, 10, 12, 13, 14)
-
-EXPECTED_ELLIPTIC_DEGREE = 8
-
-# (structure, subgroup label, generator words, expected quotient genus)
-EXPECTED_QUOTIENT_GENERA = (
-    ("T1", "<g5>", (("g5",),), 1),
-    ("T1", "H", builtin.SUBGROUP_WORDS["H"], 0),
-    ("T2", "H1", builtin.SUBGROUP_WORDS["H1"], 0),
-    ("T2", "H2", builtin.SUBGROUP_WORDS["H2"], 0),
-    ("T2", "H4", builtin.SUBGROUP_WORDS["H4"], 1),
+# (structure, branch index, subgroup) of each published fiber orbit shape
+FIBER_ORBIT_BRANCHES = (
+    ("T1", 4, "H"),
+    ("T2", 1, "H1"),
+    ("T2", 2, "H1"),
+    ("T2", 3, "H1"),
+    ("T2", 4, "H1"),
 )
 
-# (structure, branch index, subgroup, expected (orbit size, stab order) list)
-EXPECTED_FIBER_ORBITS = (
-    ("T1", 4, "H", ((4, 1), (4, 1))),
-    ("T2", 1, "H1", ((8, 1), (8, 1))),
-    ("T2", 2, "H1", ((8, 1), (8, 1))),
-    ("T2", 3, "H1", ((4, 2), (4, 2))),
-    ("T2", 4, "H1", ((2, 4), (2, 4), (2, 4), (2, 4))),
-)
+# Checks whose expected value is worked out from the record's class list and
+# table, or (the count) from its normal subgroup list; ``published`` holds a
+# value for every other check, under the check's name.
+DERIVED_CHECKS = frozenset({
+    "class-count", "class-sizes", "class-membership", "center",
+    "normal-subgroup-count", "character-degrees", "character-table-reference",
+})
 
 
 @dataclass(frozen=True)
@@ -145,47 +109,60 @@ class VerificationReport:
         }
 
 
-class _Battery:
-    def __init__(self):
-        self.checks: list[VerificationCheck] = []
+def _run_checks(pending, expected: dict | str) -> VerificationReport:
+    """Run each (name, anchor, compute) and compare with ``expected[name]``.
 
-    def run(self, name: str, anchor: str, expected, compute: Callable[[], object]):
-        # a callable ``expected`` reads published data that may fail to load
-        expected_failed = False
-        try:
-            expected_value = json.loads(
-                json.dumps(expected() if callable(expected) else expected)
-            )
-        except Exception as exc:
-            expected_value = f"error: {exc}"
-            expected_failed = True
+    A string ``expected`` is the error that kept the expected values from
+    being read; every check then fails and shows it.
+    """
+    failed = isinstance(expected, str)
+    checks = []
+    for name, anchor, compute in pending:
         try:
             computed = json.loads(json.dumps(compute()))
         except Exception as exc:  # a failed build keeps later checks running
             computed = f"error: {exc}"
-        passed = not expected_failed and expected_value == computed
-        self.checks.append(VerificationCheck(name, anchor, expected_value, computed, passed))
+        value = expected if failed else expected[name]
+        passed = not failed and _same(value, computed)
+        checks.append(VerificationCheck(name, anchor, value, computed, passed))
+    return VerificationReport(checks=tuple(checks))
+
+
+def _same(a, b) -> bool:
+    """JSON equality that also tells true from 1 and 1.0 from 1."""
+    if type(a) is list:
+        return type(b) is list and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
 
 
 def verify_paper(
     spec: GroupSpec | None = None, reference_path=None
 ) -> VerificationReport:
-    """Re-derive everything and compare against the published reference data.
+    """Re-derive everything and compare against the published record.
 
     ``spec`` and ``reference_path`` default to the bundled group and the
-    packaged character-table fixture; both can be overridden to probe how
-    the battery reports a corrupted input.  The fixture is the one copy of
-    the class count, sizes, members, center (its size-1 classes), degrees
-    (its identity column) and table values; the ``EXPECTED_*`` constants
-    hold the rest.  Every published word is read inside its check, so a
-    group without the names g1..g5 gets a failing report, not an error.
+    packaged record; both can be overridden to probe how the battery
+    reports a corrupted input.  The record is the one copy of every
+    published value: its class list and table, and under ``published`` a
+    value for each check that is not derived from them.  It is read once;
+    when it cannot be read, or its ``published`` keys differ from the
+    battery's, every check fails with that error.  Every published word is
+    read in the group, so a group without the names g1..g5 gets a failing
+    report, not an error.
     """
-    battery = _Battery()
-    run = battery.run
+    pending: list[tuple[str, str, Callable[[], object]]] = []
+
+    def run(name: str, anchor: str, compute: Callable[[], object]):
+        pending.append((name, anchor, compute))
+
     group = build_group(spec if spec is not None else builtin.G32_27_SPEC)
 
     def word(names):
         return group.evaluate_word(names)
+
+    def conjugate_by_g1(name):
+        g1 = word(("g1",))
+        return (g1.inverse() * word((name,)) * g1).word()
 
     def parse(w):
         return word(_split_word(w))
@@ -193,85 +170,50 @@ def verify_paper(
     def sorted_words(indices):
         return sorted(group._words[x] for x in indices)
 
-    def conjugate_by_g1(name):
-        g1 = word(("g1",))
-        return (g1.inverse() * word((name,)) * g1).word()
-
     table = cache(lambda: compute_character_table(group))
-    ref = cache(lambda: load_reference_table(reference_path))
+    try:
+        record, unread = load_reference_table(reference_path), None
+    except Exception as exc:  # every check reports it; nothing is raised
+        record, unread = None, str(exc)
+
+    def ref():
+        if record is None:
+            raise ValueError(unread)
+        return record
+
     col_perm = cache(lambda: reference_column_map(group, ref()))
     row_perm = cache(lambda: _match_rows(table(), ref(), col_perm()))
-    run(
-        "relation-g2-conjugate",
-        "published presentation",
-        "g2*g4",
-        lambda: conjugate_by_g1("g2"),
-    )
-    run(
-        "relation-g3-conjugate",
-        "published presentation",
-        "g3*g5",
-        lambda: conjugate_by_g1("g3"),
-    )
-    run("group-order", "published presentation", 32, lambda: group.order)
-    run(
-        "class-count",
-        "published conjugacy class list",
-        lambda: len(ref().class_members),
-        lambda: len(group._partition),
-    )
+    run("relation-g2-conjugate", "published presentation", lambda: conjugate_by_g1("g2"))
+    run("relation-g3-conjugate", "published presentation", lambda: conjugate_by_g1("g3"))
+    run("group-order", "published presentation", lambda: group.order)
+    run("class-count", "published conjugacy class list", lambda: len(group._partition))
     run(
         "class-sizes",
         "published conjugacy class list",
-        lambda: ref().class_sizes,
         lambda: tuple(map(len, group._partition)),
     )
     run(
         "class-membership",
         "published conjugacy class list",
-        lambda: sorted(
-            sorted(parse(w).word() for w in members) for members in ref().class_members
-        ),
         lambda: sorted(map(sorted_words, group._partition)),
     )
     run(
         "center",
         "published conjugacy class list",
-        lambda: sorted(
-            parse(w).word()
-            for members, size in zip(ref().class_members, ref().class_sizes)
-            if size == 1
-            for w in members
-        ),
         lambda: sorted_words(group.center().indices),
     )
 
     normals = cache(group.enumerate_normal_subgroups)
-    run(
-        "normal-subgroup-count",
-        "published normal subgroup list",
-        len(EXPECTED_NORMAL_SUBGROUPS),
-        lambda: len(normals()),
-    )
+    run("normal-subgroup-count", "published normal subgroup list", lambda: len(normals()))
     run(
         "normal-subgroup-list",
         "published normal subgroup list",
-        lambda: sorted(
-            sorted_words(group.subgroup_closure(parse(w) for w in gens).indices)
-            for gens in EXPECTED_NORMAL_SUBGROUPS
-        ),
         lambda: sorted(sorted_words(sub.indices) for sub in normals()),
     )
-    run(
-        "character-degrees",
-        "published character table",
-        lambda: sorted(row[ref().class_reps.index("1")] for row in ref().matrix),
-        lambda: sorted(table().degrees),
-    )
+    run("character-degrees", "published character table", lambda: sorted(table().degrees))
     run(
         "character-orthogonality",
         "published character table",
-        True,
         lambda: table().verify_orthogonality(),
     )
 
@@ -282,27 +224,20 @@ def verify_paper(
             for i in range(len(rows))
         ]
 
-    run(
-        "character-table-reference",
-        "published character table",
-        lambda: ref().matrix,
-        aligned_matrix,
-    )
+    run("character-table-reference", "published character table", aligned_matrix)
 
     t1 = cache(lambda: validate_spherical(group, [word(w) for w in builtin.T1_WORDS]))
     t2 = cache(lambda: validate_spherical(group, [word(w) for w in builtin.T2_WORDS]))
-    run("structure-type-t1", "published generating systems", EXPECTED_T1_TYPE, lambda: t1().signature)
-    run("structure-type-t2", "published generating systems", EXPECTED_T2_TYPE, lambda: t2().signature)
+    run("structure-type-t1", "published generating systems", lambda: t1().signature)
+    run("structure-type-t2", "published generating systems", lambda: t2().signature)
     run(
         "stabilizer-sets-disjoint",
         "published freeness argument",
-        True,
         lambda: is_disjoint(t1(), t2()),
     )
     run(
         "fixed-point-products-vanish",
         "published freeness argument",
-        True,
         lambda: all(
             fixed_point_count(t1(), g) * fixed_point_count(t2(), g) == 0
             for g in group.elements
@@ -319,22 +254,11 @@ def verify_paper(
 
         return compute
 
-    run(
-        "fixed-points-t1",
-        "published fixed point table (first curve)",
-        EXPECTED_T1_FIXED,
-        fixed_row(t1),
-    )
-    run(
-        "fixed-points-t2",
-        "published fixed point table (second curve)",
-        EXPECTED_T2_FIXED,
-        fixed_row(t2),
-    )
+    run("fixed-points-t1", "published fixed point table (first curve)", fixed_row(t1))
+    run("fixed-points-t2", "published fixed point table (second curve)", fixed_row(t2))
     run(
         "fixed-point-routes-agree",
         "published fixed point tables",
-        True,
         lambda: all(
             fixed_point_count(system, g) == fixed_point_count_by_membership(system, g)
             for system in (t1(), t2())
@@ -342,21 +266,19 @@ def verify_paper(
             if not g.is_identity()
         ),
     )
-    run("genus-first-curve", "published curve invariants", EXPECTED_GENUS_FIRST, lambda: curve_genus(t1()))
-    run("genus-second-curve", "published curve invariants", EXPECTED_GENUS_SECOND, lambda: curve_genus(t2()))
+    run("genus-first-curve", "published curve invariants", lambda: curve_genus(t1()))
+    run("genus-second-curve", "published curve invariants", lambda: curve_genus(t2()))
 
     kc = cache(lambda: canonical_character(t1(), table()))
     kd = cache(lambda: canonical_character(t2(), table()))
     run(
         "canonical-character-first",
         "published canonical character (first curve)",
-        EXPECTED_CANONICAL_FIRST,
         lambda: tuple(kc().values[c] for c in col_perm()),
     )
     run(
         "canonical-character-second",
         "published canonical character (second curve)",
-        EXPECTED_CANONICAL_SECOND,
         lambda: tuple(kd().values[c] for c in col_perm()),
     )
 
@@ -378,19 +300,16 @@ def verify_paper(
     run(
         "canonical-decomposition-first",
         "published canonical character (first curve)",
-        EXPECTED_DECOMPOSITION_FIRST,
         decomposition_rows(kc),
     )
     run(
         "canonical-decomposition-second",
         "published canonical character (second curve)",
-        EXPECTED_DECOMPOSITION_SECOND,
         decomposition_rows(kd),
     )
     run(
         "elliptic-quotient-degree",
         "published elliptic quotient",
-        EXPECTED_ELLIPTIC_DEGREE,
         lambda: fixed_point_count(t1(), word(("g5",))),
     )
 
@@ -403,11 +322,10 @@ def verify_paper(
 
         return compute
 
-    for system_name, label, gens, expected in EXPECTED_QUOTIENT_GENERA:
+    for system_name, label, gens in QUOTIENT_GENUS_SUBGROUPS:
         run(
             f"quotient-genus-{system_name.lower()}-{label.strip('<>').replace('*', '')}",
             "published quotient genera",
-            expected,
             quotient_row(system_name, gens),
         )
 
@@ -415,7 +333,6 @@ def verify_paper(
     run(
         "quotient-genus-bridge",
         "published quotient genera",
-        True,
         lambda: all(
             quotient_genus(system, sub)
             == quotient_genus_by_character(system, sub, table())
@@ -431,32 +348,24 @@ def verify_paper(
 
         return compute
 
-    for system_name, branch, sub_name, expected in EXPECTED_FIBER_ORBITS:
+    for system_name, branch, sub_name in FIBER_ORBIT_BRANCHES:
         run(
             f"fiber-orbits-{system_name.lower()}-branch{branch}-{sub_name.lower()}",
             "published fiber orbit shapes",
-            expected,
             fiber_row(system_name, branch, sub_name),
         )
 
     report = cache(lambda: search_all_pairs(table(), kc(), kd()))
-    run("twist-pair-count", "published twist search", 36, lambda: len(report().pairs))
-    run(
-        "twist-search-nonempty",
-        "published twist search",
-        True,
-        lambda: report().theorem_holds,
-    )
+    run("twist-pair-count", "published twist search", lambda: len(report().pairs))
+    run("twist-search-nonempty", "published twist search", lambda: report().theorem_holds)
     run(
         "twist-trivial-never-admissible",
         "published twist search",
-        False,
         lambda: report().trivial_admissible_anywhere,
     )
     run(
         "twist-euler-additivity",
         "published twist search",
-        True,
         lambda: all(
             dims[0] - dims[1] + dims[2] == euler
             for pair in report().pairs
@@ -464,7 +373,41 @@ def verify_paper(
         ),
     )
 
-    return VerificationReport(checks=tuple(battery.checks))
+    def expected_values():
+        """The record's published values, which must be exactly those of
+        the checks not derived, and the derived ones, with every word read
+        in the group and shown as its element word, as computed values are."""
+        r = ref()
+        names = {name for name, _, _ in pending}
+        _check_keys("reference record 'published'", r.published, names - DERIVED_CHECKS)
+        normals = r.published["normal-subgroup-list"]
+        return {
+            **r.published,
+            "class-count": len(r.class_members),
+            "class-sizes": list(r.class_sizes),
+            "class-membership": sorted(
+                sorted(parse(w).word() for w in members) for members in r.class_members
+            ),
+            "center": sorted(
+                parse(w).word()
+                for members, size in zip(r.class_members, r.class_sizes)
+                if size == 1
+                for w in members
+            ),
+            "normal-subgroup-count": len(normals),
+            "normal-subgroup-list": sorted(
+                sorted_words(group.subgroup_closure(map(parse, gens)).indices)
+                for gens in normals
+            ),
+            "character-degrees": sorted(int(row[r.class_reps.index("1")]) for row in r.matrix),
+            "character-table-reference": [list(map(int, row)) for row in r.matrix],
+        }
+
+    try:
+        expected = expected_values()
+    except Exception as exc:  # every check reports it; nothing is raised
+        expected = f"error: {exc}"
+    return _run_checks(pending, expected)
 
 
 # -- rendering ----------------------------------------------------------

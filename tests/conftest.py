@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import pytest
 
 from qslab.builtin import T1_WORDS, T2_WORDS, build_g32_27
@@ -23,6 +26,13 @@ def table(g32):
 @pytest.fixture(scope="session")
 def ref():
     return load_reference_table()
+
+
+@pytest.fixture
+def published_record():
+    """A fresh dict of the packaged published record, for a test to edit."""
+    text = resources.files("qslab.data").joinpath("g32_27_published.json").read_text()
+    return json.loads(text)
 
 
 @pytest.fixture(scope="session")

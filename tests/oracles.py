@@ -57,6 +57,12 @@ def index_bits_word(group, i):
     return "*".join(name for name, bit in zip(names, bits) if bit == "1")
 
 
+def conjugacy_partition(group):
+    """The conjugacy classes as index sets: {g x g^-1 : g in G} for each x."""
+    elements = group.elements
+    return {frozenset((g * x * g.inverse()).index for g in elements) for x in elements}
+
+
 def squaring_closure(group, seed):
     """Reference closure: multiply the set by itself until it is stable."""
     s = {0} | set(seed)
@@ -138,10 +144,14 @@ def gram_oracle(vectors, weights, diagonal):
 # -- ramification ---------------------------------------------------------
 
 
-def right_coset_sets(group, t):
-    """The right cosets <t>x of the cyclic subgroup <t>, each a set of elements."""
-    cyclic = group.subgroup_closure([t]).elements
-    return {frozenset(c * x for c in cyclic) for x in group.elements}
+def right_coset_sets(group, sub_elements):
+    """The right cosets Hx of the subgroup H with elements ``sub_elements``,
+    each a set of elements."""
+    return {frozenset(h * x for h in sub_elements) for x in group.elements}
+
+
+def _cyclic(group, t):
+    return group.subgroup_closure([t]).elements
 
 
 def _act(point, h):
@@ -151,8 +161,33 @@ def _act(point, h):
 def fixed_point_oracle(system):
     """The fixed points of each element, by index: the right cosets <t_i>x,
     over every entry t_i, that right multiplication by it maps onto themselves."""
-    points = [p for t in system.entries for p in right_coset_sets(system.group, t)]
-    return [sum(_act(p, g) == p for p in points) for g in system.group.elements]
+    group = system.group
+    points = [p for t in system.entries for p in right_coset_sets(group, _cyclic(group, t))]
+    return [sum(_act(p, g) == p for p in points) for g in group.elements]
+
+
+def quotient_genus_oracle(system, sub):
+    """g(C/H) by Riemann-Hurwitz for the cover C/H -> C/G of the projective line.
+
+    The cover has degree [G:H].  Over the i-th branch point its points are
+    the orbits of <t_i> acting by right multiplication on the right cosets
+    Hx, held as element sets, and an orbit of length l ramifies with index
+    l, so 2g - 2 = -2[G:H] + sum over i of ([G:H] - number of orbits).
+    """
+    points = right_coset_sets(system.group, sub.elements)
+    degree = len(points)
+    ramification = 0
+    for t in system.entries:
+        orbits, seen = 0, set()
+        for point in points:
+            orbits += point not in seen
+            while point not in seen:
+                seen.add(point)
+                point = _act(point, t)
+        ramification += degree - orbits
+    genus, odd = divmod(2 - 2 * degree + ramification, 2)
+    assert not odd
+    return genus
 
 
 def fiber_orbits_oracle(system, branch_index, sub):
@@ -162,7 +197,8 @@ def fiber_orbits_oracle(system, branch_index, sub):
     acts by right multiplication, and a stabilizer is counted directly as
     the elements of H mapping the coset onto itself.
     """
-    points = right_coset_sets(system.group, system.entries[branch_index - 1])
+    group = system.group
+    points = right_coset_sets(group, _cyclic(group, system.entries[branch_index - 1]))
     hs = sub.elements
     orbits = []
     remaining = set(points)

@@ -1,7 +1,7 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
-from importlib import resources
 
 import pytest
 
@@ -12,7 +12,6 @@ from qslab.characters import (
     CharacterTable,
     ClassFunction,
     ExactScalar,
-    ReferenceTable,
     align_to_reference,
     compute_character_table,
     decompose,
@@ -436,13 +435,7 @@ def test_alignment_is_exact(table, ref, perms):
 def test_alignment_failure_is_detected(table, ref):
     bad_matrix = [list(row) for row in ref.matrix]
     bad_matrix[5][3] = 7
-    bad = ReferenceTable(
-        group_name=ref.group_name,
-        class_reps=ref.class_reps,
-        class_members=ref.class_members,
-        class_sizes=ref.class_sizes,
-        matrix=tuple(tuple(row) for row in bad_matrix),
-    )
+    bad = replace(ref, matrix=tuple(tuple(row) for row in bad_matrix))
     with pytest.raises(AlignmentError):
         align_to_reference(table, bad)
 
@@ -455,25 +448,19 @@ def test_reference_loader_default_matches_packaged(ref):
 
 
 @pytest.mark.parametrize("value", ["1+i", "1/2", True], ids=["gaussian", "half", "bool"])
-def test_reference_loader_accepts_json_ints_only(tmp_path, value):
-    data = json.loads(
-        resources.files("qslab.data").joinpath("g32_27_chartable.json").read_text()
-    )
-    data["rows"][2][5] = value
+def test_reference_loader_accepts_json_ints_only(tmp_path, value, published_record):
+    published_record["rows"][2][5] = value
     path = tmp_path / "ref.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(published_record))
     with pytest.raises(ValueError, match="is not a rational integer"):
         load_reference_table(path)
 
 
 @pytest.mark.parametrize("size", [2.9, "2", True], ids=["float", "str", "bool"])
-def test_reference_loader_refuses_non_int_sizes(tmp_path, size):
-    data = json.loads(
-        resources.files("qslab.data").joinpath("g32_27_chartable.json").read_text()
-    )
-    data["classes"][4]["size"] = size
+def test_reference_loader_refuses_non_int_sizes(tmp_path, size, published_record):
+    published_record["classes"][4]["size"] = size
     path = tmp_path / "ref.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(published_record))
     with pytest.raises(ValueError, match="is not a JSON integer"):
         load_reference_table(path)
 

@@ -17,12 +17,6 @@ def packaged_model_text():
     return resources.files("qslab.data").joinpath("g32_27.alg").read_text()
 
 
-def packaged_reference():
-    return json.loads(
-        resources.files("qslab.data").joinpath("g32_27_chartable.json").read_text()
-    )
-
-
 def assert_no_floats(value):
     assert not isinstance(value, float)
     if isinstance(value, list):
@@ -70,14 +64,14 @@ def test_chartable_grid(capsys):
     assert len(lines) == 16
 
 
-def test_chartable_json(capsys):
+def test_chartable_json(capsys, published_record):
     code, out, _ = run(capsys, "chartable", "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert_no_floats(data)
     assert [r["degree"] for r in data["rows"]] == [1] * 8 + [2] * 6
     grid = [r["values"] for r in data["rows"]]
-    assert grid == packaged_reference()["rows"]
+    assert grid == published_record["rows"]
 
 
 def test_sigma(capsys):
@@ -193,11 +187,10 @@ def test_verify_paper_json(capsys):
     assert_no_floats(data)
 
 
-def test_verify_paper_detects_bad_reference(capsys, tmp_path):
-    raw = packaged_reference()
-    raw["rows"][5][3] = 7
+def test_verify_paper_detects_bad_reference(capsys, tmp_path, published_record):
+    published_record["rows"][5][3] = 7
     bad = tmp_path / "ref.json"
-    bad.write_text(json.dumps(raw))
+    bad.write_text(json.dumps(published_record))
     code, out, _ = run(capsys, "verify-paper", "--reference", str(bad))
     assert code == 1
     assert "[FAIL] character-table-reference" in out
@@ -205,11 +198,10 @@ def test_verify_paper_detects_bad_reference(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("size", [2.9, "2", True], ids=["float", "str", "bool"])
-def test_verify_paper_refuses_non_int_class_sizes(capsys, tmp_path, size):
-    raw = packaged_reference()
-    raw["classes"][4]["size"] = size
+def test_verify_paper_refuses_non_int_class_sizes(capsys, tmp_path, size, published_record):
+    published_record["classes"][4]["size"] = size
     bad = tmp_path / "ref.json"
-    bad.write_text(json.dumps(raw))
+    bad.write_text(json.dumps(published_record))
     code, out, _ = run(capsys, "verify-paper", "--reference", str(bad))
     assert code == 1
     assert "[FAIL] character-table-reference" in out

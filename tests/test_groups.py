@@ -19,15 +19,22 @@ from qslab.groups import (
 )
 
 from members import (
+    class3,
+    d4,
     elementary_abelian,
     family_shape,
     n4q1_conjugated,
+    n4q2,
+    n5q1,
+    n5q1_conjugated,
     n5q1_named,
     seeded_member,
+    transversal_witness,
     unit_coords,
 )
 from oracles import (
     _mat_apply,
+    conjugacy_partition,
     coset_marking_walk,
     index_bits_word,
     squaring_closure,
@@ -337,6 +344,35 @@ def test_classes_closed_under_conjugation(g32):
         for g in cls.elements:
             for h in g32.elements:
                 assert h.inverse() * g * h in members
+
+
+# Every named member of the catalogue, then the seeded and ``family`` ones.
+CATALOGUE = [
+    pytest.param(build, id=name)
+    for name, build in [
+        ("g32_27", build_g32_27),
+        ("c2_cubed", partial(elementary_abelian, 3)),
+        ("d4", d4),
+        ("n5q1", n5q1),
+        ("n5q1_named", n5q1_named),
+        ("n5q1_conjugated", n5q1_conjugated),
+        ("n4q1_conjugated", n4q1_conjugated),
+        ("n4q2", n4q2),
+        ("class3", class3),
+        ("transversal_witness", transversal_witness),
+    ]
+] + LATTICE_MEMBERS
+
+
+@pytest.mark.parametrize("build", CATALOGUE)
+def test_classes_match_the_conjugation_oracle(build):
+    group = build()
+    classes = group._partition
+    assert {frozenset(c) for c in classes} == conjugacy_partition(group)
+    assert all(list(c) == sorted(c) for c in classes)
+    # canonical order: representative order, then size, then least index
+    keys = [(group.element(c[0]).order(), len(c), c[0]) for c in classes]
+    assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("build", [build_g32_27, ORDER_64])

@@ -26,7 +26,7 @@ from qslab.ramification import (
 )
 
 from members import basis_system, class3, n5q1, n5q1_conjugated, transversal_witness
-from oracles import fiber_orbits_oracle, fixed_point_oracle
+from oracles import fiber_orbits_oracle, fixed_point_oracle, quotient_genus_oracle
 
 T1_FIXED = (8, 0, 0, 0, 0, 8, 0, 8, 0, 4, 0, 0, 4)
 T2_FIXED = (0, 8, 8, 8, 8, 0, 0, 0, 0, 0, 4, 4, 0)
@@ -244,18 +244,17 @@ def test_quotient_genus_extremes(g32, t1, t2):
         assert quotient_genus(system, whole) == 0
 
 
+def assert_quotient_genus_routes_agree(system, sub, table):
+    """Both quotient-genus routes and the Riemann-Hurwitz coset oracle agree."""
+    genus = quotient_genus(system, sub)
+    assert genus == quotient_genus_by_character(system, sub, table)
+    assert genus == quotient_genus_oracle(system, sub)
+
+
 def test_quotient_genus_character_route(g32, t1, t2, table):
-    cases = [
-        (t1, g32.subgroup_closure([g32.generator("g5")])),
-        (t1, named_subgroup(g32, "H")),
-        (t2, named_subgroup(g32, "H1")),
-        (t2, named_subgroup(g32, "H2")),
-        (t2, named_subgroup(g32, "H4")),
-    ]
-    for system, sub in cases:
-        assert quotient_genus(system, sub) == quotient_genus_by_character(
-            system, sub, table
-        )
+    for system in (t1, t2):
+        for sub in g32.enumerate_subgroups():
+            assert_quotient_genus_routes_agree(system, sub, table)
 
 
 def test_bridge_builds_each_fixed_point_table_once(g32, table, monkeypatch):
@@ -395,6 +394,7 @@ def test_routes_agree_on_order_64_member(build):
         )
 
     for sub in subgroups[:: len(subgroups) // 32] + (subgroups[-1],):
+        assert quotient_genus(system, sub) == quotient_genus_oracle(system, sub)
         for branch in range(1, len(system.entries) + 1):
             fiber = fiber_orbit_structure(system, branch, sub)
             assert (fiber.fiber_size, fiber.orbits) == fiber_orbits_oracle(

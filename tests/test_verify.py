@@ -2,7 +2,6 @@ import gc
 import json
 import weakref
 from dataclasses import replace
-from importlib import resources
 
 import pytest
 
@@ -15,6 +14,12 @@ from qslab.verify import render_report, verify_paper
 @pytest.fixture(scope="module")
 def report():
     return verify_paper()
+
+
+def write_record(tmp_path, raw):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(raw))
+    return path
 
 
 def transposed_spec():
@@ -72,14 +77,9 @@ def test_render_formats(report):
         render_report(report, "xml")
 
 
-def test_perturbed_reference_localizes(tmp_path):
-    raw = json.loads(
-        resources.files("qslab.data").joinpath("g32_27_chartable.json").read_text()
-    )
-    raw["rows"][5][3] = 7
-    bad = tmp_path / "ref.json"
-    bad.write_text(json.dumps(raw))
-    report = verify_paper(reference_path=bad)
+def test_perturbed_reference_localizes(tmp_path, published_record):
+    published_record["rows"][5][3] = 7
+    report = verify_paper(reference_path=write_record(tmp_path, published_record))
     assert not report.passed
     failing = [c.name for c in report.checks if not c.passed]
     # only the checks that consume the reference numbering fail
@@ -107,19 +107,34 @@ def test_transposed_action_fails_relations_first():
     assert str(by_name["structure-type-t1"].computed).startswith("error:")
 
 
-def test_missing_reference_reported_not_raised(tmp_path):
-    report = verify_paper(reference_path=tmp_path / "nowhere.json")
+def test_missing_reference_reported_not_raised(tmp_path, monkeypatch):
+    # every expected value lives in the record, so every check fails with
+    # the read error, and the computed side still runs; the record is read
+    # once, also when the read fails
+    reads = []
+    load = verify.load_reference_table
+
+    def counted(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(verify, "load_reference_table", counted)
+    path = tmp_path / "nowhere.json"
+    report = verify_paper(reference_path=path)
+    assert reads == [path]
     assert not report.passed
     assert len(report.checks) == 41
+    error = f"error: [Errno 2] No such file or directory: '{path}'"
+    assert all(c.expected == error and not c.passed for c in report.checks)
     by_name = {c.name: c for c in report.checks}
-    assert str(by_name["character-table-reference"].computed).startswith("error:")
-    assert by_name["group-order"].passed
-    assert by_name["genus-first-curve"].passed
+    assert by_name["character-table-reference"].computed == error
+    assert by_name["group-order"].computed == 32
+    assert by_name["genus-first-curve"].computed == 5
 
 
 def test_group_without_published_names_reports_every_check():
-    # the battery evaluates every published word inside a check, so a group
-    # that lacks g1..g5 fails the words it cannot read instead of aborting
+    # a group that lacks g1..g5 cannot read the record's words, so every
+    # check fails with that error instead of the battery aborting
     spec = GroupSpec(2, 0, (), (("a", ((1, 0), ())), ("b", ((0, 1), ()))))
     report = verify_paper(spec=spec)
     assert not report.passed
@@ -176,6 +191,65 @@ def test_verify_paper_resolves_reference_columns_once(monkeypatch):
     assert len(calls) == 1
 
 
+# -- the published record: read strictly, compared by JSON type ------------
+
+
+def string_members(raw):
+    raw["classes"][1]["members"] = "g4"
+
+
+def misspelled_class_key(raw):
+    raw["classes"][2]["member"] = raw["classes"][2].pop("members")
+
+
+def extra_top_level_key(raw):
+    raw["notes"] = "none"
+
+
+def missing_published_key(raw):
+    del raw["published"]["group-order"]
+
+
+def extra_published_key(raw):
+    raw["published"]["class-count"] = 14
+
+
+def old_format(raw):
+    raw["format"] = "qslab-chartable-ref/1"
+
+
+MALFORMED_RECORDS = [
+    (string_members, "reference class 1: 'members' 'g4' is not a non-empty list of strings"),
+    (
+        misspelled_class_key,
+        "reference class 2: missing keys ['members'], unexpected keys ['member']",
+    ),
+    (extra_top_level_key, "reference record: unexpected keys ['notes']"),
+    (missing_published_key, "reference record 'published': missing keys ['group-order']"),
+    (extra_published_key, "reference record 'published': unexpected keys ['class-count']"),
+    (old_format, "unsupported reference fixture format 'qslab-chartable-ref/1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", MALFORMED_RECORDS, ids=[case[0].__name__ for case in MALFORMED_RECORDS]
+)
+def test_malformed_record_fails_every_check(tmp_path, published_record, edit, message):
+    edit(published_record)
+    report = verify_paper(reference_path=write_record(tmp_path, published_record))
+    assert len(report.checks) == 41
+    assert all(c.expected == f"error: {message}" and not c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("genus-first-curve", 5.0), ("character-orthogonality", 1)]
+)
+def test_published_value_must_match_its_json_type(tmp_path, published_record, name, value):
+    # 5.0 == 5 and 1 == True in Python; the battery compares JSON values
+    published_record["published"][name] = value
+    assert failing(verify_paper(reference_path=write_record(tmp_path, published_record))) == [name]
+
+
 # -- mutation gate: a wrong published value fails exactly its checks ------
 
 COLUMN_MAP_CHECKS = [
@@ -188,66 +262,73 @@ COLUMN_MAP_CHECKS = [
     "canonical-decomposition-second",
 ]
 
-# checks whose expected value is a literal in the battery, not published data
-LITERAL_CHECKS = {
-    "relation-g2-conjugate",
-    "relation-g3-conjugate",
-    "group-order",
-    "character-orthogonality",
-    "stabilizer-sets-disjoint",
-    "fixed-point-products-vanish",
-    "fixed-point-routes-agree",
-    "quotient-genus-bridge",
-    "twist-pair-count",
-    "twist-search-nonempty",
-    "twist-trivial-never-admissible",
-    "twist-euler-additivity",
-}
+
+def wrong(value):
+    """A different value in place of a published one."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "*g5"
+    if isinstance(value[-1], int):
+        return value[:-1] + [value[-1] + 1]
+    return value[:-1]
 
 
-def last_plus_one(value):
-    return value + 1 if isinstance(value, int) else value[:-1] + (value[-1] + 1,)
+QUOTIENT_GENERA = [
+    "quotient-genus-t1-g5",
+    "quotient-genus-t1-H",
+    "quotient-genus-t2-H1",
+    "quotient-genus-t2-H2",
+    "quotient-genus-t2-H4",
+]
+FIBER_ORBITS = [
+    "fiber-orbits-t1-branch4-h",
+    "fiber-orbits-t2-branch1-h1",
+    "fiber-orbits-t2-branch2-h1",
+    "fiber-orbits-t2-branch3-h1",
+    "fiber-orbits-t2-branch4-h1",
+]
 
-
-CONSTANT_EDITS = [
+# (case id, the published keys edited, the checks that must then fail).  The
+# first fourteen ids name the module constants that held these values
+# before the record did, so those test IDs stay; the others are record keys.
+PUBLISHED_EDITS = [
     (
         "EXPECTED_NORMAL_SUBGROUPS",
-        lambda rows: rows[:-1],
+        ["normal-subgroup-list"],
         ["normal-subgroup-count", "normal-subgroup-list"],
     ),
-    ("EXPECTED_T1_TYPE", last_plus_one, ["structure-type-t1"]),
-    ("EXPECTED_T2_TYPE", last_plus_one, ["structure-type-t2"]),
-    ("EXPECTED_T1_FIXED", last_plus_one, ["fixed-points-t1"]),
-    ("EXPECTED_T2_FIXED", last_plus_one, ["fixed-points-t2"]),
-    ("EXPECTED_GENUS_FIRST", last_plus_one, ["genus-first-curve"]),
-    ("EXPECTED_GENUS_SECOND", last_plus_one, ["genus-second-curve"]),
-    ("EXPECTED_CANONICAL_FIRST", last_plus_one, ["canonical-character-first"]),
-    ("EXPECTED_CANONICAL_SECOND", last_plus_one, ["canonical-character-second"]),
-    ("EXPECTED_DECOMPOSITION_FIRST", last_plus_one, ["canonical-decomposition-first"]),
-    ("EXPECTED_DECOMPOSITION_SECOND", last_plus_one, ["canonical-decomposition-second"]),
-    ("EXPECTED_ELLIPTIC_DEGREE", last_plus_one, ["elliptic-quotient-degree"]),
-    (
-        "EXPECTED_QUOTIENT_GENERA",
-        lambda rows: tuple(row[:3] + (row[3] + 1,) for row in rows),
-        [
-            "quotient-genus-t1-g5",
-            "quotient-genus-t1-H",
-            "quotient-genus-t2-H1",
-            "quotient-genus-t2-H2",
-            "quotient-genus-t2-H4",
-        ],
-    ),
-    (
-        "EXPECTED_FIBER_ORBITS",
-        lambda rows: tuple(row[:3] + (row[3][1:],) for row in rows),
-        [
-            "fiber-orbits-t1-branch4-h",
-            "fiber-orbits-t2-branch1-h1",
-            "fiber-orbits-t2-branch2-h1",
-            "fiber-orbits-t2-branch3-h1",
-            "fiber-orbits-t2-branch4-h1",
-        ],
-    ),
+    ("EXPECTED_T1_TYPE", ["structure-type-t1"], None),
+    ("EXPECTED_T2_TYPE", ["structure-type-t2"], None),
+    ("EXPECTED_T1_FIXED", ["fixed-points-t1"], None),
+    ("EXPECTED_T2_FIXED", ["fixed-points-t2"], None),
+    ("EXPECTED_GENUS_FIRST", ["genus-first-curve"], None),
+    ("EXPECTED_GENUS_SECOND", ["genus-second-curve"], None),
+    ("EXPECTED_CANONICAL_FIRST", ["canonical-character-first"], None),
+    ("EXPECTED_CANONICAL_SECOND", ["canonical-character-second"], None),
+    ("EXPECTED_DECOMPOSITION_FIRST", ["canonical-decomposition-first"], None),
+    ("EXPECTED_DECOMPOSITION_SECOND", ["canonical-decomposition-second"], None),
+    ("EXPECTED_ELLIPTIC_DEGREE", ["elliptic-quotient-degree"], None),
+    ("EXPECTED_QUOTIENT_GENERA", QUOTIENT_GENERA, None),
+    ("EXPECTED_FIBER_ORBITS", FIBER_ORBITS, None),
+] + [
+    (key, [key], None)
+    for key in [
+        "relation-g2-conjugate",
+        "relation-g3-conjugate",
+        "group-order",
+        "character-orthogonality",
+        "stabilizer-sets-disjoint",
+        "fixed-point-products-vanish",
+        "fixed-point-routes-agree",
+        "quotient-genus-bridge",
+        "twist-pair-count",
+        "twist-search-nonempty",
+        "twist-trivial-never-admissible",
+        "twist-euler-additivity",
+    ]
 ]
 
 
@@ -269,7 +350,7 @@ def drop_last_class(raw):
         del row[-1]
 
 
-FIXTURE_EDITS = [
+TABLE_EDITS = [
     (move_member, ["class-membership"] + COLUMN_MAP_CHECKS),
     (resize_central_class, ["class-sizes", "center"] + COLUMN_MAP_CHECKS),
     (
@@ -290,26 +371,28 @@ def failing(report):
 
 
 @pytest.mark.parametrize(
-    "name, edit, fails", CONSTANT_EDITS, ids=[case[0] for case in CONSTANT_EDITS]
+    "keys, fails", [case[1:] for case in PUBLISHED_EDITS], ids=[case[0] for case in PUBLISHED_EDITS]
 )
-def test_wrong_constant_fails_its_checks(monkeypatch, name, edit, fails):
-    monkeypatch.setattr(verify, name, edit(getattr(verify, name)))
-    assert failing(verify_paper()) == fails
+def test_wrong_constant_fails_its_checks(tmp_path, published_record, keys, fails):
+    published = published_record["published"]
+    for key in keys:
+        published[key] = wrong(published[key])
+    report = verify_paper(reference_path=write_record(tmp_path, published_record))
+    assert failing(report) == (fails or keys)
 
 
 @pytest.mark.parametrize(
-    "edit, fails", FIXTURE_EDITS, ids=[case[0].__name__ for case in FIXTURE_EDITS]
+    "edit, fails", TABLE_EDITS, ids=[case[0].__name__ for case in TABLE_EDITS]
 )
-def test_wrong_fixture_value_fails_its_checks(tmp_path, edit, fails):
-    raw = json.loads(
-        resources.files("qslab.data").joinpath("g32_27_chartable.json").read_text()
+def test_wrong_fixture_value_fails_its_checks(tmp_path, published_record, edit, fails):
+    edit(published_record)
+    assert failing(verify_paper(reference_path=write_record(tmp_path, published_record))) == fails
+
+
+def test_mutation_gate_covers_every_published_value(report, published_record):
+    assert {key for _, keys, _ in PUBLISHED_EDITS for key in keys} == set(
+        published_record["published"]
     )
-    edit(raw)
-    bad = tmp_path / "ref.json"
-    bad.write_text(json.dumps(raw))
-    assert failing(verify_paper(reference_path=bad)) == fails
-
-
-def test_mutation_gate_covers_every_published_value(report):
-    covered = {name for *_, fails in CONSTANT_EDITS + FIXTURE_EDITS for name in fails}
-    assert covered == {c.name for c in report.checks} - LITERAL_CHECKS
+    fails = [fails or keys for _, keys, fails in PUBLISHED_EDITS]
+    fails += [fails for _, fails in TABLE_EDITS]
+    assert {name for names in fails for name in names} == {c.name for c in report.checks}
