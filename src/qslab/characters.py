@@ -348,9 +348,12 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
 
     The record is read strictly: exactly its five top-level keys and the
     three keys of each class, a string ``rep``, a non-empty list of string
-    ``members``, and JSON-integer sizes and table values.  Each refusal is a
-    ValueError naming the class and key.  ``published`` is read as it
-    stands; ``verify_paper`` checks its keys against its own checks.
+    ``members``, JSON-integer sizes, and ``rows`` a list of lists, each
+    holding one JSON-integer value per class.  Each refusal is a ValueError
+    naming the class and key, or the row and column.  A record with more or
+    fewer rows than classes is read; aligning it with a computed table
+    refuses it.  ``published`` is read as it stands; ``verify_paper`` checks
+    its keys against its own checks.
     """
     if path is None:
         path = Path(__file__).parent / "data" / "g32_27_published.json"
@@ -359,7 +362,9 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
     if fmt != REFERENCE_FORMAT:
         raise ValueError(f"unsupported reference fixture format {fmt!r}")
     _check_keys("reference record", data, _RECORD_KEYS)
-    classes = data["classes"]
+    classes, rows = data["classes"], data["rows"]
+    if type(classes) is not list:
+        raise ValueError("reference record: 'classes' is not a list")
     for j, c in enumerate(classes):
         where = f"reference class {j}"
         _check_keys(where, c, _CLASS_KEYS)
@@ -370,12 +375,23 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
             raise ValueError(f"{where}: 'members' {members!r} is not a non-empty list of strings")
         if type(c["size"]) is not int:
             raise ValueError(f"{where}: 'size' {c['size']!r} is not a JSON integer")
+    k = len(classes)
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError("reference record: 'rows' is not a list of lists")
+    for i, row in enumerate(rows):
+        if len(row) != k:
+            raise ValueError(f"reference row {i}: {len(row)} values for {k} classes")
+        for j, value in enumerate(row):
+            if type(value) is not int:
+                raise ValueError(
+                    f"reference row {i}, column {j}: {value!r} is not a rational integer"
+                )
     return ReferenceTable(
         group_name=data["group"],
         class_reps=tuple(c["rep"] for c in classes),
         class_members=tuple(tuple(c["members"]) for c in classes),
         class_sizes=tuple(c["size"] for c in classes),
-        matrix=tuple(tuple(map(ExactScalar, row)) for row in data["rows"]),
+        matrix=tuple(tuple(map(ExactScalar, row)) for row in rows),
         published=data["published"],
     )
 

@@ -2,26 +2,29 @@
 
 ``main`` loads a model file (by default the packaged model that
 ``qslab.builtin`` parsed at import) and resolves the group and the
-subcommand's declared number of structures once; the subcommand resolves
-any subgroup, computes what it needs (character tables included) and
-prints it in text, JSON, or Markdown.  All numeric output is exact:
+subcommand's declared number of structures once.  Each subcommand,
+``verify-paper`` included, resolves any subgroup, computes what it needs
+and returns its payload only: the dict that ``--format json`` prints.
+``main`` then makes one render call; text and Markdown are rendered from
+that payload alone (``qslab._render``).  All numeric output is exact:
 every value (character values included) is an integer, never a float.
 
 Each command loads only the modules it runs: ``qslab.verify`` (which
 imports ``qslab.search``) is loaded for ``verify-paper`` alone and
 ``qslab.search`` for ``search``, so no other subcommand imports either.
 
-Exit codes: 0 on success, 1 when ``verify-paper`` finds a mismatch,
-2 for usage errors and unparseable or unresolvable input.
+Exit codes: 0 on success, 1 when a payload says it has not ``passed``
+(a ``verify-paper`` mismatch), 2 for usage errors and unparseable or
+unresolvable input.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import alg, builtin
+from ._render import render
 from .characters import (
     AlignmentError,
     CharacterTable,
@@ -145,30 +148,20 @@ def _resolve_structures(model, group_name, group, args):
 # -- published-order display --------------------------------------------
 
 
-def _is_reference_group(group: FiniteGroup) -> bool:
-    return group.spec == builtin.G32_27_SPEC
-
-
-def _column_layout(group: FiniteGroup) -> tuple[tuple[int, ...], bool]:
-    """Class display order: the published one when this is the bundled group."""
-    if _is_reference_group(group):
+def _layout(group: FiniteGroup, table: CharacterTable | None = None):
+    """(row order, class order, order note) for display: the published order
+    when this is the bundled group, else the canonical one.  Rows are
+    aligned only when ``table`` is given."""
+    if group.spec == builtin.G32_27_SPEC:
         try:
-            return reference_column_map(group, load_reference_table()), True
+            ref = load_reference_table()
+            if table is None:
+                return (), reference_column_map(group, ref), "published order"
+            return (*align_to_reference(table, ref), "published order")
         except AlignmentError:
             pass
-    return tuple(range(len(group._partition))), False
-
-
-def _table_layout(table: CharacterTable):
-    """(row order, column order, published?) for rendering a table."""
-    if _is_reference_group(table.group):
-        try:
-            row_perm, col_perm = align_to_reference(table, load_reference_table())
-            return row_perm, col_perm, True
-        except AlignmentError:
-            pass
-    k = len(table.group._partition)
-    return tuple(range(len(table.rows))), tuple(range(k)), False
+    identity = tuple(range(len(group._partition)))  # one row per class
+    return identity, identity, "canonical order"
 
 
 def _row_labels(row_perm: tuple[int, ...]) -> dict[int, str]:
@@ -176,41 +169,13 @@ def _row_labels(row_perm: tuple[int, ...]) -> dict[int, str]:
     return {canonical: f"chi{i + 1}" for i, canonical in enumerate(row_perm)}
 
 
-def _order_note(published: bool) -> str:
-    return "published order" if published else "canonical order"
-
-
-def _yes_no(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-# -- Markdown -----------------------------------------------------------
-
-
-def _md(title: str, *blocks: str) -> str:
-    """A level-1 title followed by blocks, separated by blank lines."""
-    return "\n\n".join((f"# {title}",) + blocks)
-
-
-def _bullets(*lines: str) -> str:
-    return "\n".join(f"- {line}" for line in lines)
-
-
-def _md_table(headers, rows) -> str:
-    """A pipe table; an empty header cell prints as ``| |``."""
-    head = ("| " + " | ".join(headers) + " |").replace("|  |", "| |")
-    body = ["| " + " | ".join(map(str, row)) + " |" for row in rows]
-    return "\n".join([head, "|" + " --- |" * len(headers), *body])
-
-
-# -- subcommands: each returns (payload, text, markdown) ----------------
+# -- subcommands: each returns its payload, which _render renders ----------
 
 
 def _cmd_info(model, args, group_name, group, structures):
     classes = group.conjugacy_classes()
     center = group.center()
     whole = group.subgroup_closure(group.basis_generators())
-    rank = len(group.minimal_generators(whole))
     payload = {
         "group": group_name,
         "order": group.order,
@@ -222,7 +187,7 @@ def _cmd_info(model, args, group_name, group, structures):
         "class_count": len(classes),
         "center_order": center.order,
         "center": [g.word() for g in center.elements],
-        "minimal_generator_count": rank,
+        "minimal_generator_count": len(group.minimal_generators(whole)),
         "structures": [],
         "subgroups": [],
     }
@@ -245,84 +210,35 @@ def _cmd_info(model, args, group_name, group, structures):
                 "normal": group.is_normal(sub),
             }
         )
-
-    lines = [
-        f"group {group_name}: order {payload['order']}, exponent "
-        f"{payload['exponent']}, {payload['class_count']} conjugacy classes",
-        "generators: "
-        + ", ".join(f"{g['name']} (order {g['order']})" for g in payload["generators"]),
-        f"center: order {payload['center_order']}, elements "
-        + ", ".join(payload["center"]),
-        f"minimal generating sets have size {rank}",
-    ]
-    for entry in payload["structures"]:
-        if "type" in entry:
-            detail = "type (" + ", ".join(map(str, entry["type"])) + ")"
-        else:
-            detail = "invalid: " + entry["invalid"]
-        lines.append(
-            f"structure {entry['name']}: {detail}; entries "
-            + ", ".join(entry["entries"])
-        )
-    for entry in payload["subgroups"]:
-        normality = "normal" if entry["normal"] else "not normal"
-        lines.append(
-            f"subgroup {entry['name']}: order {entry['order']}, {normality}, "
-            "generated by " + ", ".join(entry["generators"])
-        )
-    return payload, "\n".join(lines), _md(group_name, _bullets(*lines))
+    return payload
 
 
 def _cmd_classes(model, args, group_name, group, structures):
     classes = group.conjugacy_classes()
-    order, published = _column_layout(group)
-    rows = []
-    for display, c_index in enumerate(order, start=1):
-        cls = classes[c_index]
-        rows.append(
-            {
-                "index": display,
-                "representative": cls.representative.word(),
-                "size": cls.size,
-                "element_order": cls.representative.order(),
-                "members": [g.word() for g in cls.elements],
-            }
-        )
-    payload = {"group": group_name, "order": _order_note(published), "classes": rows}
-    lines = [f"{len(rows)} conjugacy classes of {group_name} ({_order_note(published)})"]
-    for r in rows:
-        lines.append(
-            f"{r['index']:3d}: rep {r['representative']}, size {r['size']}, "
-            f"element order {r['element_order']}; members " + ", ".join(r["members"])
-        )
-    md = _md(
-        f"Conjugacy classes of {group_name} ({_order_note(published)})",
-        _md_table(
-            ["#", "representative", "size", "element order", "members"],
-            [
-                [r["index"], r["representative"], r["size"], r["element_order"],
-                 ", ".join(r["members"])]
-                for r in rows
-            ],
-        ),
-    )
-    return payload, "\n".join(lines), md
+    _, order, note = _layout(group)
+    rows = [
+        {
+            "index": display,
+            "representative": cls.representative.word(),
+            "size": cls.size,
+            "element_order": cls.representative.order(),
+            "members": [g.word() for g in cls.elements],
+        }
+        for display, cls in enumerate((classes[c] for c in order), start=1)
+    ]
+    return {"group": group_name, "order": note, "classes": rows}
 
 
 def _cmd_chartable(model, args, group_name, group, structures):
     table = compute_character_table(group)
-    row_perm, col_perm, published = _table_layout(table)
+    row_perm, col_perm, note = _layout(group, table)
     classes = group.conjugacy_classes()
-    headers = [classes[c].representative.word() for c in col_perm]
-    sizes = [classes[c].size for c in col_perm]
-    matrix = [
-        [str(table.rows[r].values[c]) for c in col_perm] for r in row_perm
-    ]
-    payload = {
+    return {
         "group": group_name,
-        "order": _order_note(published),
+        "order": note,
         "classes": [
-            {"representative": h, "size": s} for h, s in zip(headers, sizes)
+            {"representative": classes[c].representative.word(), "size": classes[c].size}
+            for c in col_perm
         ],
         "rows": [
             {
@@ -333,187 +249,81 @@ def _cmd_chartable(model, args, group_name, group, structures):
             for i, r in enumerate(row_perm)
         ],
     }
-    labels = [row["label"] for row in payload["rows"]]
-    label_w = max(map(len, labels))
-    widths = [
-        max(len(headers[j]), max(len(row[j]) for row in matrix))
-        for j in range(len(headers))
-    ]
-    lines = [f"character table of {group_name} ({_order_note(published)})"]
-    lines.append(
-        " " * label_w
-        + "  "
-        + "  ".join(h.rjust(widths[j]) for j, h in enumerate(headers))
-    )
-    for label, row in zip(labels, matrix):
-        lines.append(
-            label.ljust(label_w)
-            + "  "
-            + "  ".join(v.rjust(widths[j]) for j, v in enumerate(row))
-        )
-    md = _md(
-        f"Character table of {group_name} ({_order_note(published)})",
-        _md_table(["", *headers], [[label, *row] for label, row in zip(labels, matrix)]),
-    )
-    return payload, "\n".join(lines), md
 
 
 def _cmd_sigma(model, args, group_name, group, structures):
     ((sname, system),) = structures
     members = sorted(stabilizer_set(system), key=group.index)
-    payload = {
+    return {
         "group": group_name,
         "structure": sname,
         "size": len(members),
         "elements": [g.word() for g in members],
     }
-    text = (
-        f"stabilizer set of {sname}: {len(members)} elements\n"
-        + ", ".join(payload["elements"])
-    )
-    md = _md(
-        f"Stabilizer set of {sname}",
-        f"{len(members)} elements:",
-        _bullets(*payload["elements"]),
-    )
-    return payload, text, md
 
 
 def _cmd_disjoint(model, args, group_name, group, structures):
     names, systems = map(list, zip(*structures))
     sets = [stabilizer_set(s) for s in systems]
     common = sorted(sets[0] & sets[1], key=group.index)
-    payload = {
+    return {
         "group": group_name,
         "structures": names,
         "sizes": [len(s) for s in sets],
         "common": [g.word() for g in common],
         "disjoint": is_disjoint(*systems),
     }
-    verdict = _yes_no(payload["disjoint"])
-    text = (
-        f"stabilizer sets of {names[0]} ({len(sets[0])} elements) and "
-        f"{names[1]} ({len(sets[1])} elements) share only: "
-        + ", ".join(payload["common"])
-        + f"\ndisjoint away from the identity: {verdict}"
-    )
-    md = _md(
-        f"Stabilizer overlap of {names[0]} and {names[1]}",
-        _bullets(
-            f"sizes: {len(sets[0])} and {len(sets[1])}",
-            f"common elements: {', '.join(payload['common'])}",
-            f"disjoint away from the identity: {verdict}",
-        ),
-    )
-    return payload, text, md
 
 
 def _cmd_fixed_points(model, args, group_name, group, structures):
     ((sname, system),) = structures
-    genus = curve_genus(system)
     counts = fixed_point_table(system)
-    order, published = _column_layout(group)
+    _, order, note = _layout(group)
     classes = group.conjugacy_classes()
-    rows = [
-        {
-            "representative": classes[c].representative.word(),
-            "fixed_points": WHOLE_CURVE if counts[c] is None else counts[c],
-        }
-        for c in order
-    ]
-    payload = {
+    return {
         "group": group_name,
         "structure": sname,
-        "genus": genus,
-        "order": _order_note(published),
-        "classes": rows,
+        "genus": curve_genus(system),
+        "order": note,
+        "classes": [
+            {
+                "representative": classes[c].representative.word(),
+                "fixed_points": WHOLE_CURVE if counts[c] is None else counts[c],
+            }
+            for c in order
+        ],
     }
-    lines = [
-        f"fixed points on the genus {genus} curve of {sname} "
-        f"({_order_note(published)})"
-    ]
-    width = max(len(r["representative"]) for r in rows)
-    for r in rows:
-        lines.append(f"  {r['representative'].ljust(width)}  {r['fixed_points']}")
-    md = _md(
-        f"Fixed points on the curve of {sname}",
-        f"Genus {genus}; classes in {_order_note(published)}.",
-        _md_table(
-            ["class representative", "fixed points"],
-            [[r["representative"], r["fixed_points"]] for r in rows],
-        ),
-    )
-    return payload, "\n".join(lines), md
 
 
 def _cmd_canonical(model, args, group_name, group, structures):
     ((sname, system),) = structures
     table = compute_character_table(group)
     canonical = canonical_character(system, table)
-    row_perm, col_perm, published = _table_layout(table)
+    row_perm, col_perm, note = _layout(group, table)
     labels = _row_labels(row_perm)
     mults = decompose(canonical, table)
-    terms = []
-    for r in row_perm:
-        m = mults[r]
-        if m == 1:
-            terms.append(labels[r])
-        elif m != 0:
-            terms.append(f"{m}*{labels[r]}")
-    payload = {
+    return {
         "group": group_name,
         "structure": sname,
         "genus": curve_genus(system),
-        "order": _order_note(published),
+        "order": note,
         "values": [canonical.values[c] for c in col_perm],
         "decomposition": {
             labels[r]: mults[r] for r in row_perm if mults[r] != 0
         },
     }
-    values = [str(canonical.values[c]) for c in col_perm]
-    decomposition = " + ".join(terms) or "0"  # the empty sum of a genus-0 curve
-    text = (
-        f"canonical character of the genus {payload['genus']} curve of {sname} "
-        f"({_order_note(published)}):\n"
-        + "  ".join(values)
-        + "\ndecomposition: "
-        + decomposition
-    )
-    md = _md(
-        f"Canonical character of the curve of {sname}",
-        _bullets(
-            f"genus: {payload['genus']}",
-            f"values ({_order_note(published)}): " + ", ".join(values),
-            "decomposition: " + decomposition,
-        ),
-    )
-    return payload, text, md
 
 
 def _cmd_quotient_genus(model, args, group_name, group, structures):
     ((sname, system),) = structures
     sub, label = _resolve_subgroup(model, group_name, group, args.subgroup)
-    genus = quotient_genus(system, sub)
-    payload = {
+    return {
         "group": group_name,
         "structure": sname,
         "subgroup": label,
         "subgroup_order": sub.order,
-        "genus": genus,
+        "genus": quotient_genus(system, sub),
     }
-    text = (
-        f"quotient of the {sname} curve by {label} "
-        f"(order {sub.order}): genus {genus}"
-    )
-    md = _md(
-        "Quotient genus",
-        _bullets(
-            f"structure: {sname}",
-            f"subgroup: {label} (order {sub.order})",
-            f"genus: {genus}",
-        ),
-    )
-    return payload, text, md
 
 
 def _cmd_fiber_orbits(model, args, group_name, group, structures):
@@ -524,10 +334,7 @@ def _cmd_fiber_orbits(model, args, group_name, group, structures):
     except (IndexError, ValueError) as exc:
         raise CliError(f"--branch {args.branch}: {exc}")
     entry = system.entries[args.branch - 1]
-    shape: dict[tuple[int, int], int] = {}
-    for orbit in fiber.orbits:
-        shape[orbit] = shape.get(orbit, 0) + 1
-    payload = {
+    return {
         "group": group_name,
         "structure": sname,
         "branch": args.branch,
@@ -541,28 +348,6 @@ def _cmd_fiber_orbits(model, args, group_name, group, structures):
         ],
         "acts_freely": fiber.acts_freely,
     }
-    shape_text = ", ".join(
-        f"{count} x (size {size}, stabilizer order {stab})"
-        for (size, stab), count in sorted(shape.items())
-    )
-    text = (
-        f"fiber over branch point {args.branch} of {sname} "
-        f"(entry {payload['entry']}, order {payload['entry_order']}): "
-        f"{fiber.fiber_size} points\n"
-        f"orbits under {label} (order {sub.order}): {shape_text}\n"
-        f"acts freely: {_yes_no(fiber.acts_freely)}"
-    )
-    md = _md(
-        f"Fiber orbits at branch point {args.branch} of {sname}",
-        _bullets(
-            f"branch entry: {payload['entry']} (order {payload['entry_order']})",
-            f"fiber size: {fiber.fiber_size}",
-            f"subgroup: {label} (order {sub.order})",
-            f"orbits: {shape_text}",
-            f"acts freely: {_yes_no(fiber.acts_freely)}",
-        ),
-    )
-    return payload, text, md
 
 
 def _cmd_search(model, args, group_name, group, structures):
@@ -571,63 +356,35 @@ def _cmd_search(model, args, group_name, group, structures):
     names, systems = map(list, zip(*structures))
     table = compute_character_table(group)
     report = search_all_pairs(table, *(canonical_character(s, table) for s in systems))
-    row_perm, _, _ = _table_layout(table)
+    row_perm, _, _ = _layout(group, table)
     labels = _row_labels(row_perm)
     position = {r: i for i, r in enumerate(row_perm)}
-
-    def ordered(indices):
-        return [labels[r] for r in sorted(indices, key=position.__getitem__)]
-
-    pairs = []
-    for pair in sorted(
-        report.pairs, key=lambda p: (position[p.a_index], position[p.b_index])
-    ):
-        pairs.append(
-            {
-                "a": labels[pair.a_index],
-                "b": labels[pair.b_index],
-                "admissible": ordered(pair.admissible),
-                "euler_flat": pair.euler_flat,
-            }
+    pairs = [
+        {
+            "a": labels[pair.a_index],
+            "b": labels[pair.b_index],
+            "admissible": [labels[r] for r in sorted(pair.admissible, key=position.get)],
+            "euler_flat": pair.euler_flat,
+        }
+        for pair in sorted(
+            report.pairs, key=lambda p: (position[p.a_index], position[p.b_index])
         )
-    flat = [(p["a"], p["b"]) for p in pairs if p["euler_flat"]]
-    payload = {
+    ]
+    return {
         "group": group_name,
         "structures": names,
         "pair_count": len(pairs),
         "all_pairs_admit_twist": report.theorem_holds,
         "trivial_twist_admissible_somewhere": report.trivial_admissible_anywhere,
-        "euler_flat_pairs": [list(p) for p in flat],
+        "euler_flat_pairs": [[p["a"], p["b"]] for p in pairs if p["euler_flat"]],
         "pairs": pairs,
     }
-    summary = [
-        f"every pair admits an admissible twist: {_yes_no(report.theorem_holds)}",
-        "trivial twist admissible somewhere: "
-        + _yes_no(report.trivial_admissible_anywhere),
-        "euler-flat pairs: "
-        + (", ".join(f"({a}, {b})" for a, b in flat) if flat else "none"),
-    ]
-    lines = [
-        f"twist search on {group_name} with {names[0]} and {names[1]}: "
-        f"{len(pairs)} pairs of degree-2 twists",
-        *summary,
-    ]
-    for p in pairs:
-        lines.append(
-            f"  A={p['a']} B={p['b']}: admissible " + ", ".join(p["admissible"])
-        )
-    md = _md(
-        f"Twist search on {group_name}",
-        _bullets(f"structures: {names[0]} and {names[1]}", *summary),
-        _md_table(
-            ["A", "B", "admissible twists", "euler flat"],
-            [
-                [p["a"], p["b"], ", ".join(p["admissible"]), _yes_no(p["euler_flat"])]
-                for p in pairs
-            ],
-        ),
-    )
-    return payload, "\n".join(lines), md
+
+
+def _cmd_verify_paper(model, args, group_name, group, structures):
+    from .verify import verify_paper
+
+    return verify_paper(spec=group.spec, reference_path=args.reference).to_dict()
 
 
 # -- entry point --------------------------------------------------------
@@ -687,7 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", type=int, required=True, help="branch point, 1-based")
     add("search", _cmd_search, "run the admissible twist search", 2,
         help="structure pair (default: the model's two declared structures)")
-    p = add("verify-paper", None, "re-derive and certify every published reference value")
+    p = add(
+        "verify-paper", _cmd_verify_paper, "re-derive and certify every published reference value"
+    )
     p.add_argument(
         "--reference",
         metavar="FILE",
@@ -704,24 +463,13 @@ def main(argv=None) -> int:
     try:
         model = _load_model(args.input)
         group_name, group = _resolve_group(model, args.group)
-        if args.command == "verify-paper":
-            from .verify import render_report, verify_paper
-
-            report = verify_paper(spec=group.spec, reference_path=args.reference)
-            sys.stdout.write(render_report(report, args.format))
-            return 0 if report.passed else 1
         structures = _resolve_structures(model, group_name, group, args)
-        payload, text, md = args.func(model, args, group_name, group, structures)
+        payload = args.func(model, args, group_name, group, structures)
     except (CliError, RuntimeError) as exc:
         print(f"qslab: error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.format == "md":
-        print(md)
-    else:
-        print(text)
-    return 0
+    print(render(args.command, payload, args.format))
+    return 0 if payload.get("passed", True) else 1
 
 
 if __name__ == "__main__":

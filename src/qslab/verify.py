@@ -4,18 +4,20 @@ Every published value the toolkit is built to reproduce is re-derived
 from first principles here and compared against the published record,
 ``data/g32_27_published.json``, the one copy of those values.  This module
 holds only how each value is computed.  Each comparison becomes one report
-check carrying the published anchor it certifies; rendering is
-deterministic so identical inputs give identical reports.
+check carrying the published anchor it certifies.  ``render_report``
+renders ``report.to_dict()`` through the renderer every ``qslab`` command
+uses, so identical inputs give identical reports in every format.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable
 
 from . import builtin
+from ._render import render
 from .characters import (
     _check_keys,
     _match_rows,
@@ -96,17 +98,14 @@ class VerificationReport:
         return {
             "schema": SCHEMA_VERSION,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "anchor": c.anchor,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [dict(vars(c)) for c in self.checks],
         }
+
+
+def render_report(report: VerificationReport, fmt: str) -> str:
+    """The report as ``verify-paper --format`` prints it: ``fmt`` is text,
+    json, or markdown (also md), rendered from ``report.to_dict()`` alone."""
+    return render("verify-paper", report.to_dict(), "md" if fmt == "markdown" else fmt) + "\n"
 
 
 def _run_checks(pending, expected: dict | str) -> VerificationReport:
@@ -157,8 +156,7 @@ def verify_paper(
 
     group = build_group(spec if spec is not None else builtin.G32_27_SPEC)
 
-    def word(names):
-        return group.evaluate_word(names)
+    word = group.evaluate_word
 
     def conjugate_by_g1(name):
         g1 = word(("g1",))
@@ -246,16 +244,11 @@ def verify_paper(
     )
 
     def fixed_row(system):
-        def compute():
-            counts = fixed_point_table(system())
-            return tuple(
-                WHOLE_CURVE if counts[c] is None else counts[c] for c in col_perm()
-            )
+        counts = fixed_point_table(system())
+        return tuple(WHOLE_CURVE if counts[c] is None else counts[c] for c in col_perm())
 
-        return compute
-
-    run("fixed-points-t1", "published fixed point table (first curve)", fixed_row(t1))
-    run("fixed-points-t2", "published fixed point table (second curve)", fixed_row(t2))
+    run("fixed-points-t1", "published fixed point table (first curve)", partial(fixed_row, t1))
+    run("fixed-points-t2", "published fixed point table (second curve)", partial(fixed_row, t2))
     run(
         "fixed-point-routes-agree",
         "published fixed point tables",
@@ -283,29 +276,26 @@ def verify_paper(
     )
 
     def decomposition_rows(canonical):
-        def compute():
-            rows = row_perm()
-            mults = decompose(canonical(), table())
-            out = []
-            for ref_row in range(len(rows)):
-                m = mults[rows[ref_row]]
-                if m == 1:
-                    out.append(ref_row + 1)
-                elif m != 0:
-                    out.append((ref_row + 1, m))
-            return tuple(out)
-
-        return compute
+        rows = row_perm()
+        mults = decompose(canonical(), table())
+        out = []
+        for ref_row in range(len(rows)):
+            m = mults[rows[ref_row]]
+            if m == 1:
+                out.append(ref_row + 1)
+            elif m != 0:
+                out.append((ref_row + 1, m))
+        return tuple(out)
 
     run(
         "canonical-decomposition-first",
         "published canonical character (first curve)",
-        decomposition_rows(kc),
+        partial(decomposition_rows, kc),
     )
     run(
         "canonical-decomposition-second",
         "published canonical character (second curve)",
-        decomposition_rows(kd),
+        partial(decomposition_rows, kd),
     )
     run(
         "elliptic-quotient-degree",
@@ -316,17 +306,14 @@ def verify_paper(
     systems = {"T1": t1, "T2": t2}
 
     def quotient_row(system_name, gens):
-        def compute():
-            sub = group.subgroup_closure(word(w) for w in gens)
-            return quotient_genus(systems[system_name](), sub)
-
-        return compute
+        sub = group.subgroup_closure(word(w) for w in gens)
+        return quotient_genus(systems[system_name](), sub)
 
     for system_name, label, gens in QUOTIENT_GENUS_SUBGROUPS:
         run(
             f"quotient-genus-{system_name.lower()}-{label.strip('<>').replace('*', '')}",
             "published quotient genera",
-            quotient_row(system_name, gens),
+            partial(quotient_row, system_name, gens),
         )
 
     subgroups = cache(group.enumerate_subgroups)
@@ -342,17 +329,14 @@ def verify_paper(
     )
 
     def fiber_row(system_name, branch, sub_name):
-        def compute():
-            sub = builtin.named_subgroup(group, sub_name)
-            return fiber_orbit_structure(systems[system_name](), branch, sub).orbits
-
-        return compute
+        sub = builtin.named_subgroup(group, sub_name)
+        return fiber_orbit_structure(systems[system_name](), branch, sub).orbits
 
     for system_name, branch, sub_name in FIBER_ORBIT_BRANCHES:
         run(
             f"fiber-orbits-{system_name.lower()}-branch{branch}-{sub_name.lower()}",
             "published fiber orbit shapes",
-            fiber_row(system_name, branch, sub_name),
+            partial(fiber_row, system_name, branch, sub_name),
         )
 
     report = cache(lambda: search_all_pairs(table(), kc(), kd()))
@@ -408,50 +392,3 @@ def verify_paper(
     except Exception as exc:  # every check reports it; nothing is raised
         expected = f"error: {exc}"
     return _run_checks(pending, expected)
-
-
-# -- rendering ----------------------------------------------------------
-
-
-def render_report(report: VerificationReport, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    if fmt in ("markdown", "md"):
-        return _render_markdown(report)
-    if fmt == "text":
-        return _render_text(report)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _render_text(report: VerificationReport) -> str:
-    lines = []
-    passed = sum(1 for c in report.checks if c.passed)
-    lines.append(
-        f"verification {'PASS' if report.passed else 'FAIL'}: "
-        f"{passed}/{len(report.checks)} checks passed"
-    )
-    for c in report.checks:
-        lines.append(f"[{'PASS' if c.passed else 'FAIL'}] {c.name} ({c.anchor})")
-        if not c.passed:
-            lines.append(f"  expected: {_compact(c.expected)}")
-            lines.append(f"  computed: {_compact(c.computed)}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_markdown(report: VerificationReport) -> str:
-    lines = [
-        f"# Verification report: {'PASS' if report.passed else 'FAIL'}",
-        "",
-        "| check | anchor | expected | computed | status |",
-        "| --- | --- | --- | --- | --- |",
-    ]
-    for c in report.checks:
-        lines.append(
-            f"| {c.name} | {c.anchor} | `{_compact(c.expected)}` "
-            f"| `{_compact(c.computed)}` | {'PASS' if c.passed else 'FAIL'} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _compact(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -452,7 +452,8 @@ def test_reference_loader_accepts_json_ints_only(tmp_path, value, published_reco
     published_record["rows"][2][5] = value
     path = tmp_path / "ref.json"
     path.write_text(json.dumps(published_record))
-    with pytest.raises(ValueError, match="is not a rational integer"):
+    message = r"^reference row 2, column 5: .+ is not a rational integer$"
+    with pytest.raises(ValueError, match=message):
         load_reference_table(path)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from qslab._render import render
 from qslab.cli import main
 
 
@@ -242,18 +243,55 @@ GOLDEN_COMMANDS = [
 ]
 
 
+# (--format value, golden file suffix)
+FORMATS = (("text", "txt"), ("json", "json"), ("md", "md"))
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
         pytest.param(argv + ("--format", fmt), f"{name}.{suffix}", id=f"{name}.{suffix}")
         for name, argv in GOLDEN_COMMANDS
-        for fmt, suffix in (("text", "txt"), ("json", "json"), ("md", "md"))
+        for fmt, suffix in FORMATS
     ],
 )
 def test_command_matches_golden(capsys, argv, golden):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("fmt, suffix", FORMATS)
+def test_failing_report_matches_golden(capsys, tmp_path, published_record, fmt, suffix):
+    # One wrong table value fails three checks, each shown with both values.
+    # The edited record is written here, so tests/golden holds no second copy
+    # of the published values.
+    published_record["rows"][5][3] = 7
+    bad = tmp_path / "ref.json"
+    bad.write_text(json.dumps(published_record))
+    code, out, err = run(capsys, "verify-paper", "--reference", str(bad), "--format", fmt)
+    assert (code, err) == (1, "")
+    assert out.encode() == (GOLDEN / f"verify-paper.fail.{suffix}").read_bytes()
+    report = json.loads((GOLDEN / "verify-paper.fail.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "character-table-reference",
+        "canonical-decomposition-first",
+        "canonical-decomposition-second",
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [pytest.param(name, argv[0], id=name) for name, argv in GOLDEN_COMMANDS]
+    + [pytest.param("verify-paper.fail", "verify-paper", id="verify-paper.fail")],
+)
+def test_every_format_renders_from_the_json_payload(name, command):
+    # The text and Markdown come from the payload alone, so the payload read
+    # back from its JSON golden gives the other two goldens byte for byte.
+    payload = json.loads((GOLDEN / f"{name}.json").read_text())
+    for fmt, suffix in FORMATS:
+        rendered = render(command, payload, fmt) + "\n"
+        assert rendered.encode() == (GOLDEN / f"{name}.{suffix}").read_bytes(), fmt
 
 
 # -- error handling -----------------------------------------------------

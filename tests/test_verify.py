@@ -218,6 +218,30 @@ def old_format(raw):
     raw["format"] = "qslab-chartable-ref/1"
 
 
+def classes_not_a_list(raw):
+    raw["classes"] = {"0": raw["classes"][0]}
+
+
+def rows_not_a_list(raw):
+    raw["rows"] = "grid"
+
+
+def row_not_a_list(raw):
+    raw["rows"][4] = 1
+
+
+def short_row(raw):
+    raw["rows"][3].pop()
+
+
+def long_row(raw):
+    raw["rows"][13].append(0)
+
+
+def gaussian_value(raw):
+    raw["rows"][2][5] = "1+i"
+
+
 MALFORMED_RECORDS = [
     (string_members, "reference class 1: 'members' 'g4' is not a non-empty list of strings"),
     (
@@ -228,6 +252,12 @@ MALFORMED_RECORDS = [
     (missing_published_key, "reference record 'published': missing keys ['group-order']"),
     (extra_published_key, "reference record 'published': unexpected keys ['class-count']"),
     (old_format, "unsupported reference fixture format 'qslab-chartable-ref/1'"),
+    (classes_not_a_list, "reference record: 'classes' is not a list"),
+    (rows_not_a_list, "reference record: 'rows' is not a list of lists"),
+    (row_not_a_list, "reference record: 'rows' is not a list of lists"),
+    (short_row, "reference row 3: 13 values for 14 classes"),
+    (long_row, "reference row 13: 15 values for 14 classes"),
+    (gaussian_value, "reference row 2, column 5: '1+i' is not a rational integer"),
 ]
 
 
