@@ -22,6 +22,7 @@ multiply left to right and are stored unevaluated.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .groups import GroupSpec, GroupSpecError
@@ -30,6 +31,8 @@ _PUNCT = set("{}[]();,=*|")
 # ASCII only: str.isdigit() also accepts characters such as "²" that int()
 # rejects.
 _DIGITS = frozenset("0123456789")
+# The run a token's first character starts; \w is exactly str.isalnum() or "_".
+_RUNS = {"int": re.compile("[0-9]+"), "ident": re.compile(r"\w+")}
 
 
 class ParseError(ValueError):
@@ -50,59 +53,40 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     i = 0
     while i < len(text):
         ch = text[i]
+        col = i - line_start + 1
         if ch == "\n":
-            line += 1
-            col = 1
+            line, line_start = line + 1, i + 1
             i += 1
-            continue
-        if ch in " \t\r":
+        elif ch in " \t\r":
             i += 1
-            col += 1
-            continue
-        if ch == "#":
+        elif ch == "#":
             while i < len(text) and text[i] != "\n":
                 i += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, start_col))
+        elif ch in _PUNCT:
+            tokens.append(Token("punct", ch, line, col))
             i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        else:
+            if ch in _DIGITS:
+                kind = "int"
+            elif ch.isalpha() or ch == "_":
+                kind = "ident"
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+            j = _RUNS[kind].match(text, i).end()
+            tokens.append(Token(kind, text[i:j], line, col))
+            i = j
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
 @dataclass(frozen=True)
-class StructureDecl:
-    name: str
-    group_name: str
-    words: tuple[tuple[str, ...], ...]
+class Declaration:
+    """A named structure or subgroup: a word list on one group."""
 
-
-@dataclass(frozen=True)
-class SubgroupDecl:
     name: str
     group_name: str
     words: tuple[tuple[str, ...], ...]
@@ -113,32 +97,31 @@ class SessionModel:
     """Everything a model file declares, in declaration order."""
 
     groups: tuple[tuple[str, GroupSpec], ...] = ()
-    structures: tuple[StructureDecl, ...] = ()
-    subgroups: tuple[SubgroupDecl, ...] = ()
+    structures: tuple[Declaration, ...] = ()
+    subgroups: tuple[Declaration, ...] = ()
 
     def group_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.groups)
 
     def group_spec(self, name: str) -> GroupSpec:
-        for gname, spec in self.groups:
-            if gname == name:
-                return spec
-        raise KeyError(f"no group named {name!r}")
+        return _lookup("group", self.groups, name)
 
-    def structure(self, name: str) -> StructureDecl:
-        for decl in self.structures:
-            if decl.name == name:
-                return decl
-        raise KeyError(f"no structure named {name!r}")
+    def structure(self, name: str) -> Declaration:
+        return _lookup("structure", ((d.name, d) for d in self.structures), name)
 
-    def subgroup(self, name: str) -> SubgroupDecl:
-        for decl in self.subgroups:
-            if decl.name == name:
-                return decl
-        raise KeyError(f"no subgroup named {name!r}")
+    def subgroup(self, name: str) -> Declaration:
+        return _lookup("subgroup", ((d.name, d) for d in self.subgroups), name)
 
-    def structures_on(self, group_name: str) -> tuple[StructureDecl, ...]:
+    def structures_on(self, group_name: str) -> tuple[Declaration, ...]:
         return tuple(d for d in self.structures if d.group_name == group_name)
+
+
+def _lookup(kind: str, named, name: str):
+    """The first value named ``name`` among ``(name, value)`` pairs."""
+    for key, value in named:
+        if key == name:
+            return value
+    raise KeyError(f"no {kind} named {name!r}")
 
 
 class _Parser:
@@ -149,42 +132,31 @@ class _Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def expect(self, ok: bool, what: str) -> Token:
-        """Take the next token if ``ok``, else fail: ``expected <what>, found <it>``."""
-        if not ok:
-            text = self.peek().text
-            self.fail(f"expected {what}, found {repr(text) if text else 'end of input'}")
-        return self.advance()
-
-    def expect_punct(self, ch: str) -> Token:
+    def take(self, kind: str, text: str | None = None) -> Token | None:
+        """Take the next token if it is of ``kind`` and, given ``text``, reads ``text``."""
         tok = self.peek()
-        return self.expect(tok.kind == "punct" and tok.text == ch, repr(ch))
+        if tok.kind != kind or text not in (None, tok.text):
+            return None
+        self.pos += 1
+        return tok
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        return self.expect(tok.kind == "ident" and tok.text == word, repr(word))
-
-    def expect_ident(self, what: str) -> Token:
-        return self.expect(self.peek().kind == "ident", what)
-
-    def expect_int(self, what: str) -> Token:
-        return self.expect(self.peek().kind == "int", what)
+    def expect(self, kind: str, what: str | None = None, text: str | None = None) -> Token:
+        """``take``, or fail: ``expected <what>, found <it>``; ``what`` defaults to ``text!r``."""
+        tok = self.take(kind, text)
+        if tok is None:
+            nxt = self.peek()
+            found = "end of input" if nxt.kind == "eof" else repr(nxt.text)
+            self.fail(f"expected {what or repr(text)}, found {found}")
+        return tok
 
     def expect_bits(self, what: str, allow_empty: bool = False) -> tuple[int, ...]:
-        tok = self.peek()
-        if tok.kind != "int" and allow_empty:
+        if allow_empty and self.peek().kind != "int":
             return ()
-        self.expect(tok.kind == "int", what)
+        tok = self.expect("int", what)
         if any(c not in "01" for c in tok.text):
             self.fail(f"{what} must consist of bits, found {tok.text!r}", tok)
         return tuple(int(c) for c in tok.text)
@@ -192,71 +164,57 @@ class _Parser:
     # -- declarations ---------------------------------------------------
 
     def parse_model(self) -> SessionModel:
-        groups: list[tuple[str, GroupSpec]] = []
-        structures: list[StructureDecl] = []
-        subgroups: list[SubgroupDecl] = []
-        names: dict[str, Token] = {}
+        groups: dict[str, GroupSpec] = {}
+        declarations: dict[str, list[Declaration]] = {"structure": [], "subgroup": []}
+        names: set[str] = set()
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind != "ident":
+            if tok.kind != "ident" or tok.text not in ("group", "structure", "subgroup"):
                 self.fail(f"expected a declaration, found {tok.text!r}")
-            if tok.text == "group":
-                name_tok, spec = self.parse_group()
-                if name_tok.text in names:
-                    self.fail(f"duplicate name {name_tok.text!r}", name_tok)
-                names[name_tok.text] = name_tok
-                groups.append((name_tok.text, spec))
-            elif tok.text in ("structure", "subgroup"):
-                kind = self.advance().text
-                name_tok = self.expect_ident(f"{kind} name")
-                if name_tok.text in names:
-                    self.fail(f"duplicate name {name_tok.text!r}", name_tok)
-                self.expect_keyword("on")
-                group_tok = self.expect_ident("group name")
-                spec = None
-                for gname, gspec in groups:
-                    if gname == group_tok.text:
-                        spec = gspec
-                if spec is None:
-                    self.fail(f"unknown group {group_tok.text!r}", group_tok)
-                self.expect_punct("=")
-                words = self.parse_word_list(spec)
-                self.expect_punct(";")
-                names[name_tok.text] = name_tok
-                if kind == "structure":
-                    structures.append(StructureDecl(name_tok.text, group_tok.text, words))
-                else:
-                    subgroups.append(SubgroupDecl(name_tok.text, group_tok.text, words))
-            else:
-                self.fail(f"expected a declaration, found {tok.text!r}")
+            kind = self.take("ident").text
+            name_tok = self.expect("ident", f"{kind} name")
+            # a group's body is read before its name is checked
+            spec = self.parse_group(name_tok) if kind == "group" else None
+            if name_tok.text in names:
+                self.fail(f"duplicate name {name_tok.text!r}", name_tok)
+            names.add(name_tok.text)
+            if spec is not None:
+                groups[name_tok.text] = spec
+                continue
+            self.expect("ident", text="on")
+            group_tok = self.expect("ident", "group name")
+            if group_tok.text not in groups:
+                self.fail(f"unknown group {group_tok.text!r}", group_tok)
+            self.expect("punct", text="=")
+            self.expect("punct", text="[")
+            words = self.parse_words(groups[group_tok.text])
+            self.expect("punct", text="]")
+            self.expect("punct", text=";")
+            declarations[kind].append(Declaration(name_tok.text, group_tok.text, words))
         return SessionModel(
-            groups=tuple(groups),
-            structures=tuple(structures),
-            subgroups=tuple(subgroups),
+            groups=tuple(groups.items()),
+            structures=tuple(declarations["structure"]),
+            subgroups=tuple(declarations["subgroup"]),
         )
 
-    def parse_group(self) -> tuple[Token, GroupSpec]:
-        self.expect_keyword("group")
-        name_tok = self.expect_ident("group name")
-        self.expect_punct("{")
-        self.expect_keyword("normal")
-        self.expect_keyword("rank")
-        n_rank = int(self.expect_int("normal rank").text)
-        self.expect_punct(";")
-        self.expect_keyword("quotient")
-        self.expect_keyword("rank")
-        q_rank = int(self.expect_int("quotient rank").text)
-        self.expect_punct(";")
+    def parse_group(self, name_tok: Token) -> GroupSpec:
+        self.expect("punct", text="{")
+        ranks = []
+        for part in ("normal", "quotient"):
+            self.expect("ident", text=part)
+            self.expect("ident", text="rank")
+            ranks.append(int(self.expect("int", f"{part} rank").text))
+            self.expect("punct", text=";")
+        n_rank, q_rank = ranks
         matrices = []
-        while self.peek().kind == "ident" and self.peek().text == "action":
-            self.advance()
-            qname_tok = self.expect_ident("action name")
+        while self.take("ident", "action"):
+            qname_tok = self.expect("ident", "action name")
             expected = f"q{len(matrices) + 1}"
             if qname_tok.text != expected:
                 self.fail(f"expected action {expected!r}, found {qname_tok.text!r}", qname_tok)
-            self.expect_punct("=")
+            self.expect("punct", text="=")
             matrices.append(self.parse_matrix(n_rank))
-            self.expect_punct(";")
+            self.expect("punct", text=";")
         if len(matrices) != q_rank:
             self.fail(
                 f"group {name_tok.text!r} declares quotient rank {q_rank} but "
@@ -264,17 +222,16 @@ class _Parser:
             )
         generators = []
         gen_names = set()
-        while self.peek().kind == "ident" and self.peek().text == "gen":
-            self.advance()
-            gname_tok = self.expect_ident("generator name")
+        while self.take("ident", "gen"):
+            gname_tok = self.expect("ident", "generator name")
             if gname_tok.text in gen_names:
                 self.fail(f"duplicate generator {gname_tok.text!r}", gname_tok)
             gen_names.add(gname_tok.text)
-            self.expect_punct("=")
+            self.expect("punct", text="=")
             coord = self.parse_coord(n_rank, q_rank)
-            self.expect_punct(";")
+            self.expect("punct", text=";")
             generators.append((gname_tok.text, coord))
-        self.expect_punct("}")
+        self.expect("punct", text="}")
         spec = GroupSpec(
             n_rank=n_rank,
             q_rank=q_rank,
@@ -285,15 +242,14 @@ class _Parser:
             spec.validate()
         except GroupSpecError as exc:
             self.fail(str(exc), name_tok)
-        return name_tok, spec
+        return spec
 
     def parse_matrix(self, n_rank: int):
-        open_tok = self.expect_punct("[")
+        open_tok = self.expect("punct", text="[")
         rows = [self.expect_bits("matrix bit row")]
-        while self.peek().kind == "punct" and self.peek().text == ";":
-            self.advance()
+        while self.take("punct", ";"):
             rows.append(self.expect_bits("matrix bit row"))
-        self.expect_punct("]")
+        self.expect("punct", text="]")
         if len(rows) != n_rank or any(len(row) != n_rank for row in rows):
             self.fail(
                 f"matrix must be {n_rank}x{n_rank}, found "
@@ -303,11 +259,11 @@ class _Parser:
         return tuple(rows)
 
     def parse_coord(self, n_rank: int, q_rank: int):
-        open_tok = self.expect_punct("(")
+        open_tok = self.expect("punct", text="(")
         nbits = self.expect_bits("n-part bits", allow_empty=n_rank == 0)
-        self.expect_punct("|")
+        self.expect("punct", text="|")
         qbits = self.expect_bits("q-part bits", allow_empty=True)
-        self.expect_punct(")")
+        self.expect("punct", text=")")
         if len(nbits) != n_rank or len(qbits) != q_rank:
             self.fail(
                 f"coordinate must be ({n_rank} bits | {q_rank} bits), found "
@@ -316,33 +272,19 @@ class _Parser:
             )
         return (nbits, qbits)
 
-    def parse_word_list(self, spec: GroupSpec) -> tuple[tuple[str, ...], ...]:
-        self.expect_punct("[")
-        words = self.parse_words(spec)
-        self.expect_punct("]")
-        return words
-
     def parse_words(self, spec: GroupSpec) -> tuple[tuple[str, ...], ...]:
+        """Comma-separated words, each a ``*``-product of ``spec``'s generator names."""
         known = {name for name, _ in spec.generator_names}
-        words = [self.parse_word(known)]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
-            words.append(self.parse_word(known))
+        words = []
+        while not words or self.take("punct", ","):
+            word = []
+            while not word or self.take("punct", "*"):
+                tok = self.expect("ident", "generator name")
+                if tok.text not in known:
+                    self.fail(f"unknown generator {tok.text!r}", tok)
+                word.append(tok.text)
+            words.append(tuple(word))
         return tuple(words)
-
-    def parse_word(self, known: set[str]) -> tuple[str, ...]:
-        parts = []
-        tok = self.expect_ident("generator name")
-        if tok.text not in known:
-            self.fail(f"unknown generator {tok.text!r}", tok)
-        parts.append(tok.text)
-        while self.peek().kind == "punct" and self.peek().text == "*":
-            self.advance()
-            tok = self.expect_ident("generator name")
-            if tok.text not in known:
-                self.fail(f"unknown generator {tok.text!r}", tok)
-            parts.append(tok.text)
-        return tuple(parts)
 
 
 def parse_model(text: str) -> SessionModel:

@@ -348,12 +348,11 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
 
     The record is read strictly: exactly its five top-level keys and the
     three keys of each class, a string ``rep``, a non-empty list of string
-    ``members``, JSON-integer sizes, and ``rows`` a list of lists, each
-    holding one JSON-integer value per class.  Each refusal is a ValueError
-    naming the class and key, or the row and column.  A record with more or
-    fewer rows than classes is read; aligning it with a computed table
-    refuses it.  ``published`` is read as it stands; ``verify_paper`` checks
-    its keys against its own checks.
+    ``members``, JSON-integer sizes, and ``rows`` a list of lists, one per
+    class, each holding one JSON-integer value per class.  Each refusal is a
+    ValueError naming the class and key, the row count, or the row and
+    column.  ``published`` is read as it stands; ``verify_paper`` checks its
+    keys against its own checks.
     """
     if path is None:
         path = Path(__file__).parent / "data" / "g32_27_published.json"
@@ -378,6 +377,8 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
     k = len(classes)
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise ValueError("reference record: 'rows' is not a list of lists")
+    if len(rows) != k:
+        raise ValueError(f"reference record: {len(rows)} rows for {k} classes")
     for i, row in enumerate(rows):
         if len(row) != k:
             raise ValueError(f"reference row {i}: {len(row)} values for {k} classes")

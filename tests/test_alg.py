@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -165,6 +167,16 @@ def test_truncated_input():
     fails_with("group g {", "found end of input")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("group g { # note", (1, 17)), ("group g {\n  normal # note", (2, 16))],
+    ids=["one-line", "two-lines"],
+)
+def test_end_of_input_after_a_comment_is_past_the_comment(text, position):
+    err = fails_with(text, "found end of input")
+    assert (err.line, err.col) == position
+
+
 # -- fragments ----------------------------------------------------------
 
 
@@ -225,10 +237,28 @@ def mutate(rng, text):
     return text[:j] + text[i:j] + text[j:]
 
 
+# A diagnostic that quotes what it found names the text at its position.
+NAMED = re.compile(
+    r"(?:found|unexpected character|unknown generator|duplicate name|duplicate generator"
+    r"|unknown group) ('[^']*')$"
+)
+
+
+def assert_points_at_what_it_names(text, exc):
+    lines = text.split("\n")  # only "\n" ends a line; str.splitlines knows more
+    if exc.message.endswith("found end of input"):
+        assert (exc.line, exc.col) == (len(lines), len(lines[-1]) + 1)
+        return True
+    named = NAMED.search(exc.message)
+    if named:
+        assert lines[exc.line - 1][exc.col - 1 :].startswith(ast.literal_eval(named[1]))
+    return named is not None
+
+
 def test_mutated_models_fail_only_with_positions():
     rng = random.Random("alg-fuzz")
     original = packaged_text()
-    rejected = 0
+    rejected = pointed = 0
     for _ in range(1000):  # 1 to 3 edits each, about 2000 in all
         text = original
         for _ in range(rng.randrange(1, 4)):
@@ -239,4 +269,6 @@ def test_mutated_models_fail_only_with_positions():
             rejected += 1
             assert isinstance(exc.line, int) and exc.line >= 1
             assert isinstance(exc.col, int) and exc.col >= 1
+            pointed += assert_points_at_what_it_names(text, exc)
     assert rejected > 800
+    assert pointed > 750

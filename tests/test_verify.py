@@ -242,6 +242,12 @@ def gaussian_value(raw):
     raw["rows"][2][5] = "1+i"
 
 
+def drop_last_class(raw):
+    del raw["classes"][-1]
+    for row in raw["rows"]:
+        del row[-1]
+
+
 MALFORMED_RECORDS = [
     (string_members, "reference class 1: 'members' 'g4' is not a non-empty list of strings"),
     (
@@ -258,6 +264,7 @@ MALFORMED_RECORDS = [
     (short_row, "reference row 3: 13 values for 14 classes"),
     (long_row, "reference row 13: 15 values for 14 classes"),
     (gaussian_value, "reference row 2, column 5: '1+i' is not a rational integer"),
+    (drop_last_class, "reference record: 14 rows for 13 classes"),
 ]
 
 
@@ -374,10 +381,9 @@ def bump_degree(raw):
     raw["rows"][8][0] = 3
 
 
-def drop_last_class(raw):
-    del raw["classes"][-1]
-    for row in raw["rows"]:
-        del row[-1]
+def drop_last_class_and_row(raw):
+    drop_last_class(raw)
+    del raw["rows"][-1]
 
 
 TABLE_EDITS = [
@@ -392,7 +398,11 @@ TABLE_EDITS = [
             "canonical-decomposition-second",
         ],
     ),
-    (drop_last_class, ["class-count", "class-sizes", "class-membership"] + COLUMN_MAP_CHECKS),
+    (
+        drop_last_class_and_row,
+        ["class-count", "class-sizes", "class-membership", "character-degrees"]
+        + COLUMN_MAP_CHECKS,
+    ),
 ]
 
 
