@@ -6,12 +6,12 @@ a command are rendered here from that payload alone, never from a group,
 table or structure, so the three formats show one set of values.  A payload
 read back from its own JSON renders to the same bytes.  ``render`` is the
 one entry point; ``qslab.cli.main`` and ``qslab.verify.render_report`` both
-call it.
+call it.  ``json`` is imported only where JSON is written, so text and
+Markdown of the commands that print no JSON value never load it.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 
@@ -19,6 +19,8 @@ def render(command: str, payload: dict, fmt: str) -> str:
     """``payload`` of ``command`` as ``fmt`` (text, json or md), with no
     final newline."""
     if fmt == "json":
+        import json
+
         return json.dumps(payload, sort_keys=True, indent=2)
     if fmt not in ("text", "md"):
         raise ValueError(f"unknown report format {fmt!r}")
@@ -53,6 +55,8 @@ def _pass_fail(flag: bool) -> str:
 
 
 def _compact(value) -> str:
+    import json
+
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 

@@ -23,9 +23,8 @@ multiply left to right and are stored unevaluated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .groups import GroupSpec, GroupSpecError
+from .groups import GroupSpec, GroupSpecError, _Frozen
 
 _PUNCT = set("{}[]();,=*|")
 # ASCII only: str.isdigit() also accepts characters such as "²" that int()
@@ -33,6 +32,11 @@ _PUNCT = set("{}[]();,=*|")
 _DIGITS = frozenset("0123456789")
 # The run a token's first character starts; \w is exactly str.isalnum() or "_".
 _RUNS = {"int": re.compile("[0-9]+"), "ident": re.compile(r"\w+")}
+# A longer rank is refused before int() reads it.  Python limits int <-> str
+# conversion to sys.get_int_max_str_digits() digits (4300 by default, at
+# least 640 when set, no limit before 3.10.7); int() of a rank this long,
+# and str() of the sum of two, stay within every limit.
+_MAX_RANK_DIGITS = 639
 
 
 class ParseError(ValueError):
@@ -43,12 +47,12 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "int", "punct", "eof"
-    text: str
-    line: int
-    col: int
+class Token(_Frozen):
+    _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        # kind is "ident", "int", "punct" or "eof"
+        self.__dict__.update(kind=kind, text=text, line=line, col=col)
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -83,22 +87,27 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Declaration:
+class Declaration(_Frozen):
     """A named structure or subgroup: a word list on one group."""
 
-    name: str
-    group_name: str
-    words: tuple[tuple[str, ...], ...]
+    _fields = ("name", "group_name", "words")
+
+    def __init__(self, name: str, group_name: str, words: tuple[tuple[str, ...], ...]):
+        self.__dict__.update(name=name, group_name=group_name, words=words)
 
 
-@dataclass(frozen=True)
-class SessionModel:
+class SessionModel(_Frozen):
     """Everything a model file declares, in declaration order."""
 
-    groups: tuple[tuple[str, GroupSpec], ...] = ()
-    structures: tuple[Declaration, ...] = ()
-    subgroups: tuple[Declaration, ...] = ()
+    _fields = ("groups", "structures", "subgroups")
+
+    def __init__(
+        self,
+        groups: tuple[tuple[str, GroupSpec], ...] = (),
+        structures: tuple[Declaration, ...] = (),
+        subgroups: tuple[Declaration, ...] = (),
+    ):
+        self.__dict__.update(groups=groups, structures=structures, subgroups=subgroups)
 
     def group_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.groups)
@@ -203,7 +212,10 @@ class _Parser:
         for part in ("normal", "quotient"):
             self.expect("ident", text=part)
             self.expect("ident", text="rank")
-            ranks.append(int(self.expect("int", f"{part} rank").text))
+            tok = self.expect("int", f"{part} rank")
+            if len(tok.text) > _MAX_RANK_DIGITS:
+                self.fail(f"{part} rank has more than {_MAX_RANK_DIGITS} digits", tok)
+            ranks.append(int(tok.text))
             self.expect("punct", text=";")
         n_rank, q_rank = ranks
         matrices = []

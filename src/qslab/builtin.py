@@ -8,14 +8,13 @@ parsed once at import; that file is the only copy of the model.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from .alg import parse_model
 from .groups import FiniteGroup, Subgroup, build_group
 
-MODEL = parse_model(
-    (Path(__file__).parent / "data" / "g32_27.alg").read_text(encoding="utf-8")
-)
+with open(os.path.join(os.path.dirname(__file__), "data", "g32_27.alg"), encoding="utf-8") as _fh:
+    MODEL = parse_model(_fh.read())
 (GROUP_NAME,) = MODEL.group_names()
 G32_27_SPEC = MODEL.group_spec(GROUP_NAME)
 

@@ -16,11 +16,10 @@ Every value is a rational integer, held as an ``ExactScalar`` (an
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
 from operator import index, mul
-from pathlib import Path
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _Frozen
 
 REFERENCE_FORMAT = "qslab-published/1"
 CACHE_FORMAT = "qslab-chartable-cache/1"
@@ -40,9 +39,10 @@ class ExactScalar(int):
     A ``bool`` and anything ``operator.index`` refuses (a ``Fraction``, a
     float, a complex number, a string) raise ValueError.
 
-    ``re``, ``im`` and ``to_json`` are kept for two readers written against
-    the earlier Gaussian-rational values: the ``family`` certificate of the
-    benchmark (``perfbench/workloads.py``) and ``tests/test_acceptance.py``.
+    ``re`` (the value) and ``im`` (0) are kept for the one reader written
+    against the earlier Gaussian-rational values, the ``family`` certificate
+    of the benchmark (``perfbench/workloads.py``).  ``int(x)`` gives the
+    plain ``int``.
     """
 
     __slots__ = ()
@@ -57,29 +57,22 @@ class ExactScalar(int):
                 pass
         raise ValueError(f"{value!r} is not a rational integer")
 
-    def to_json(self) -> int:
-        return int(self)
 
-
-@dataclass(frozen=True, eq=False)
-class ClassFunction:
+class ClassFunction(_Frozen):
     """A function constant on conjugacy classes, in canonical class order.
 
     Every value is a rational integer; any other value is refused here.
     The only arithmetic is scaling by an integer.
     """
 
-    group: FiniteGroup = field(repr=False)
-    values: tuple[ExactScalar, ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.group._partition)
+    def __init__(self, group: FiniteGroup, values: tuple[ExactScalar, ...]):
+        k = len(group._partition)
         # Values that already are ExactScalar pass through, so a table keeps
         # one object per distinct value.
-        vals = tuple(v if type(v) is ExactScalar else ExactScalar(v) for v in self.values)
+        vals = tuple(v if type(v) is ExactScalar else ExactScalar(v) for v in values)
         if len(vals) != k:
             raise ValueError(f"expected {k} class values, got {len(vals)}")
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(group=group, values=vals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassFunction):
@@ -88,6 +81,9 @@ class ClassFunction:
 
     def __hash__(self) -> int:
         return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"ClassFunction(values={self.values!r})"
 
     def _check_same_group(self, other: "ClassFunction") -> None:
         if self.group is not other.group and self.group.spec != other.group.spec:
@@ -119,12 +115,18 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> int:
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
-    """Irreducible characters in canonical row order (degree, then values)."""
+class CharacterTable(_Frozen):
+    """Irreducible characters in canonical row order (degree, then values);
+    tables compare and hash by identity."""
 
-    group: FiniteGroup = field(repr=False)
-    rows: tuple[ClassFunction, ...]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, group: FiniteGroup, rows: tuple[ClassFunction, ...]):
+        self.__dict__.update(group=group, rows=rows)
+
+    def __repr__(self) -> str:
+        return f"CharacterTable(rows={self.rows!r})"
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -306,17 +308,31 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
 # -- reference fixtures and alignment ----------------------------------
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(_Frozen):
     """A published record: class words, sizes, a value grid, and the
     remaining published values keyed by the verify check that reads each."""
 
-    group_name: str
-    class_reps: tuple[str, ...]
-    class_members: tuple[tuple[str, ...], ...]
-    class_sizes: tuple[int, ...]
-    matrix: tuple[tuple[ExactScalar, ...], ...]
-    published: dict[str, object]
+    _fields = (
+        "group_name", "class_reps", "class_members", "class_sizes", "matrix", "published"
+    )
+
+    def __init__(
+        self,
+        group_name: str,
+        class_reps: tuple[str, ...],
+        class_members: tuple[tuple[str, ...], ...],
+        class_sizes: tuple[int, ...],
+        matrix: tuple[tuple[ExactScalar, ...], ...],
+        published: dict[str, object],
+    ):
+        self.__dict__.update(
+            group_name=group_name,
+            class_reps=class_reps,
+            class_members=class_members,
+            class_sizes=class_sizes,
+            matrix=matrix,
+            published=published,
+        )
 
 
 _RECORD_KEYS = frozenset({"format", "group", "classes", "rows", "published"})
@@ -343,7 +359,7 @@ def _check_keys(where: str, obj, keys) -> None:
         raise ValueError(f"{where}: {', '.join(found)}")
 
 
-def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
+def load_reference_table(path: str | os.PathLike | None = None) -> ReferenceTable:
     """Load a published record; the packaged G(32,27) record is the default.
 
     The record is read strictly: exactly its five top-level keys and the
@@ -355,8 +371,9 @@ def load_reference_table(path: str | Path | None = None) -> ReferenceTable:
     keys against its own checks.
     """
     if path is None:
-        path = Path(__file__).parent / "data" / "g32_27_published.json"
-    data = json.loads(Path(path).read_text())
+        path = os.path.join(os.path.dirname(__file__), "data", "g32_27_published.json")
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != REFERENCE_FORMAT:
         raise ValueError(f"unsupported reference fixture format {fmt!r}")

@@ -24,12 +24,10 @@ apart from those caches, and safe for concurrent reads.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from math import lcm
 from operator import or_
-from typing import Iterable, Sequence
 
 BitVector = tuple[int, ...]
 BitMatrix = tuple[BitVector, ...]
@@ -47,6 +45,41 @@ class GroupSpecError(ValueError):
 
 class GroupTooLargeError(ValueError):
     """An operation exceeds its configured group-order bound."""
+
+
+class _Frozen:
+    """Base of qslab's immutable classes.
+
+    Assigning or deleting any attribute raises AttributeError, so
+    ``__init__`` puts each field into ``__dict__`` directly, once.
+    Equality, hash and ``repr`` follow the fields named in ``_fields``, in
+    constructor order; a class that compares otherwise overrides all three.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
 def _as_bits(values: Iterable[int], length: int, what: str) -> BitVector:
@@ -85,8 +118,7 @@ def _mat_identity(size: int) -> BitMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Frozen):
     """Defining data for one group of the supported family.
 
     ``action`` holds one n_rank x n_rank bit matrix per Q basis vector,
@@ -95,10 +127,18 @@ class GroupSpec:
     vocabulary of every word appearing in input files and reports.
     """
 
-    n_rank: int
-    q_rank: int
-    action: tuple[BitMatrix, ...]
-    generator_names: tuple[tuple[str, tuple[BitVector, BitVector]], ...]
+    _fields = ("n_rank", "q_rank", "action", "generator_names")
+
+    def __init__(
+        self,
+        n_rank: int,
+        q_rank: int,
+        action: tuple[BitMatrix, ...],
+        generator_names: tuple[tuple[str, tuple[BitVector, BitVector]], ...],
+    ):
+        self.__dict__.update(
+            n_rank=n_rank, q_rank=q_rank, action=action, generator_names=generator_names
+        )
 
     def validate(self) -> None:
         if not isinstance(self.n_rank, int) or self.n_rank < 1:
@@ -148,22 +188,20 @@ class GroupSpec:
 
     def content_hash(self) -> str:
         """Hash of the defining data, stable across processes."""
-        import hashlib  # deferred: nothing else in the package needs it
+        import hashlib  # deferred: nothing else in the module needs hashlib or json
+        import json
 
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(_Frozen):
     """An element of ``group``, held as its index (see ``FiniteGroup``)."""
 
-    group: "FiniteGroup" = field(repr=False)
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.group._n:
-            raise IndexError(f"element index {self.index} is outside 0..{self.group._n - 1}")
+    def __init__(self, group: FiniteGroup, index: int):
+        if not 0 <= index < group._n:
+            raise IndexError(f"element index {index} is outside 0..{group._n - 1}")
+        self.__dict__.update(group=group, index=index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
@@ -197,13 +235,13 @@ class GroupElement:
         return f"GroupElement({self.word()!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Subgroup:
+class Subgroup(_Frozen):
     """A subgroup held as an index set inside its parent group."""
 
-    parent: "FiniteGroup" = field(repr=False)
-    indices: frozenset[int]
-    generators: tuple[GroupElement, ...]
+    def __init__(
+        self, parent: FiniteGroup, indices: frozenset[int], generators: tuple[GroupElement, ...]
+    ):
+        self.__dict__.update(parent=parent, indices=indices, generators=generators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -236,11 +274,13 @@ class Subgroup:
         return f"Subgroup(<{gens}>, order={self.order})"
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    index: int
-    representative: GroupElement
-    elements: tuple[GroupElement, ...]
+class ConjugacyClass(_Frozen):
+    _fields = ("index", "representative", "elements")
+
+    def __init__(
+        self, index: int, representative: GroupElement, elements: tuple[GroupElement, ...]
+    ):
+        self.__dict__.update(index=index, representative=representative, elements=elements)
 
     @property
     def size(self) -> int:

@@ -14,12 +14,10 @@ enter as their index sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
-from .characters import CharacterTable, ClassFunction
-from .groups import FiniteGroup, GroupElement, Subgroup
+from .groups import FiniteGroup, GroupElement, Subgroup, _Frozen
 
 
 # What fixed_point_table's None (the identity class) stands for in reports.
@@ -34,12 +32,13 @@ class IdentityFixedPoints(ValueError):
     """Fixed points of the identity requested; it fixes the whole curve."""
 
 
-@dataclass(frozen=True)
-class SphericalSystem:
-    group: FiniteGroup = field(repr=False)
-    entries: tuple[GroupElement, ...]
-    # Derived data are cached properties, computed on first read and kept
-    # by the system.
+class SphericalSystem(_Frozen):
+    # Systems compare by group and entries.  Derived data are cached
+    # properties, computed on first read and kept by the system.
+    _fields = ("group", "entries")
+
+    def __init__(self, group: FiniteGroup, entries: tuple[GroupElement, ...]):
+        self.__dict__.update(group=group, entries=entries)
 
     @property
     def signature(self) -> tuple[int, ...]:
@@ -65,6 +64,8 @@ class SphericalSystem:
 
     @cached_property
     def _canonical(self) -> ClassFunction:
+        from .characters import ClassFunction  # only this property needs the module
+
         genus = curve_genus(self)
         values = []
         for fix in self._fixed_points:
@@ -277,13 +278,14 @@ def quotient_genus_by_character(
     return genus
 
 
-@dataclass(frozen=True)
-class FiberOrbits:
-    """Orbit shape of a subgroup acting on one branch fiber."""
+class FiberOrbits(_Frozen):
+    """Orbit shape of a subgroup acting on one branch fiber; ``orbits``
+    holds sorted (orbit size, stabilizer order) pairs."""
 
-    branch_index: int
-    fiber_size: int
-    orbits: tuple[tuple[int, int], ...]  # (orbit size, stabilizer order), sorted
+    _fields = ("branch_index", "fiber_size", "orbits")
+
+    def __init__(self, branch_index: int, fiber_size: int, orbits: tuple[tuple[int, int], ...]):
+        self.__dict__.update(branch_index=branch_index, fiber_size=fiber_size, orbits=orbits)
 
     @property
     def acts_freely(self) -> bool:

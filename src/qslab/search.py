@@ -26,25 +26,23 @@ pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 from operator import add, mul, sub
 
 from .characters import CharacterTable, ClassFunction, _pack, _unpack, decompose
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _Frozen
 
 
-@dataclass(frozen=True)
-class BundleCohomology:
+class BundleCohomology(_Frozen):
     """Characters of the two cohomology spaces of a line bundle on a curve."""
 
-    h0: ClassFunction
-    h1: ClassFunction
+    _fields = ("h0", "h1")
 
-    def __post_init__(self) -> None:
-        self.h0._check_same_group(self.h1)
-        _check_dimension("h0", self.h0.values)
-        _check_dimension("h1", self.h1.values)
+    def __init__(self, h0: ClassFunction, h1: ClassFunction):
+        h0._check_same_group(h1)
+        _check_dimension("h0", h0.values)
+        _check_dimension("h1", h1.values)
+        self.__dict__.update(h0=h0, h1=h1)
 
 
 def _class_sizes(group: FiniteGroup) -> tuple[int, ...]:
@@ -137,24 +135,52 @@ def cohomology_dims(
     )
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(_Frozen):
     """Search outcome for one (A, B) pair of degree-2 parameters."""
 
-    a_index: int
-    b_index: int
-    admissible: tuple[int, ...]
-    dims: tuple[tuple[int, tuple[int, int, int]], ...]  # (twist row, (h0, h1, h2))
-    eulers: tuple[tuple[int, int], ...]  # (twist row, euler characteristic)
-    euler_flat: bool  # Euler characteristic vanishes for every twist
+    _fields = ("a_index", "b_index", "admissible", "dims", "eulers", "euler_flat")
+
+    def __init__(
+        self,
+        a_index: int,
+        b_index: int,
+        admissible: tuple[int, ...],
+        dims: tuple[tuple[int, tuple[int, int, int]], ...],  # (twist row, (h0, h1, h2))
+        eulers: tuple[tuple[int, int], ...],  # (twist row, euler characteristic)
+        euler_flat: bool,  # Euler characteristic vanishes for every twist
+    ):
+        self.__dict__.update(
+            a_index=a_index,
+            b_index=b_index,
+            admissible=admissible,
+            dims=dims,
+            eulers=eulers,
+            euler_flat=euler_flat,
+        )
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    table: CharacterTable = field(repr=False)
-    pairs: tuple[PairResult, ...]
-    theorem_holds: bool
-    trivial_admissible_anywhere: bool
+class SearchReport(_Frozen):
+    _fields = ("table", "pairs", "theorem_holds", "trivial_admissible_anywhere")
+
+    def __init__(
+        self,
+        table: CharacterTable,
+        pairs: tuple[PairResult, ...],
+        theorem_holds: bool,
+        trivial_admissible_anywhere: bool,
+    ):
+        self.__dict__.update(
+            table=table,
+            pairs=pairs,
+            theorem_holds=theorem_holds,
+            trivial_admissible_anywhere=trivial_admissible_anywhere,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SearchReport(pairs={self.pairs!r}, theorem_holds={self.theorem_holds!r}, "
+            f"trivial_admissible_anywhere={self.trivial_admissible_anywhere!r})"
+        )
 
 
 def search_all_pairs(

@@ -12,9 +12,8 @@ uses, so identical inputs give identical reports in every format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache, partial
-from typing import Callable
 
 from . import builtin
 from ._render import render
@@ -27,7 +26,7 @@ from .characters import (
     load_reference_table,
     reference_column_map,
 )
-from .groups import GroupSpec, build_group
+from .groups import GroupSpec, _Frozen, build_group
 from .ramification import (
     WHOLE_CURVE,
     canonical_character,
@@ -75,20 +74,22 @@ DERIVED_CHECKS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(_Frozen):
     """One comparison; ``expected`` and ``computed`` hold their JSON form."""
 
-    name: str
-    anchor: str
-    expected: object
-    computed: object
-    passed: bool
+    _fields = ("name", "anchor", "expected", "computed", "passed")
+
+    def __init__(self, name: str, anchor: str, expected: object, computed: object, passed: bool):
+        self.__dict__.update(
+            name=name, anchor=anchor, expected=expected, computed=computed, passed=passed
+        )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[VerificationCheck, ...]
+class VerificationReport(_Frozen):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[VerificationCheck, ...]):
+        self.__dict__.update(checks=checks)
 
     @property
     def passed(self) -> bool:

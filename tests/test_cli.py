@@ -299,7 +299,8 @@ def test_every_format_renders_from_the_json_payload(name, command):
 # Usage and input errors: exit 2, nothing on stdout, one line on stderr.
 # "{golden}" and "{tmp}" in an argument stand for the golden directory and
 # a per-test temporary directory holding broken.alg (a parse error),
-# binary.alg (bytes that are not UTF-8) and rank<r>.alg (a group of order 2^r).
+# binary.alg (bytes that are not UTF-8), rank<r>.alg (a group of order 2^r)
+# and digits.alg (a normal rank of 5000 digits).
 ERROR_CASES = [
     ("unknown-group", ("info", "nosuch"),
      "unknown group 'nosuch'; input declares: g32_27"),
@@ -348,6 +349,8 @@ ERROR_CASES = [
      "group big: group order 2^20000 exceeds the build bound 1024"),
     ("rank-10^18", ("info", "--input", "{tmp}/rank1000000000000000000.alg"),
      "group big: group order 2^1000000000000000000 exceeds the build bound 1024"),
+    ("rank-5000-digits", ("info", "--input", "{tmp}/digits.alg"),
+     "{tmp}/digits.alg: line 1, col 25: normal rank has more than 639 digits"),
 ]
 
 
@@ -364,6 +367,9 @@ def assert_exits_2(capsys, tmp_path, argv, message):
     for rank in (20000, 10**18):
         model = f"group big {{ normal rank {rank}; quotient rank 0; }}"
         (tmp_path / f"rank{rank}.alg").write_text(model)
+    (tmp_path / "digits.alg").write_text(
+        "group big { normal rank " + "9" * 5000 + "; quotient rank 0; }"
+    )
     paths = {"golden": str(GOLDEN), "tmp": str(tmp_path)}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from functools import partial
@@ -228,8 +227,8 @@ def test_foreign_elements_rejected(g32):
 
 
 def test_element_is_its_index(g32):
-    assert [f.name for f in dataclasses.fields(GroupElement)] == ["group", "index"]
     for i, g in enumerate(g32.elements):
+        assert vars(g) == {"group": g32, "index": i}
         assert g.index == g32.index(g) == i
         assert g == GroupElement(g32, i) and hash(g) == hash(GroupElement(g32, i))
         assert g.is_identity() == (i == 0)

@@ -118,19 +118,33 @@ def test_cli_loads_verify_and_search_only_for_their_commands():
     assert "qslab.verify" in verify
 
 
+# The commands that read no character table and, in text format, write no JSON.
+TABLELESS_COMMANDS = [
+    argv for argv in OTHER_COMMANDS
+    if argv[0] in ("info", "sigma", "disjoint", "quotient-genus", "fiber-orbits")
+]
+
+
 def test_cli_commands_load_no_fractions_decimal_or_importlib_resources():
     # -S skips site, whose .pth files may load any of these at start-up.
+    # The table-less commands run first, before anything loads json.
     out = run_fresh(
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from qslab import cli\n"
-        f"for argv in {OTHER_COMMANDS!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv) == 0, argv\n"
-        "print(json.dumps([m for m in ('fractions', 'decimal', 'importlib.resources')"
-        " if m in sys.modules]))\n",
+        "def run(argvs, watched):\n"
+        "    for argv in argvs:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert cli.main(argv) == 0, argv\n"
+        "    return [m for m in watched if m in sys.modules]\n"
+        f"tableless = run({TABLELESS_COMMANDS!r}, ('json', 'qslab.characters'))\n"
+        f"every = run({[*OTHER_COMMANDS, ['search'], ['verify-paper']]!r}, "
+        "('fractions', 'decimal', 'importlib.resources', 'dataclasses', 'inspect', "
+        "'typing', 'pathlib'))\n"
+        "import json\n"
+        "print(json.dumps([tableless, every]))\n",
         "-S",
     )
-    assert out == []
+    assert out == [[], []]
 
 
 def test_groups_import_does_not_load_hashlib():

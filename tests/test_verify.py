@@ -1,7 +1,6 @@
 import gc
 import json
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -23,8 +22,9 @@ def write_record(tmp_path, raw):
 
 
 def transposed_spec():
-    (m,) = G32_27_SPEC.action
-    return replace(G32_27_SPEC, action=(tuple(zip(*m)),))
+    spec = G32_27_SPEC
+    (m,) = spec.action
+    return GroupSpec(spec.n_rank, spec.q_rank, (tuple(zip(*m)),), spec.generator_names)
 
 
 def test_clean_run_passes(report):
