@@ -103,9 +103,9 @@ class SessionModel(_Frozen):
 
     def __init__(
         self,
-        groups: tuple[tuple[str, GroupSpec], ...] = (),
-        structures: tuple[Declaration, ...] = (),
-        subgroups: tuple[Declaration, ...] = (),
+        groups: tuple[tuple[str, GroupSpec], ...],
+        structures: tuple[Declaration, ...],
+        subgroups: tuple[Declaration, ...],
     ):
         self.__dict__.update(groups=groups, structures=structures, subgroups=subgroups)
 

@@ -20,11 +20,8 @@ G32_27_SPEC = MODEL.group_spec(GROUP_NAME)
 
 # Generating words of the ramification structures, and of the named
 # subgroups used by the quotient and fiber computations.
-STRUCTURE_WORDS: dict[str, tuple[tuple[str, ...], ...]] = {
-    d.name: d.words for d in MODEL.structures_on(GROUP_NAME)
-}
-T1_WORDS = STRUCTURE_WORDS["T1"]
-T2_WORDS = STRUCTURE_WORDS["T2"]
+T1_WORDS = MODEL.structure("T1").words
+T2_WORDS = MODEL.structure("T2").words
 SUBGROUP_WORDS: dict[str, tuple[tuple[str, ...], ...]] = {
     d.name: d.words for d in MODEL.subgroups if d.group_name == GROUP_NAME
 }

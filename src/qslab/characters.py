@@ -138,9 +138,6 @@ class CharacterTable(_Frozen):
                 return i
         raise CharacterTableError("table has no trivial character row")
 
-    def trivial(self) -> ClassFunction:
-        return self.rows[self.trivial_index()]
-
     def linear_indices(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
 
@@ -322,7 +319,7 @@ class ReferenceTable(_Frozen):
         class_reps: tuple[str, ...],
         class_members: tuple[tuple[str, ...], ...],
         class_sizes: tuple[int, ...],
-        matrix: tuple[tuple[ExactScalar, ...], ...],
+        matrix: tuple[tuple[int, ...], ...],
         published: dict[str, object],
     ):
         self.__dict__.update(
@@ -409,7 +406,7 @@ def load_reference_table(path: str | os.PathLike | None = None) -> ReferenceTabl
         class_reps=tuple(c["rep"] for c in classes),
         class_members=tuple(tuple(c["members"]) for c in classes),
         class_sizes=tuple(c["size"] for c in classes),
-        matrix=tuple(tuple(map(ExactScalar, row)) for row in rows),
+        matrix=tuple(map(tuple, rows)),
         published=data["published"],
     )
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import alg, builtin
 from ._render import render
+from .alg import ParseError, SessionModel, parse_model, parse_word_list_fragment
+from .builtin import G32_27_SPEC, MODEL
 from .groups import (
     FiniteGroup,
     GroupSpecError,
@@ -47,21 +48,16 @@ from .ramification import (
     validate_spherical,
 )
 
-# qslab.characters names that also resolve as qslab.cli.<name> (perfbench's
-# tracer test reads qslab.cli.compute_character_table).  Each is looked up on
-# access (PEP 562), so importing this module does not load qslab.characters.
-_CHARACTER_NAMES = frozenset({
-    "AlignmentError", "CharacterTable", "align_to_reference", "compute_character_table",
-    "decompose", "load_reference_table", "reference_column_map",
-})
-
 
 def __getattr__(name):
-    if name not in _CHARACTER_NAMES:
+    # qslab.cli.compute_character_table (read by perfbench's tracer test) is
+    # looked up on access (PEP 562), so importing this module does not load
+    # qslab.characters.
+    if name != "compute_character_table":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import characters
+    from .characters import compute_character_table
 
-    return getattr(characters, name)
+    return compute_character_table
 
 
 class CliError(Exception):
@@ -71,21 +67,21 @@ class CliError(Exception):
 # -- model and group resolution -----------------------------------------
 
 
-def _load_model(path: str | None) -> alg.SessionModel:
+def _load_model(path: str | None) -> SessionModel:
     if path is None:
-        return builtin.MODEL
+        return MODEL
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
     try:
-        return alg.parse_model(text)
-    except alg.ParseError as exc:
+        return parse_model(text)
+    except ParseError as exc:
         raise CliError(f"{path}: {exc}")
 
 
-def _resolve_group(model: alg.SessionModel, name: str | None) -> tuple[str, FiniteGroup]:
+def _resolve_group(model: SessionModel, name: str | None) -> tuple[str, FiniteGroup]:
     names = model.group_names()
     if not names:
         raise CliError("input declares no groups")
@@ -131,8 +127,8 @@ def _resolve_subgroup(model, group_name, group, text):
         decl = model.subgroup(text)
     except KeyError:
         try:
-            words = alg.parse_word_list_fragment(text, group.spec)
-        except alg.ParseError as exc:
+            words = parse_word_list_fragment(text, group.spec)
+        except ParseError as exc:
             raise CliError(f"--subgroup {text!r}: {exc}")
         label = ", ".join("*".join(w) if w else "1" for w in words) or "1"
     else:
@@ -162,7 +158,7 @@ def _layout(group: FiniteGroup, table: CharacterTable | None = None):
     """(row order, class order, order note) for display: the published order
     when this is the bundled group, else the canonical one.  Rows are
     aligned only when ``table`` is given."""
-    if group.spec == builtin.G32_27_SPEC:
+    if group.spec == G32_27_SPEC:
         from .characters import (
             AlignmentError, align_to_reference, load_reference_table, reference_column_map
         )
@@ -316,7 +312,7 @@ def _cmd_canonical(model, args, group_name, group, structures):
 
     ((sname, system),) = structures
     table = compute_character_table(group)
-    canonical = canonical_character(system, table)
+    canonical = canonical_character(system)
     row_perm, col_perm, note = _layout(group, table)
     labels = _row_labels(row_perm)
     mults = decompose(canonical, table)
@@ -374,7 +370,7 @@ def _cmd_search(model, args, group_name, group, structures):
 
     names, systems = map(list, zip(*structures))
     table = compute_character_table(group)
-    report = search_all_pairs(table, *(canonical_character(s, table) for s in systems))
+    report = search_all_pairs(table, *map(canonical_character, systems))
     row_perm, _, _ = _layout(group, table)
     labels = _row_labels(row_perm)
     position = {r: i for i, r in enumerate(row_perm)}

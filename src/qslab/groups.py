@@ -98,6 +98,12 @@ def _as_bits(values: Iterable[int], length: int, what: str) -> BitVector:
     return vec
 
 
+def _sequence(value, what: str) -> Sequence:
+    if not isinstance(value, Sequence):
+        raise GroupSpecError(f"{what} must be a sequence, got {value!r}")
+    return value
+
+
 def _bits_to_int(bits: BitVector) -> int:
     """``bits`` read as binary digits, first most significant, each with ``int``."""
     acc = 0
@@ -145,26 +151,33 @@ class GroupSpec(_Frozen):
             raise GroupSpecError(f"n_rank must be a positive integer, got {self.n_rank!r}")
         if not isinstance(self.q_rank, int) or self.q_rank < 0:
             raise GroupSpecError(f"q_rank must be a nonnegative integer, got {self.q_rank!r}")
-        if len(self.action) != self.q_rank:
-            raise GroupSpecError(
-                f"expected {self.q_rank} action matrices, got {len(self.action)}"
-            )
+        action = _sequence(self.action, "action")
+        if len(action) != self.q_rank:
+            raise GroupSpecError(f"expected {self.q_rank} action matrices, got {len(action)}")
         k = self.n_rank
         mats = []
-        for j, mat in enumerate(self.action):
-            if len(mat) != k or any(len(row) != k for row in mat):
-                raise GroupSpecError(f"action matrix {j} is not {k}x{k}")
-            mats.append(tuple(_as_bits(row, k, f"action matrix {j} row") for row in mat))
+        for j, mat in enumerate(action):
+            what = f"action matrix {j}"
+            rows = [_sequence(row, f"{what} row") for row in _sequence(mat, what)]
+            if len(rows) != k or any(len(row) != k for row in rows):
+                raise GroupSpecError(f"{what} is not {k}x{k}")
+            mats.append(tuple(_as_bits(row, k, f"{what} row") for row in rows))
             if _mat_mul(mats[j], mats[j]) != _mat_identity(k):
-                raise GroupSpecError(f"action matrix {j} is not an involution")
+                raise GroupSpecError(f"{what} is not an involution")
         for i, a in enumerate(mats):
             for j in range(i + 1, self.q_rank):
                 b = mats[j]
                 if _mat_mul(a, b) != _mat_mul(b, a):
                     raise GroupSpecError(f"action matrices {i} and {j} do not commute")
         seen: set[str] = set()
-        for name, (nvec, qvec) in self.generator_names:
-            if not name.isidentifier():
+        for entry in _sequence(self.generator_names, "generator_names"):
+            try:
+                name, (nvec, qvec) = entry
+            except (TypeError, ValueError):
+                raise GroupSpecError(
+                    f"generator_names entry {entry!r} is not (name, (n-part, q-part))"
+                ) from None
+            if not isinstance(name, str) or not name.isidentifier():
                 raise GroupSpecError(f"generator name {name!r} is not an identifier")
             if name in seen:
                 raise GroupSpecError(f"duplicate generator name {name!r}")
@@ -172,11 +185,12 @@ class GroupSpec(_Frozen):
             _as_bits(nvec, self.n_rank, f"generator {name} n-part")
             _as_bits(qvec, self.q_rank, f"generator {name} q-part")
 
-    def order(self) -> int:
-        return 1 << (self.n_rank + self.q_rank)
+    def content_hash(self) -> str:
+        """Hash of the defining data, stable across processes."""
+        import hashlib  # deferred: nothing else in the module needs hashlib or json
+        import json
 
-    def to_dict(self) -> dict:
-        return {
+        data = {
             "n_rank": self.n_rank,
             "q_rank": self.q_rank,
             "action": [[list(row) for row in mat] for mat in self.action],
@@ -185,13 +199,7 @@ class GroupSpec(_Frozen):
                 for name, (nvec, qvec) in self.generator_names
             ],
         }
-
-    def content_hash(self) -> str:
-        """Hash of the defining data, stable across processes."""
-        import hashlib  # deferred: nothing else in the module needs hashlib or json
-        import json
-
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
@@ -214,19 +222,21 @@ class GroupElement(_Frozen):
         return hash(self.index)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
-        return self.group.multiply(self, other)
+        group = self.group
+        return GroupElement(group, group._mul[self.index][group.index(other)])
 
     def inverse(self) -> GroupElement:
-        return self.group.inverse(self)
+        return GroupElement(self.group, self.group._inv[self.index])
 
     def order(self) -> int:
-        return self.group.element_order(self)
+        return self.group._orders[self.index]
 
     def is_identity(self) -> bool:
         return self.index == 0
 
     def word(self) -> str:
-        return self.group.element_to_word(self)
+        """Basis names in coordinate order, or ``(n-bits|q-bits)`` if one is unnamed."""
+        return self.group._words[self.index]
 
     def __str__(self) -> str:
         return self.word()
@@ -366,15 +376,6 @@ class FiniteGroup:
             raise ValueError("element belongs to a different group")
         return g.index
 
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return GroupElement(self, self._mul[self.index(a)][self.index(b)])
-
-    def inverse(self, a: GroupElement) -> GroupElement:
-        return GroupElement(self, self._inv[self.index(a)])
-
-    def element_order(self, a: GroupElement) -> int:
-        return self._orders[self.index(a)]
-
     def exponent(self) -> int:
         return lcm(*self._orders)
 
@@ -398,10 +399,6 @@ class FiniteGroup:
                 raise KeyError(f"unknown generator {name!r}")
             acc = self._mul[acc][self._gen_index[name]]
         return GroupElement(self, acc)
-
-    def element_to_word(self, g: GroupElement) -> str:
-        """Basis names in coordinate order, or ``(n-bits|q-bits)`` if one is unnamed."""
-        return self._words[self.index(g)]
 
     @cached_property
     def _words(self) -> tuple[str, ...]:

@@ -214,13 +214,13 @@ def fixed_point_table(system: SphericalSystem) -> tuple[int | None, ...]:
     return system._fixed_points
 
 
-def canonical_character(system: SphericalSystem, table: CharacterTable) -> ClassFunction:
+def canonical_character(system: SphericalSystem) -> ClassFunction:
     """Character of the canonical representation on holomorphic 1-forms.
 
     Every character of the family is integer valued, so the Lefschetz
     relation fix(g) = 2 - 2 chi(g) inverts to exact integer values, with
-    chi(1) the curve genus.  The values do not depend on ``table``, and are
-    computed once per system.
+    chi(1) the curve genus.  The values come from the fixed points alone,
+    and are computed once per system.
     """
     return system._canonical
 
@@ -260,12 +260,10 @@ def quotient_genus(system: SphericalSystem, sub: Subgroup) -> int:
     return genus
 
 
-def quotient_genus_by_character(
-    system: SphericalSystem, sub: Subgroup, table: CharacterTable
-) -> int:
+def quotient_genus_by_character(system: SphericalSystem, sub: Subgroup) -> int:
     """Independent route: average the canonical character over the subgroup."""
     group = system.group
-    values = canonical_character(system, table).values
+    values = canonical_character(system).values
     class_of = group._class_of
     total = sum(values[class_of[h]] for h in sub.indices)
     genus, rem = divmod(total, sub.order)

@@ -160,26 +160,18 @@ class PairResult(_Frozen):
 
 
 class SearchReport(_Frozen):
-    _fields = ("table", "pairs", "theorem_holds", "trivial_admissible_anywhere")
+    _fields = ("pairs", "theorem_holds", "trivial_admissible_anywhere")
 
     def __init__(
         self,
-        table: CharacterTable,
         pairs: tuple[PairResult, ...],
         theorem_holds: bool,
         trivial_admissible_anywhere: bool,
     ):
         self.__dict__.update(
-            table=table,
             pairs=pairs,
             theorem_holds=theorem_holds,
             trivial_admissible_anywhere=trivial_admissible_anywhere,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SearchReport(pairs={self.pairs!r}, theorem_holds={self.theorem_holds!r}, "
-            f"trivial_admissible_anywhere={self.trivial_admissible_anywhere!r})"
         )
 
 
@@ -255,7 +247,6 @@ def search_all_pairs(
                 )
             )
     return SearchReport(
-        table=table,
         pairs=tuple(results),
         theorem_holds=all(r.admissible for r in results),
         trivial_admissible_anywhere=any(trivial_index in r.admissible for r in results),

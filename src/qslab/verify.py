@@ -15,8 +15,8 @@ import json
 from collections.abc import Callable
 from functools import cache, partial
 
-from . import builtin
 from ._render import render
+from .builtin import G32_27_SPEC, SUBGROUP_WORDS, T1_WORDS, T2_WORDS, named_subgroup
 from .characters import (
     _check_keys,
     _match_rows,
@@ -50,10 +50,10 @@ SCHEMA_VERSION = "qslab-report/1"
 # (structure, subgroup label, generator words) of each published quotient genus
 QUOTIENT_GENUS_SUBGROUPS = (
     ("T1", "<g5>", (("g5",),)),
-    ("T1", "H", builtin.SUBGROUP_WORDS["H"]),
-    ("T2", "H1", builtin.SUBGROUP_WORDS["H1"]),
-    ("T2", "H2", builtin.SUBGROUP_WORDS["H2"]),
-    ("T2", "H4", builtin.SUBGROUP_WORDS["H4"]),
+    ("T1", "H", SUBGROUP_WORDS["H"]),
+    ("T2", "H1", SUBGROUP_WORDS["H1"]),
+    ("T2", "H2", SUBGROUP_WORDS["H2"]),
+    ("T2", "H4", SUBGROUP_WORDS["H4"]),
 )
 
 # (structure, branch index, subgroup) of each published fiber orbit shape
@@ -155,7 +155,7 @@ def verify_paper(
     def run(name: str, anchor: str, compute: Callable[[], object]):
         pending.append((name, anchor, compute))
 
-    group = build_group(spec if spec is not None else builtin.G32_27_SPEC)
+    group = build_group(spec if spec is not None else G32_27_SPEC)
 
     word = group.evaluate_word
 
@@ -225,8 +225,8 @@ def verify_paper(
 
     run("character-table-reference", "published character table", aligned_matrix)
 
-    t1 = cache(lambda: validate_spherical(group, [word(w) for w in builtin.T1_WORDS]))
-    t2 = cache(lambda: validate_spherical(group, [word(w) for w in builtin.T2_WORDS]))
+    t1 = cache(lambda: validate_spherical(group, [word(w) for w in T1_WORDS]))
+    t2 = cache(lambda: validate_spherical(group, [word(w) for w in T2_WORDS]))
     run("structure-type-t1", "published generating systems", lambda: t1().signature)
     run("structure-type-t2", "published generating systems", lambda: t2().signature)
     run(
@@ -263,8 +263,8 @@ def verify_paper(
     run("genus-first-curve", "published curve invariants", lambda: curve_genus(t1()))
     run("genus-second-curve", "published curve invariants", lambda: curve_genus(t2()))
 
-    kc = cache(lambda: canonical_character(t1(), table()))
-    kd = cache(lambda: canonical_character(t2(), table()))
+    kc = cache(lambda: canonical_character(t1()))
+    kd = cache(lambda: canonical_character(t2()))
     run(
         "canonical-character-first",
         "published canonical character (first curve)",
@@ -322,15 +322,14 @@ def verify_paper(
         "quotient-genus-bridge",
         "published quotient genera",
         lambda: all(
-            quotient_genus(system, sub)
-            == quotient_genus_by_character(system, sub, table())
+            quotient_genus(system, sub) == quotient_genus_by_character(system, sub)
             for system in (t1(), t2())
             for sub in subgroups()
         ),
     )
 
     def fiber_row(system_name, branch, sub_name):
-        sub = builtin.named_subgroup(group, sub_name)
+        sub = named_subgroup(group, sub_name)
         return fiber_orbit_structure(systems[system_name](), branch, sub).orbits
 
     for system_name, branch, sub_name in FIBER_ORBIT_BRANCHES:
@@ -384,8 +383,8 @@ def verify_paper(
                 sorted_words(group.subgroup_closure(map(parse, gens)).indices)
                 for gens in normals
             ),
-            "character-degrees": sorted(int(row[r.class_reps.index("1")]) for row in r.matrix),
-            "character-table-reference": [list(map(int, row)) for row in r.matrix],
+            "character-degrees": sorted(row[r.class_reps.index("1")] for row in r.matrix),
+            "character-table-reference": [list(row) for row in r.matrix],
         }
 
     try:

@@ -162,7 +162,7 @@ def test_criterion_5_canonical_characters(check, t1, t2, table, col_map, perms):
         (t1, T1_CANONICAL, T1_DECOMP),
         (t2, T2_CANONICAL, T2_DECOMP),
     ):
-        chi = canonical_character(system, table)
+        chi = canonical_character(system)
         got = tuple(int(chi.values[c]) for c in col_map)
         ok = ok and got == expected_vals
         rows = sorted(
@@ -184,7 +184,7 @@ def test_criterion_6_ramification_structure(check, g32, t1, t2):
     check(6, "valid generating systems of the published types, acting freely", ok)
 
 
-def test_criterion_7_quotient_geometry(check, g32, t1, t2, table):
+def test_criterion_7_quotient_geometry(check, g32, t1, t2):
     g5 = g32.subgroup_closure([g32.generator("g5")])
     h = named_subgroup(g32, "H")
     h1 = named_subgroup(g32, "H1")
@@ -202,16 +202,14 @@ def test_criterion_7_quotient_geometry(check, g32, t1, t2, table):
     ok = ok and {s for _, s in fiber_orbit_structure(t2, 4, h1).orbits} == {4}
     for system in (t1, t2):
         for sub in g32.enumerate_subgroups():
-            if quotient_genus(system, sub) != quotient_genus_by_character(
-                system, sub, table
-            ):
+            if quotient_genus(system, sub) != quotient_genus_by_character(system, sub):
                 ok = False
     check(7, "published quotient genera, fiber actions, and character bridge", ok)
 
 
 def test_criterion_8_twist_search(check, t1, t2, table):
-    kc = canonical_character(t1, table)
-    kd = canonical_character(t2, table)
+    kc = canonical_character(t1)
+    kd = canonical_character(t2)
     report = search_all_pairs(table, kc, kd)
     ok = len(report.pairs) == 36
     trivial = table.trivial_index()

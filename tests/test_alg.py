@@ -11,6 +11,7 @@ from qslab.alg import (
     parse_word_list_fragment,
 )
 from qslab.builtin import G32_27_SPEC
+from qslab.groups import build_group
 
 MINIMAL = """
 group c2 {
@@ -30,7 +31,7 @@ def test_minimal_model_parses():
     model = parse_model(MINIMAL)
     spec = model.group_spec("c2")
     assert spec.n_rank == 1 and spec.q_rank == 0
-    assert spec.order() == 2
+    assert build_group(spec).order == 2
     assert model.structure("S").words == (("a",), ("a",))
 
 
@@ -38,7 +39,7 @@ def test_comments_and_whitespace():
     text = "# leading comment\n" + MINIMAL.replace(
         "quotient rank 0;", "quotient rank 0;  # trailing comment"
     )
-    assert parse_model(text).group_spec("c2").order() == 2
+    assert build_group(parse_model(text).group_spec("c2")).order == 2
 
 
 # -- diagnostics --------------------------------------------------------

@@ -79,7 +79,7 @@ SHEAR = ((1, 1), (0, 1))
 
 def test_spec_validates():
     G32_27_SPEC.validate()
-    assert G32_27_SPEC.order() == 32
+    assert build_group(G32_27_SPEC).order == 32
 
 
 def test_spec_rejects_bad_ranks():
@@ -92,6 +92,11 @@ def test_spec_rejects_bad_ranks():
 def test_spec_rejects_wrong_matrix_count():
     with pytest.raises(GroupSpecError, match="matrices"):
         GroupSpec(2, 1, (), (("a", ((1, 0), (0,))),)).validate()
+    # a malformed action is refused by field, not with a TypeError
+    with pytest.raises(GroupSpecError, match="^action must be a sequence"):
+        GroupSpec(1, 0, None, ()).validate()
+    with pytest.raises(GroupSpecError, match="^action matrix 0 must be a sequence"):
+        GroupSpec(1, 1, (5,), ()).validate()
 
 
 def test_spec_rejects_non_involution():
@@ -112,6 +117,13 @@ def test_spec_rejects_bad_names():
         GroupSpec(1, 0, (), (("not a name", ((1,), ())),)).validate()
     with pytest.raises(GroupSpecError, match="duplicate"):
         GroupSpec(1, 0, (), (("a", ((1,), ())), ("a", ((1,), ())))).validate()
+    # malformed generator entries are refused by field, not with another error
+    with pytest.raises(GroupSpecError, match="^generator name 5 is not an identifier"):
+        GroupSpec(1, 0, (), ((5, ((0,), ())),)).validate()
+    with pytest.raises(GroupSpecError, match=r"^generator_names entry \('a',\) is not"):
+        GroupSpec(1, 0, (), (("a",),)).validate()
+    with pytest.raises(GroupSpecError, match="^generator_names must be a sequence"):
+        GroupSpec(1, 0, (), None).validate()
 
 
 def test_generator_bits_are_read_as_validated():
@@ -221,9 +233,13 @@ def test_foreign_elements_rejected(g32):
     other = elementary_abelian(1)
     with pytest.raises(ValueError, match="different group"):
         g32.index(other.identity())
+    with pytest.raises(ValueError, match="different group"):
+        g32.generator("g2") * other.identity()
     # a second build of the same spec is interchangeable
     twin = build_group(G32_27_SPEC)
     assert g32.index(twin.generator("g2")) == 16
+    product = g32.generator("g2") * twin.generator("g4")
+    assert product.group is g32 and product.word() == "g2*g4"
 
 
 def test_element_is_its_index(g32):
@@ -287,11 +303,8 @@ def test_every_word_is_built_from_its_index_bits(build):
 
 
 def test_words_refuse_another_groups_elements(g32):
-    foreign = n5q1_named().element(40)
-    with pytest.raises(ValueError, match="different group"):
-        g32.element_to_word(foreign)
     # a second build of the same spec is interchangeable
-    assert g32.element_to_word(build_g32_27().element(0b10100)) == "g2*g4"
+    assert build_g32_27().element(0b10100).word() == g32.element(0b10100).word() == "g2*g4"
 
 
 @pytest.mark.parametrize("index", [-1, -32, 32, 10**6])

@@ -65,9 +65,9 @@ OTHER_COMMANDS = (
 )
 
 
-def run_fresh(code: str, *flags: str):
+def run_process(code: str, *flags: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter (with ``flags``) that finds this
-    qslab; returns its last stdout line parsed as JSON."""
+    qslab; it must exit 0."""
     env = dict(os.environ)
     src = str(Path(qslab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -80,7 +80,12 @@ def run_fresh(code: str, *flags: str):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc
+
+
+def run_fresh(code: str, *flags: str):
+    """``run_process``, with its last stdout line parsed as JSON."""
+    return json.loads(run_process(code, *flags).stdout.splitlines()[-1])
 
 
 LOADED = "sorted(m for m in sys.modules if m == 'qslab' or m.startswith('qslab.'))"
@@ -145,6 +150,26 @@ def test_cli_commands_load_no_fractions_decimal_or_importlib_resources():
         "-S",
     )
     assert out == [[], []]
+
+
+@pytest.mark.parametrize(
+    "code, modules",
+    [
+        ("from qslab.cli import main; main(['info'])", {"qslab.alg", "qslab.builtin"}),
+        ("import qslab.verify", {"qslab.builtin"}),
+    ],
+    ids=["cli-info", "verify"],
+)
+def test_importtime_lists_every_qslab_module_it_loads(code, modules):
+    # -X importtime has no row for a module loaded through the package's
+    # PEP 562 __getattr__ (importlib.import_module), so modules import their
+    # siblings by name, and start-up profiles show every one of them.
+    rows = {
+        line.rpartition("|")[2].strip()
+        for line in run_process(code, "-S", "-X", "importtime").stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert modules <= rows
 
 
 def test_groups_import_does_not_load_hashlib():

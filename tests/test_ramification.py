@@ -175,9 +175,9 @@ def test_cross_products_vanish(g32, t1, t2):
 # -- canonical characters -----------------------------------------------
 
 
-def test_canonical_characters(t1, t2, table, col_map):
+def test_canonical_characters(t1, t2, col_map):
     for system, expected in ((t1, T1_CANONICAL), (t2, T2_CANONICAL)):
-        chi = canonical_character(system, table)
+        chi = canonical_character(system)
         got = tuple(chi.values[c] for c in col_map)
         assert got == expected
         assert all(type(v) is ExactScalar for v in chi.values)
@@ -186,12 +186,12 @@ def test_canonical_characters(t1, t2, table, col_map):
 def test_canonical_decompositions(t1, t2, table, perms):
     row_perm, _ = perms
     ref_position = {canonical: i + 1 for i, canonical in enumerate(row_perm)}
-    chi1 = canonical_character(t1, table)
+    chi1 = canonical_character(t1)
     rows1 = sorted(
         ref_position[i] for i, m in enumerate(decompose(chi1, table)) if m
     )
     assert rows1 == [7, 9, 11]
-    chi2 = canonical_character(t2, table)
+    chi2 = canonical_character(t2)
     rows2 = sorted(
         ref_position[i] for i, m in enumerate(decompose(chi2, table)) if m
     )
@@ -200,8 +200,8 @@ def test_canonical_decompositions(t1, t2, table, perms):
     assert all(m in (0, 1) for m in decompose(chi2, table))
 
 
-def test_lefschetz_identity(g32, t1, table):
-    chi = canonical_character(t1, table)
+def test_lefschetz_identity(g32, t1):
+    chi = canonical_character(t1)
     for g in g32.elements:
         if g.is_identity():
             continue
@@ -214,7 +214,7 @@ def test_covering_curve_bundle(t1, t2, table):
     # the canonical character of a spherical covering has the genus at the
     # identity and no invariants (the quotient is the projective line)
     for system, genus in ((t1, 5), (t2, 9)):
-        canonical = canonical_character(system, table)
+        canonical = canonical_character(system)
         assert curve_genus(system) == genus
         assert canonical.at_identity() == genus
         assert decompose(canonical, table)[table.trivial_index()] == 0
@@ -244,20 +244,20 @@ def test_quotient_genus_extremes(g32, t1, t2):
         assert quotient_genus(system, whole) == 0
 
 
-def assert_quotient_genus_routes_agree(system, sub, table):
+def assert_quotient_genus_routes_agree(system, sub):
     """Both quotient-genus routes and the Riemann-Hurwitz coset oracle agree."""
     genus = quotient_genus(system, sub)
-    assert genus == quotient_genus_by_character(system, sub, table)
+    assert genus == quotient_genus_by_character(system, sub)
     assert genus == quotient_genus_oracle(system, sub)
 
 
-def test_quotient_genus_character_route(g32, t1, t2, table):
+def test_quotient_genus_character_route(g32, t1, t2):
     for system in (t1, t2):
         for sub in g32.enumerate_subgroups():
-            assert_quotient_genus_routes_agree(system, sub, table)
+            assert_quotient_genus_routes_agree(system, sub)
 
 
-def test_bridge_builds_each_fixed_point_table_once(g32, table, monkeypatch):
+def test_bridge_builds_each_fixed_point_table_once(g32, monkeypatch):
     # fresh systems, so no earlier test has filled their cached properties
     systems = [
         validate_spherical(g32, [g32.evaluate_word(w) for w in words])
@@ -276,13 +276,11 @@ def test_bridge_builds_each_fixed_point_table_once(g32, table, monkeypatch):
     assert len(subgroups) == 106
     for system in systems:
         for sub in subgroups:
-            assert quotient_genus_by_character(system, sub, table) == quotient_genus(
-                system, sub
-            )
+            assert quotient_genus_by_character(system, sub) == quotient_genus(system, sub)
     classes = len(g32.conjugacy_classes())
     assert calls == {id(system): classes - 1 for system in systems}
     for system in systems:
-        assert canonical_character(system, table) is canonical_character(system, table)
+        assert canonical_character(system) is canonical_character(system)
 
 
 def test_fixed_point_routes_agree_on_order_64_after_memo(monkeypatch):
@@ -360,7 +358,7 @@ def test_group_is_freed_without_the_collector(build):
         normals = group.enumerate_normal_subgroups()
         system = basis_system(group)
         assert quotient_genus(system, subgroups[1]) == quotient_genus_by_character(
-            system, subgroups[1], table
+            system, subgroups[1]
         )
         assert fiber_orbit_structure(system, 1, normals[-1]).fiber_size > 0
         assert stabilizer_set(system)
@@ -386,12 +384,9 @@ def test_routes_agree_on_order_64_member(build):
     system = basis_system(group)
     assert_fixed_point_routes_agree(system)
 
-    table = compute_character_table(group)
     subgroups = group.enumerate_subgroups()
     for sub in subgroups:
-        assert quotient_genus(system, sub) == quotient_genus_by_character(
-            system, sub, table
-        )
+        assert quotient_genus(system, sub) == quotient_genus_by_character(system, sub)
 
     for sub in subgroups[:: len(subgroups) // 32] + (subgroups[-1],):
         assert quotient_genus(system, sub) == quotient_genus_oracle(system, sub)

@@ -48,8 +48,8 @@ EULER_FLAT_PAIRS = {(9, 14), (11, 13)}
 
 @pytest.fixture(scope="module")
 def report(table, t1, t2):
-    kc = canonical_character(t1, table)
-    kd = canonical_character(t2, table)
+    kc = canonical_character(t1)
+    kd = canonical_character(t2)
     return search_all_pairs(table, kc, kd)
 
 
@@ -116,7 +116,7 @@ def test_dims_additivity(report):
 def test_invariant_dimension(table):
     # the invariant dimension of a character is its trivial multiplicity
     trivial = table.trivial_index()
-    assert decompose(table.trivial(), table)[trivial] == 1
+    assert decompose(table.rows[trivial], table)[trivial] == 1
     for i in table.indices_of_degree(2):
         assert decompose(table.rows[i], table)[trivial] == 0
     regular = ClassFunction(table.group, (32,) + (0,) * 13)
@@ -128,7 +128,7 @@ def test_invariant_dimension_rejects_non_integral(g32, table, t1):
     # virtual character
     delta = ClassFunction(g32, tuple(1 if i == 0 else 0 for i in range(14)))
     with pytest.raises(ValueError, match="not integral"):
-        search_all_pairs(table, canonical_character(t1, table), delta)
+        search_all_pairs(table, canonical_character(t1), delta)
 
 
 def test_invariant_dimension_rejects_non_integer_values(g32):
@@ -141,12 +141,13 @@ def test_invariant_dimension_rejects_non_integer_values(g32):
 
 
 def test_bundle_cohomology_validation(table):
+    one = table.rows[table.trivial_index()]
     with pytest.raises(ValueError, match="not a dimension"):
-        BundleCohomology(h0=table.trivial() * -1, h1=table.trivial())
+        BundleCohomology(h0=one * -1, h1=one)
 
 
 def test_search_refuses_a_negative_dimension(table, t1, t2):
-    kc, kd = canonical_character(t1, table), canonical_character(t2, table)
+    kc, kd = canonical_character(t1), canonical_character(t2)
     # a first factor whose h1 would have dimension -5 at the identity
     with pytest.raises(ValueError, match="h1 identity value -5 is not a dimension"):
         search_all_pairs(table, kc * -1, kd)
@@ -176,14 +177,15 @@ def test_kunneth_euler_hand_values(report, perms, ref):
 
 
 def test_cohomology_dims_consistency(table, t1, t2):
-    kc = canonical_character(t1, table)
-    kd = canonical_character(t2, table)
-    factor_c = BundleCohomology(h0=table.trivial(), h1=kc)
+    kc = canonical_character(t1)
+    kd = canonical_character(t2)
+    one = table.rows[table.trivial_index()]
+    factor_c = BundleCohomology(h0=one, h1=kc)
     a = table.indices_of_degree(2)[0]
-    h0_d = [x + y for x, y in zip(table.trivial().values, table.rows[a].values)]
+    h0_d = [x + y for x, y in zip(one.values, table.rows[a].values)]
     factor_d = BundleCohomology(h0=ClassFunction(table.group, tuple(h0_d)), h1=kd)
     sizes = [cls.size for cls in table.group.conjugacy_classes()]
-    euler_c = [x - y for x, y in zip(table.trivial().values, kc.values)]
+    euler_c = [x - y for x, y in zip(one.values, kc.values)]
     euler_d = [x - y for x, y in zip(h0_d, kd.values)]
     for t in table.linear_indices():
         h0, h1, h2 = cohomology_dims(factor_c, factor_d, table.rows[t])
@@ -207,8 +209,9 @@ def per_twist_search(table, kc, kd):
     linear = table.linear_indices()
     mults = decompose(kd, table)
     base_d = [sum(mults[i] * rows[i][c] for i in linear) for c in range(len(sizes))]
-    c0, c1 = table.trivial().values, kc.values
-    factor_c = BundleCohomology(h0=table.trivial(), h1=kc)
+    one = table.rows[table.trivial_index()]
+    c0, c1 = one.values, kc.values
+    factor_c = BundleCohomology(h0=one, h1=kc)
     results = {}
     for a in table.indices_of_degree(2):
         d0 = [x + y for x, y in zip(c0, rows[a])]
@@ -259,7 +262,7 @@ def seeded_virtual(table, rng, bound):
 
 def test_packed_search_matches_per_twist_kernel(table, t1, t2):
     report = assert_matches_per_twist(
-        table, canonical_character(t1, table), canonical_character(t2, table)
+        table, canonical_character(t1), canonical_character(t2)
     )
     assert len(report.pairs) == 36 and all(len(p.dims) == 8 for p in report.pairs)
 
@@ -275,7 +278,7 @@ def test_packed_search_on_seeded_virtual_characters(seed, bound):
     group = n4q2()
     table = compute_character_table(group)
     assert len(table.linear_indices()) == 16 and len(table.indices_of_degree(2)) == 8
-    trivial = table.trivial()
+    trivial = table.rows[table.trivial_index()]
     kc = seeded_virtual(table, rng, bound)
     kc = ClassFunction(group, tuple(x + max(0, -kc[0]) for x in kc))
     kd = seeded_virtual(table, rng, bound)
@@ -297,7 +300,7 @@ def test_packed_search_refuses_a_non_virtual_first_factor(table, t1, t2):
     linear = table.linear_indices()
     t, u = (table.rows[i].values for i in linear[1:3])
     half = ClassFunction(table.group, tuple((x + y) // 2 for x, y in zip(t, u)))
-    kd = canonical_character(t2, table)
+    kd = canonical_character(t2)
     with pytest.raises(ValueError, match="invariant multiplicity .* is not integral"):
         search_all_pairs(table, half, kd)
     with pytest.raises(ValueError, match="not integral"):

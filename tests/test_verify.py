@@ -191,6 +191,32 @@ def test_verify_paper_resolves_reference_columns_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_checks_that_read_no_table_pass_when_the_table_fails(monkeypatch):
+    # the canonical characters and the quotient-genus bridge come from the
+    # fixed points alone, so a failed table build fails only the checks
+    # that read the table
+    def broken(group):
+        raise characters.CharacterTableError("no table")
+
+    monkeypatch.setattr(verify, "compute_character_table", broken)
+    report = verify_paper()
+    by_name = {c.name: c for c in report.checks}
+    for name in (
+        "canonical-character-first",
+        "canonical-character-second",
+        "quotient-genus-bridge",
+    ):
+        assert by_name[name].passed, name
+    for name in (
+        "character-degrees",
+        "character-orthogonality",
+        "character-table-reference",
+        "canonical-decomposition-first",
+        "twist-pair-count",
+    ):
+        assert by_name[name].computed == "error: no table" and not by_name[name].passed
+
+
 # -- the published record: read strictly, compared by JSON type ------------
 
 
