@@ -244,17 +244,10 @@ class _Parser:
             self.expect("punct", text=";")
             generators.append((gname_tok.text, coord))
         self.expect("punct", text="}")
-        spec = GroupSpec(
-            n_rank=n_rank,
-            q_rank=q_rank,
-            action=tuple(matrices),
-            generator_names=tuple(generators),
-        )
         try:
-            spec.validate()
+            return GroupSpec(n_rank, q_rank, tuple(matrices), tuple(generators))
         except GroupSpecError as exc:
             self.fail(str(exc), name_tok)
-        return spec
 
     def parse_matrix(self, n_rank: int):
         open_tok = self.expect("punct", text="[")

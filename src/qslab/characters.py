@@ -359,13 +359,13 @@ def _check_keys(where: str, obj, keys) -> None:
 def load_reference_table(path: str | os.PathLike | None = None) -> ReferenceTable:
     """Load a published record; the packaged G(32,27) record is the default.
 
-    The record is read strictly: exactly its five top-level keys and the
-    three keys of each class, a string ``rep``, a non-empty list of string
-    ``members``, JSON-integer sizes, and ``rows`` a list of lists, one per
-    class, each holding one JSON-integer value per class.  Each refusal is a
-    ValueError naming the class and key, the row count, or the row and
-    column.  ``published`` is read as it stands; ``verify_paper`` checks its
-    keys against its own checks.
+    The record is read strictly: exactly its five top-level keys, a string
+    ``group``, the three keys of each class, a non-empty list of string
+    ``members`` that holds the string ``rep``, JSON-integer sizes, and
+    ``rows`` a list of lists, one per class, each holding one JSON-integer
+    value per class.  Each refusal is a ValueError naming the class and key,
+    the row count, or the row and column.  ``published`` is read as it
+    stands; ``verify_paper`` checks its keys against its own checks.
     """
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "g32_27_published.json")
@@ -376,6 +376,8 @@ def load_reference_table(path: str | os.PathLike | None = None) -> ReferenceTabl
         raise ValueError(f"unsupported reference fixture format {fmt!r}")
     _check_keys("reference record", data, _RECORD_KEYS)
     classes, rows = data["classes"], data["rows"]
+    if type(data["group"]) is not str:
+        raise ValueError(f"reference record: 'group' {data['group']!r} is not a string")
     if type(classes) is not list:
         raise ValueError("reference record: 'classes' is not a list")
     for j, c in enumerate(classes):
@@ -386,6 +388,8 @@ def load_reference_table(path: str | os.PathLike | None = None) -> ReferenceTabl
         members = c["members"]
         if not (type(members) is list and members and all(type(w) is str for w in members)):
             raise ValueError(f"{where}: 'members' {members!r} is not a non-empty list of strings")
+        if c["rep"] not in members:
+            raise ValueError(f"{where}: 'rep' {c['rep']!r} is not one of its 'members'")
         if type(c["size"]) is not int:
             raise ValueError(f"{where}: 'size' {c['size']!r} is not a JSON integer")
     k = len(classes)

@@ -29,12 +29,7 @@ import sys
 from ._render import render
 from .alg import ParseError, SessionModel, parse_model, parse_word_list_fragment
 from .builtin import G32_27_SPEC, MODEL
-from .groups import (
-    FiniteGroup,
-    GroupSpecError,
-    GroupTooLargeError,
-    build_group,
-)
+from .groups import FiniteGroup, GroupTooLargeError, build_group
 from .ramification import (
     WHOLE_CURVE,
     SphericalSystemError,
@@ -97,7 +92,7 @@ def _resolve_group(model: SessionModel, name: str | None) -> tuple[str, FiniteGr
         raise CliError(f"unknown group {name!r}; input declares: " + ", ".join(names))
     try:
         return name, build_group(spec)
-    except (GroupSpecError, GroupTooLargeError) as exc:
+    except GroupTooLargeError as exc:
         raise CliError(f"group {name}: {exc}")
 
 

@@ -8,7 +8,8 @@ where Phi is a commuting family of involutive F2 matrices indexed by the
 basis of Q and Phi_q is the product of the matrices selected by the set
 bits of q.  An element is encoded by one integer, its index
 (n_int << q_rank) | q_int, each vector read first coordinate most
-significant; bit vectors appear only in a ``GroupSpec``.
+significant; bit vectors appear only in a ``GroupSpec``, which is checked
+and normalised when it is made.  F2 matrices act as int columns (``_apply``).
 
 Ownership: a ``FiniteGroup`` stores only ints and strings (its tables, the
 class partition, the element words, the certified character values and
@@ -82,12 +83,21 @@ class _Frozen:
         return f"{type(self).__qualname__}({shown})"
 
 
-def _as_bits(values: Iterable[int], length: int, what: str) -> BitVector:
-    """Each entry read with ``int()``, which must not round a number."""
+def _sequence(value, what: str) -> Sequence:
+    """``value``, if it is a sequence but not a string or bytes (read a character at a time)."""
+    if isinstance(value, (str, bytes)):
+        raise GroupSpecError(f"{what} must not be a string, got {value!r}")
+    if not isinstance(value, Sequence):
+        raise GroupSpecError(f"{what} must be a sequence, got {value!r}")
+    return value
+
+
+def _as_bits(values: Sequence, length: int, what: str) -> BitVector:
+    """``values`` as a tuple of 0s and 1s, each read with ``int()``, which must not round."""
     try:
-        raw = tuple(values)
+        raw = tuple(_sequence(values, what))
         vec = tuple(int(v) for v in raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # _sequence's GroupSpecError too
         raise GroupSpecError(f"{what} must consist of bits, got {values!r}") from None
     if any(not isinstance(v, str) and v != b for v, b in zip(raw, vec)):
         raise GroupSpecError(f"{what} must consist of bits, got {raw!r}")
@@ -98,39 +108,41 @@ def _as_bits(values: Iterable[int], length: int, what: str) -> BitVector:
     return vec
 
 
-def _sequence(value, what: str) -> Sequence:
-    if not isinstance(value, Sequence):
-        raise GroupSpecError(f"{what} must be a sequence, got {value!r}")
-    return value
-
-
 def _bits_to_int(bits: BitVector) -> int:
-    """``bits`` read as binary digits, first most significant, each with ``int``."""
+    """``bits`` read as binary digits, first most significant."""
     acc = 0
     for b in bits:
-        acc = (acc << 1) | int(b)
+        acc = (acc << 1) | b
     return acc
 
 
-def _mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    size = len(a)
-    return tuple(
-        tuple(sum(a[i][t] & b[t][j] for t in range(size)) & 1 for j in range(size))
-        for i in range(size)
-    )
+def _columns(mat: BitMatrix) -> tuple[int, ...]:
+    """The columns of ``mat``, each read as a vector by ``_bits_to_int``."""
+    return tuple(map(_bits_to_int, zip(*mat)))
 
 
-def _mat_identity(size: int) -> BitMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+def _apply(cols: tuple[int, ...], vec: int) -> int:
+    """M vec for the matrix M with columns ``cols``, vectors read as by ``_bits_to_int``."""
+    acc = 0
+    for col in reversed(cols):
+        if vec & 1:
+            acc ^= col
+        vec >>= 1
+    return acc
 
 
 class GroupSpec(_Frozen):
-    """Defining data for one group of the supported family.
+    """Defining data for one group of the supported family, checked when made.
 
     ``action`` holds one n_rank x n_rank bit matrix per Q basis vector,
     acting on column vectors.  ``generator_names`` maps presentation
     generator labels to (n, q) coordinate pairs; the labels are the
     vocabulary of every word appearing in input files and reports.
+
+    Any sequence but a string or bytes may hold the matrices, rows and
+    coordinates, and each bit is read with ``int()``.  The fields hold one
+    normal form, tuples of the ints 0 and 1, so two spellings of one group
+    give equal specs and equal ``content_hash`` values.
     """
 
     _fields = ("n_rank", "q_rank", "action", "generator_names")
@@ -139,38 +151,33 @@ class GroupSpec(_Frozen):
         self,
         n_rank: int,
         q_rank: int,
-        action: tuple[BitMatrix, ...],
-        generator_names: tuple[tuple[str, tuple[BitVector, BitVector]], ...],
+        action: Sequence[Sequence[Sequence[int]]],
+        generator_names: Sequence[tuple[str, tuple[Sequence[int], Sequence[int]]]],
     ):
-        self.__dict__.update(
-            n_rank=n_rank, q_rank=q_rank, action=action, generator_names=generator_names
-        )
-
-    def validate(self) -> None:
-        if not isinstance(self.n_rank, int) or self.n_rank < 1:
-            raise GroupSpecError(f"n_rank must be a positive integer, got {self.n_rank!r}")
-        if not isinstance(self.q_rank, int) or self.q_rank < 0:
-            raise GroupSpecError(f"q_rank must be a nonnegative integer, got {self.q_rank!r}")
-        action = _sequence(self.action, "action")
-        if len(action) != self.q_rank:
-            raise GroupSpecError(f"expected {self.q_rank} action matrices, got {len(action)}")
-        k = self.n_rank
-        mats = []
+        if not isinstance(n_rank, int) or n_rank < 1:
+            raise GroupSpecError(f"n_rank must be a positive integer, got {n_rank!r}")
+        if not isinstance(q_rank, int) or q_rank < 0:
+            raise GroupSpecError(f"q_rank must be a nonnegative integer, got {q_rank!r}")
+        action = _sequence(action, "action")
+        if len(action) != q_rank:
+            raise GroupSpecError(f"expected {q_rank} action matrices, got {len(action)}")
+        k = n_rank
+        mats, cols = [], []
         for j, mat in enumerate(action):
             what = f"action matrix {j}"
             rows = [_sequence(row, f"{what} row") for row in _sequence(mat, what)]
             if len(rows) != k or any(len(row) != k for row in rows):
                 raise GroupSpecError(f"{what} is not {k}x{k}")
             mats.append(tuple(_as_bits(row, k, f"{what} row") for row in rows))
-            if _mat_mul(mats[j], mats[j]) != _mat_identity(k):
+            cols.append(_columns(mats[j]))
+            if any(_apply(cols[j], x) != 1 << (k - 1 - c) for c, x in enumerate(cols[j])):
                 raise GroupSpecError(f"{what} is not an involution")
-        for i, a in enumerate(mats):
-            for j in range(i + 1, self.q_rank):
-                b = mats[j]
-                if _mat_mul(a, b) != _mat_mul(b, a):
+        for i, a in enumerate(cols):
+            for j, b in enumerate(cols[i + 1 :], i + 1):
+                if [_apply(a, x) for x in b] != [_apply(b, x) for x in a]:
                     raise GroupSpecError(f"action matrices {i} and {j} do not commute")
-        seen: set[str] = set()
-        for entry in _sequence(self.generator_names, "generator_names"):
+        seen: dict[str, tuple[BitVector, BitVector]] = {}
+        for entry in _sequence(generator_names, "generator_names"):
             try:
                 name, (nvec, qvec) = entry
             except (TypeError, ValueError):
@@ -181,9 +188,17 @@ class GroupSpec(_Frozen):
                 raise GroupSpecError(f"generator name {name!r} is not an identifier")
             if name in seen:
                 raise GroupSpecError(f"duplicate generator name {name!r}")
-            seen.add(name)
-            _as_bits(nvec, self.n_rank, f"generator {name} n-part")
-            _as_bits(qvec, self.q_rank, f"generator {name} q-part")
+            seen[name] = (
+                _as_bits(nvec, n_rank, f"generator {name} n-part"),
+                _as_bits(qvec, q_rank, f"generator {name} q-part"),
+            )
+        names = tuple(seen.items())
+        self.__dict__.update(
+            n_rank=int(n_rank), q_rank=int(q_rank), action=tuple(mats), generator_names=names
+        )
+
+    def validate(self) -> None:
+        """Does nothing: a spec is checked when it is made (kept for callers of 0.8)."""
 
     def content_hash(self) -> str:
         """Hash of the defining data, stable across processes."""
@@ -193,10 +208,9 @@ class GroupSpec(_Frozen):
         data = {
             "n_rank": self.n_rank,
             "q_rank": self.q_rank,
-            "action": [[list(row) for row in mat] for mat in self.action],
+            "action": self.action,
             "generators": [
-                {"name": name, "n": list(nvec), "q": list(qvec)}
-                for name, (nvec, qvec) in self.generator_names
+                {"name": name, "n": nvec, "q": qvec} for name, (nvec, qvec) in self.generator_names
             ],
         }
         blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -307,7 +321,6 @@ class FiniteGroup:
     """
 
     def __init__(self, spec: GroupSpec):
-        spec.validate()
         k, m = spec.n_rank, spec.q_rank
         # Compared by exponent: the order of a huge rank is never formed.
         if k + m >= MAX_BUILD_ORDER.bit_length():
@@ -317,17 +330,11 @@ class FiniteGroup:
         self.spec = spec
         self._n = 1 << (k + m)
 
-        # image[q_int][n_int] is Phi_q(n) as an integer.  Each basis matrix
-        # acts by linearity from its columns; Phi_q composes the matrices
-        # of the set bits of q (coordinate j of q is bit m - 1 - j).
-        basis_images = []
-        for mat in spec.action:
-            cols = [_bits_to_int(col) for col in zip(*mat)]
-            img = [0] * (1 << k)
-            for n_int in range(1, 1 << k):
-                low = n_int & -n_int
-                img[n_int] = img[n_int ^ low] ^ cols[k - low.bit_length()]
-            basis_images.append(img)
+        # image[q_int][n_int] is Phi_q(n) as an integer; Phi_q composes the
+        # matrices of the set bits of q (coordinate j of q is bit m - 1 - j).
+        basis_images = [
+            [_apply(cols, n_int) for n_int in range(1 << k)] for cols in map(_columns, spec.action)
+        ]
         image = [list(range(1 << k))]
         for q_int in range(1, 1 << m):
             low = q_int & -q_int
@@ -347,9 +354,7 @@ class FiniteGroup:
         # so every order is 1, 2 or 4.
         self._orders = [1] + [2 if mul[a][a] == 0 else 4 for a in range(1, self._n)]
 
-        self._gen_index = {
-            name: _bits_to_int(nvec + qvec) for name, (nvec, qvec) in spec.generator_names
-        }
+        self._gen_index = {name: _bits_to_int(n + q) for name, (n, q) in spec.generator_names}
         # Rows of character values, set by characters.compute_character_table
         # once they are certified.
         self._char_grid: tuple[tuple[int, ...], ...] | None = None
@@ -649,5 +654,5 @@ class FiniteGroup:
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:
-    """Validate ``spec`` and fully enumerate the group it defines."""
+    """Fully enumerate the group that ``spec`` defines."""
     return FiniteGroup(spec)

@@ -10,8 +10,10 @@ from functools import partial, reduce
 from operator import mul
 from string import ascii_lowercase
 
-from qslab.groups import GroupSpec, _mat_identity, _mat_mul, build_group
+from qslab.groups import GroupSpec, build_group
 from qslab.ramification import validate_spherical
+
+from oracles import _mat_identity, _mat_mul
 
 
 def unit_plus(k, cells):

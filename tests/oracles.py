@@ -1,21 +1,30 @@
 """Every brute-force reference the test suite compares the library against.
 
 An oracle recomputes a result the slow, obvious way.  It reads only the
-public API, the group's ``_mul``/``_inv`` tables and the F2 matrix helpers,
-never the kernel it checks.  The one exception is ``coset_marking_walk``:
-its test compares the sequence of ``_extend`` calls, so it extends through
-``_extend``, which ``test_coset_walk_matches_squaring_oracle`` checks on
-its own against ``squaring_closure``.
+public API, the group's ``_mul``/``_inv`` tables and the F2 matrix helpers
+below (bit tuples, entry by entry), never the kernel it checks.  The one
+exception is ``coset_marking_walk``: its test compares the sequence of
+``_extend`` calls, so it extends through ``_extend``, which
+``test_coset_walk_matches_squaring_oracle`` checks on its own against
+``squaring_closure``.
 """
 
 from itertools import product
 
-from qslab.groups import _mat_identity, _mat_mul
-
-from members import unit_coords
-
 
 # -- groups ---------------------------------------------------------------
+
+
+def _mat_mul(a, b):
+    size = len(a)
+    return tuple(
+        tuple(sum(a[i][t] & b[t][j] for t in range(size)) & 1 for j in range(size))
+        for i in range(size)
+    )
+
+
+def _mat_identity(size):
+    return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
 
 
 def _mat_apply(mat, vec):
@@ -49,7 +58,7 @@ def index_bits_word(group, i):
     k, m = group.spec.n_rank, group.spec.q_rank
     bits = format(i, f"0{k + m}b")
     by_coord = {coord: name for name, coord in group.spec.generator_names}
-    names = [by_coord.get(u) for u in unit_coords(k, m)]
+    names = [by_coord.get((u[:k], u[k:])) for u in _mat_identity(k + m)]
     if i == 0:
         return "1"
     if None in names:

@@ -23,10 +23,9 @@ from qslab.characters import (
     _lane_width,
     _pack,
 )
-from qslab.groups import _mat_identity, _mat_mul
 
 from members import bidiagonal_basis, d4, elementary_abelian, twisted_member
-from oracles import abelianization_order, gram_oracle
+from oracles import _mat_identity, _mat_mul, abelianization_order, gram_oracle
 
 
 # -- scalars ------------------------------------------------------------

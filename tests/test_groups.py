@@ -13,7 +13,8 @@ from qslab.groups import (
     GroupSpecError,
     GroupTooLargeError,
     Subgroup,
-    _mat_identity,
+    _apply,
+    _columns,
     build_group,
 )
 
@@ -27,12 +28,16 @@ from members import (
     n5q1,
     n5q1_conjugated,
     n5q1_named,
+    random_basis_change,
     seeded_member,
     transversal_witness,
     unit_coords,
+    unit_plus,
 )
 from oracles import (
     _mat_apply,
+    _mat_identity,
+    _mat_mul,
     conjugacy_partition,
     coset_marking_walk,
     index_bits_word,
@@ -126,10 +131,19 @@ def test_spec_rejects_bad_names():
         GroupSpec(1, 0, (), None).validate()
 
 
+def same_spec(a, b):
+    return a == b and hash(a) == hash(b) and a.content_hash() == b.content_hash()
+
+
 def test_generator_bits_are_read_as_validated():
-    # validate() reads each bit with int(), so True and 1.0 name bit 1
+    # each bit is read with int(), so True and 1.0 name bit 1, and the spec
+    # keeps the int spelling
     names = (("a", ((True, 0), (0,))), ("b", ((0, 1.0), (0,))), ("c", ((0, 0), (1,))))
-    group = build_group(GroupSpec(2, 1, (_mat_identity(2),), names))
+    spec = GroupSpec(2, 1, (_mat_identity(2),), names)
+    ints = (("a", ((1, 0), (0,))), ("b", ((0, 1), (0,))), ("c", ((0, 0), (1,))))
+    assert same_spec(spec, GroupSpec(2, 1, (_mat_identity(2),), ints))
+    assert spec.generator_names == ints and type(spec.generator_names[0][1][0][0]) is int
+    group = build_group(spec)
     assert [group.generator(n).index for n in "abc"] == [0b10_0, 0b01_0, 0b00_1]
     assert group.generator("a").word() == "a"
 
@@ -140,6 +154,7 @@ def test_action_entries_are_read_as_validated(one):
     GroupSpec(1, 1, (((one,),),), ()).validate()
     names = (("a", ((1, 0), (0,))), ("b", ((0, 1), (0,))), ("c", ((0, 0), (1,))))
     loose = tuple(tuple(one if b else 0 for b in row) for row in SHEAR)
+    assert same_spec(GroupSpec(2, 1, (loose,), names), GroupSpec(2, 1, (SHEAR,), names))
     strict, lax = (
         [[x.index for x in c.elements] for c in build_group(spec).conjugacy_classes()]
         for spec in (GroupSpec(2, 1, (SHEAR,), names), GroupSpec(2, 1, (loose,), names))
@@ -147,13 +162,182 @@ def test_action_entries_are_read_as_validated(one):
     assert strict == lax and len(strict) == 5
 
 
-# int() truncates, so 0.7 and 1.5 must be refused rather than read as bits
-@pytest.mark.parametrize("bad", [2, "x", None, 0.7, 1.5])
+def test_list_coordinates_give_the_tuple_spec():
+    tight = GroupSpec(1, 0, (), (("a", ((1,), ())),))
+    spec = GroupSpec(1, 0, (), (("a", ([1], ())),))
+    assert same_spec(spec, tight) and spec.generator_names == (("a", ((1,), ())),)
+    assert build_group(spec).generator("a").index == 1
+    lists = GroupSpec(2, 1, [[[1, 1], [0, 1]]], [["a", [[1, 0], [0]]]])
+    assert same_spec(lists, GroupSpec(2, 1, (SHEAR,), (("a", ((1, 0), (0,))),)))
+
+
+# Named regressions: a string or bytes in place of a sequence is refused by
+# field.  Read a character at a time, it escaped from the build as a
+# TypeError, or built a group whose spec differs from its int spelling.
+STRING_SEQUENCES = [
+    pytest.param((1, 0, (), (("a", (b"\x01", ())),)), "generator a n-part", id="bytes-coordinate"),
+    pytest.param((1, 0, (), (("a", ("1", ())),)), "generator a n-part", id="str-coordinate"),
+    pytest.param((2, 1, (SHEAR,), (("a", ((1, 0), "0")),)), "generator a q-part", id="str-q-part"),
+    pytest.param((2, 1, (("11", "01"),), ()), "action matrix 0 row", id="str-action-row"),
+    pytest.param((1, 1, ("1",), ()), "action matrix 0", id="str-action-matrix"),
+    pytest.param((1, 0, "", ()), "action", id="str-action"),
+    pytest.param((1, 0, (), b""), "generator_names", id="bytes-generator-names"),
+]
+
+
+@pytest.mark.parametrize("args, field", STRING_SEQUENCES)
+def test_spec_refuses_a_string_for_a_sequence(args, field):
+    with pytest.raises(GroupSpecError, match=f"^{field} must "):
+        build_group(GroupSpec(*args))
+
+
+# int() truncates, so 0.7 and 1.5 must be refused rather than read as bits,
+# and int(inf) raises OverflowError
+@pytest.mark.parametrize("bad", [2, "x", None, 0.7, 1.5, float("inf")])
 def test_spec_rejects_non_bit_action_entries(bad):
     with pytest.raises(GroupSpecError, match="action matrix 0 row"):
         GroupSpec(2, 1, (((1, bad), (0, 1)),), ()).validate()
     with pytest.raises(GroupSpecError, match="generator a n-part"):
         GroupSpec(2, 1, (SHEAR,), (("a", ((bad, 0), (0,))),)).validate()
+
+
+# Values an edit puts in place of a rank, a bit or a whole container.
+FUZZ_VALUES = [
+    0, 1, 2, -1, 0.7, 1.0, True, "1", "0", "x", None, float("inf"), b"1", "", "11", (), [], {0},
+]
+
+
+def thaw(value):
+    """``value`` with every tuple made a list, so that an edit can change it in place."""
+    return [thaw(v) for v in value] if isinstance(value, tuple) else value
+
+
+def fuzz_edit(rng, fields):
+    """One seeded edit of the nested lists ``fields``: a rank, bit or container
+    replaced, a bit spelled another way, or a container shortened, lengthened
+    or spelled as a tuple or string."""
+    slots, stack = [], [fields]
+    while stack:
+        node = stack.pop()
+        slots += [(node, i) for i in range(len(node))]
+        stack += [v for v in node if isinstance(v, list)]
+    node, i = rng.choice(slots)
+    value = node[i]
+    edits = [lambda: rng.choice(FUZZ_VALUES)]
+    if type(value) is int:
+        edits.append(lambda: value + rng.choice((-1, 1)))
+        edits += [lambda: rng.choice((float(value), bool(value), str(value)))] * 3
+    if isinstance(value, list):
+        edits += [
+            lambda: value[:-1],
+            lambda: value + value[-1:],
+            lambda: tuple(value),
+            lambda: "".join(map(str, value)),
+        ]
+    node[i] = rng.choice(edits)()
+
+
+def fields_of(spec):
+    return spec.n_rank, spec.q_rank, spec.action, spec.generator_names
+
+
+def tuples_of_bits(value):
+    if isinstance(value, tuple):
+        return all(map(tuples_of_bits, value))
+    return type(value) is int and value in (0, 1)
+
+
+def test_edited_specs_build_or_are_refused():
+    bases = [G32_27_SPEC] + [
+        build().spec
+        for build in (
+            d4, class3, transversal_witness, partial(elementary_abelian, 3),
+            partial(seeded_member, 3, 2, "partial", 0), partial(seeded_member, 2, 1, "none", 1),
+        )
+    ]
+    rng = random.Random("spec-fuzz")
+    outcomes = []
+    for case in range(400):
+        fields = thaw(fields_of(bases[case % len(bases)]))
+        for _ in range(rng.randint(1, 2)):
+            fuzz_edit(rng, fields)
+        try:
+            spec = GroupSpec(*fields)
+            group = build_group(spec)
+        except (GroupSpecError, GroupTooLargeError):
+            outcomes.append(False)
+            continue
+        outcomes.append(True)
+        assert same_spec(GroupSpec(*fields_of(spec)), spec)
+        assert tuples_of_bits(spec.action) and type(spec.generator_names) is tuple
+        assert all(
+            type(e) is tuple and type(e[0]) is str and tuples_of_bits(e[1])
+            for e in spec.generator_names
+        )
+        assert group.order == 1 << (spec.n_rank + spec.q_rank)
+    assert min(outcomes.count(True), outcomes.count(False)) > 100
+
+
+def bits_of(vec, k):
+    return tuple(int(b) for b in format(vec, f"0{k}b"))
+
+
+def seeded_involutions(rng, k):
+    """Six involutions of F2^k: two groups of three, B (I + N) B^-1 with one
+    basis B and one support R x C (R and C disjoint) per group, so each N N' is
+    0 and the three commute."""
+    out = []
+    for _ in range(2):
+        b, b_inv = random_basis_change(rng, k)
+        coords = rng.sample(range(k), k)
+        cut = rng.randrange(1, k) if k > 1 else 1
+        for _ in range(3):
+            cells = {(r, c) for r in coords[:cut] for c in coords[cut:] if rng.randrange(2)}
+            out.append(_mat_mul(_mat_mul(b, unit_plus(k, cells)), b_inv))
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_column_helpers_match_the_bit_tuple_product(k):
+    rng = random.Random(f"f2-apply:{k}")
+    for _ in range(4):
+        mat = tuple(tuple(rng.randrange(2) for _ in range(k)) for _ in range(k))
+        cols = _columns(mat)
+        for vec in range(1 << k):
+            assert bits_of(_apply(cols, vec), k) == _mat_apply(mat, bits_of(vec, k))
+
+
+def refusal(*action):
+    try:
+        GroupSpec(len(action[0]), len(action), action, ())
+    except GroupSpecError as exc:
+        return str(exc)
+    return None
+
+
+def test_involution_and_commutation_refusals_match_matrix_products():
+    seen = set()
+    for k in range(1, 7):
+        for seed in range(4):
+            rng = random.Random(f"f2-refusals:{k}:{seed}")
+            involutions = seeded_involutions(rng, k)
+            flipped = []
+            for mat in involutions:
+                r, c = rng.randrange(k), rng.randrange(k)
+                rows = [list(row) for row in mat]
+                rows[r][c] ^= 1
+                flipped.append(tuple(map(tuple, rows)))
+            noise = [tuple(tuple(rng.randrange(2) for _ in range(k)) for _ in range(k))]
+            for mat in involutions + flipped + noise:
+                square = _mat_mul(mat, mat) != _mat_identity(k)
+                assert (refusal(mat) == "action matrix 0 is not an involution") == square
+                seen.add(("involution", square))
+            for i, a in enumerate(involutions):
+                for b in involutions[i:]:
+                    differ = _mat_mul(a, b) != _mat_mul(b, a)
+                    assert (refusal(a, b) == "action matrices 0 and 1 do not commute") == differ
+                    seen.add(("commute", differ))
+    assert len(seen) == 4
 
 
 def test_build_rejects_huge_groups():
@@ -302,9 +486,20 @@ def test_every_word_is_built_from_its_index_bits(build):
     assert group.element(group.order - 1).word() and group._words is table
 
 
-def test_words_refuse_another_groups_elements(g32):
-    # a second build of the same spec is interchangeable
-    assert build_g32_27().element(0b10100).word() == g32.element(0b10100).word() == "g2*g4"
+def test_twin_builds_give_the_same_words(g32):
+    # a second build of the same spec is interchangeable, and so is a build
+    # of G(32,27) spelled with list rows and string bits
+    spec = G32_27_SPEC
+    spelled = GroupSpec(
+        spec.n_rank,
+        spec.q_rank,
+        [[list(map(str, row)) for row in mat] for mat in spec.action],
+        [[name, [list(map(str, n)), list(map(str, q))]] for name, (n, q) in spec.generator_names],
+    )
+    for twin in (build_g32_27(), build_group(spelled)):
+        assert twin.element(0b10100).word() == g32.element(0b10100).word() == "g2*g4"
+        assert [g.word() for g in twin.elements] == [g.word() for g in g32.elements]
+        assert g32.index(twin.generator("g2")) == 16
 
 
 @pytest.mark.parametrize("index", [-1, -32, 32, 10**6])

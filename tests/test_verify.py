@@ -268,6 +268,30 @@ def gaussian_value(raw):
     raw["rows"][2][5] = "1+i"
 
 
+def null_group(raw):
+    raw["group"] = None
+
+
+def list_group(raw):
+    raw["group"] = [1, 2]
+
+
+def object_group(raw):
+    raw["group"] = {}
+
+
+def empty_rep(raw):
+    raw["classes"][3]["rep"] = ""
+
+
+def unknown_rep(raw):
+    raw["classes"][5]["rep"] = "g9"
+
+
+def rep_of_another_class(raw):
+    raw["classes"][6]["rep"] = raw["classes"][7]["members"][0]
+
+
 def drop_last_class(raw):
     del raw["classes"][-1]
     for row in raw["rows"]:
@@ -291,6 +315,12 @@ MALFORMED_RECORDS = [
     (long_row, "reference row 13: 15 values for 14 classes"),
     (gaussian_value, "reference row 2, column 5: '1+i' is not a rational integer"),
     (drop_last_class, "reference record: 14 rows for 13 classes"),
+    (null_group, "reference record: 'group' None is not a string"),
+    (list_group, "reference record: 'group' [1, 2] is not a string"),
+    (object_group, "reference record: 'group' {} is not a string"),
+    (empty_rep, "reference class 3: 'rep' '' is not one of its 'members'"),
+    (unknown_rep, "reference class 5: 'rep' 'g9' is not one of its 'members'"),
+    (rep_of_another_class, "reference class 6: 'rep' 'g3*g4' is not one of its 'members'"),
 ]
 
 
