@@ -6,7 +6,7 @@ submodule, and each public name imports its module on first access.
 
 import importlib
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {

@@ -48,11 +48,10 @@ class ParseError(ValueError):
 
 
 class Token(_Frozen):
-    _fields = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        # kind is "ident", "int", "punct" or "eof"
-        self.__dict__.update(kind=kind, text=text, line=line, col=col)
+    kind: str  # "ident", "int", "punct" or "eof"
+    text: str
+    line: int
+    col: int
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -90,24 +89,17 @@ def _tokenize(text: str) -> list[Token]:
 class Declaration(_Frozen):
     """A named structure or subgroup: a word list on one group."""
 
-    _fields = ("name", "group_name", "words")
-
-    def __init__(self, name: str, group_name: str, words: tuple[tuple[str, ...], ...]):
-        self.__dict__.update(name=name, group_name=group_name, words=words)
+    name: str
+    group_name: str
+    words: tuple[tuple[str, ...], ...]
 
 
 class SessionModel(_Frozen):
     """Everything a model file declares, in declaration order."""
 
-    _fields = ("groups", "structures", "subgroups")
-
-    def __init__(
-        self,
-        groups: tuple[tuple[str, GroupSpec], ...],
-        structures: tuple[Declaration, ...],
-        subgroups: tuple[Declaration, ...],
-    ):
-        self.__dict__.update(groups=groups, structures=structures, subgroups=subgroups)
+    groups: tuple[tuple[str, GroupSpec], ...]
+    structures: tuple[Declaration, ...]
+    subgroups: tuple[Declaration, ...]
 
     def group_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.groups)

@@ -3,9 +3,10 @@
 Every group of the family is N x| Q with N and Q elementary abelian, so
 each irreducible character is induced from a linear character of a
 little group N x| Q_v (the Wigner-Mackey construction).  The values are
-rational integers computed on integer bitmasks, and the table is certified
-by checking both orthogonality relations as exact integer identities.
-Each row of a Gram matrix is computed as one sum of Python ints whose
+rational integers computed on integer bitmasks.  The table is certified
+exactly: it must be square and satisfy the row orthogonality relation as an
+integer identity, which implies the column relation
+(``CharacterTable.verify_orthogonality``).  Each row of the Gram matrix is computed as one sum of Python ints whose
 fixed-width lanes hold its entries (Kronecker substitution; the lane width
 comes from an explicit bound, see ``_is_diagonal_gram``).
 
@@ -65,6 +66,9 @@ class ClassFunction(_Frozen):
     The only arithmetic is scaling by an integer.
     """
 
+    group: FiniteGroup
+    values: tuple[ExactScalar, ...]
+
     def __init__(self, group: FiniteGroup, values: tuple[ExactScalar, ...]):
         k = len(group._partition)
         # Values that already are ExactScalar pass through, so a table keeps
@@ -72,7 +76,7 @@ class ClassFunction(_Frozen):
         vals = tuple(v if type(v) is ExactScalar else ExactScalar(v) for v in values)
         if len(vals) != k:
             raise ValueError(f"expected {k} class values, got {len(vals)}")
-        self.__dict__.update(group=group, values=vals)
+        super().__init__(group, vals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassFunction):
@@ -119,11 +123,11 @@ class CharacterTable(_Frozen):
     """Irreducible characters in canonical row order (degree, then values);
     tables compare and hash by identity."""
 
+    group: FiniteGroup
+    rows: tuple[ClassFunction, ...]
+
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, group: FiniteGroup, rows: tuple[ClassFunction, ...]):
-        self.__dict__.update(group=group, rows=rows)
 
     def __repr__(self) -> str:
         return f"CharacterTable(rows={self.rows!r})"
@@ -147,19 +151,20 @@ class CharacterTable(_Frozen):
     def verify_orthogonality(self) -> bool:
         """Both orthogonality relations, as exact identities over Z.
 
-        Rows: sum over classes of |K| a(K) b(K) = |G| delta(a, b).
-        Columns: sum over rows of chi(c) chi(d) = |G|/|K_c| delta(c, d).
+        Rows: sum over classes of |K| a(K) b(K) = |G| delta(a, b), that is
+        X D X^T = |G| I for the table X and D = diag(|K|).  Columns: sum over
+        rows of chi(c) chi(d) = |G|/|K_c| delta(c, d), that is X^T X = |G| D^-1.
         Every value is a rational integer, fixed by complex conjugation, so
-        the relations need no conjugate.
+        the relations need no conjugate.  Only squareness and the row
+        relation are checked.  The column relation follows: a square X with
+        X (D X^T / |G|) = I is invertible with X^-1 = D X^T / |G|, so
+        X^-1 X = I gives X^T X = |G| D^-1.  Conversely both relations make X
+        square (its rank is then both its row count and its column count).
         """
         order = self.group.order
         sizes = list(map(len, self.group._partition))
         rows = [row.values for row in self.rows]
-        return _is_diagonal_gram(rows, sizes, [order] * len(rows)) and _is_diagonal_gram(
-            [[row[c] for row in rows] for c in range(len(sizes))],
-            [1] * len(rows),
-            [order // s for s in sizes],
-        )
+        return len(rows) == len(sizes) and _is_diagonal_gram(rows, sizes, [order] * len(rows))
 
 
 def _lane_width(
@@ -309,27 +314,11 @@ class ReferenceTable(_Frozen):
     """A published record: class words, sizes, a value grid, and the
     remaining published values keyed by the verify check that reads each."""
 
-    _fields = (
-        "group_name", "class_reps", "class_members", "class_sizes", "matrix", "published"
-    )
-
-    def __init__(
-        self,
-        group_name: str,
-        class_reps: tuple[str, ...],
-        class_members: tuple[tuple[str, ...], ...],
-        class_sizes: tuple[int, ...],
-        matrix: tuple[tuple[int, ...], ...],
-        published: dict[str, object],
-    ):
-        self.__dict__.update(
-            group_name=group_name,
-            class_reps=class_reps,
-            class_members=class_members,
-            class_sizes=class_sizes,
-            matrix=matrix,
-            published=published,
-        )
+    class_reps: tuple[str, ...]
+    class_members: tuple[tuple[str, ...], ...]
+    class_sizes: tuple[int, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    published: dict[str, object]
 
 
 _RECORD_KEYS = frozenset({"format", "group", "classes", "rows", "published"})
@@ -360,12 +349,13 @@ def load_reference_table(path: str | os.PathLike | None = None) -> ReferenceTabl
     """Load a published record; the packaged G(32,27) record is the default.
 
     The record is read strictly: exactly its five top-level keys, a string
-    ``group``, the three keys of each class, a non-empty list of string
-    ``members`` that holds the string ``rep``, JSON-integer sizes, and
-    ``rows`` a list of lists, one per class, each holding one JSON-integer
-    value per class.  Each refusal is a ValueError naming the class and key,
-    the row count, or the row and column.  ``published`` is read as it
-    stands; ``verify_paper`` checks its keys against its own checks.
+    ``group`` (checked, not kept), the three keys of each class, a
+    non-empty list of string ``members`` that holds the string ``rep``,
+    JSON-integer sizes, and ``rows`` a list of lists, one per class, each
+    holding one JSON-integer value per class.  Each refusal is a ValueError
+    naming the class and key, the row count, or the row and column.
+    ``published`` is read as it stands; ``verify_paper`` checks its keys
+    against its own checks.
     """
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "g32_27_published.json")
@@ -406,7 +396,6 @@ def load_reference_table(path: str | os.PathLike | None = None) -> ReferenceTabl
                     f"reference row {i}, column {j}: {value!r} is not a rational integer"
                 )
     return ReferenceTable(
-        group_name=data["group"],
         class_reps=tuple(c["rep"] for c in classes),
         class_members=tuple(tuple(c["members"]) for c in classes),
         class_sizes=tuple(c["size"] for c in classes),

@@ -49,15 +49,41 @@ class GroupTooLargeError(ValueError):
 
 
 class _Frozen:
-    """Base of qslab's immutable classes.
+    """Base of qslab's immutable records.
 
-    Assigning or deleting any attribute raises AttributeError, so
-    ``__init__`` puts each field into ``__dict__`` directly, once.
-    Equality, hash and ``repr`` follow the fields named in ``_fields``, in
-    constructor order; a class that compares otherwise overrides all three.
+    A record declares its fields once, as class annotations in constructor
+    order; ``__init_subclass__`` copies their names from the class's own
+    ``__dict__`` into ``_fields`` (the annotations stay unevaluated strings).
+    ``__init__`` binds arguments to the fields as a signature would, and
+    stores them in field order; too many arguments, an unknown or repeated
+    keyword, or a missing field raises TypeError.  A record that checks or
+    converts its input keeps its own ``__init__``.  Assigning or deleting
+    any attribute raises AttributeError.  Equality, hash and ``repr`` follow
+    ``_fields``; a class that compares otherwise overrides all three.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields, n = self._fields, len(args)
+        if kwargs or n != len(fields):
+            name, rest = type(self).__qualname__, fields[n:]
+            if n > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} arguments but {n} were given")
+            for key in kwargs:
+                if key not in rest:
+                    what = "multiple values for" if key in fields else "an unexpected keyword"
+                    raise TypeError(f"{name}() got {what} argument {key!r}")
+            for key in rest:
+                if key not in kwargs:
+                    raise TypeError(f"{name}() missing required argument {key!r}")
+            args += tuple(map(kwargs.get, rest))
+        store = self.__dict__
+        for i, field in enumerate(fields):
+            store[field] = args[i]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -145,7 +171,10 @@ class GroupSpec(_Frozen):
     give equal specs and equal ``content_hash`` values.
     """
 
-    _fields = ("n_rank", "q_rank", "action", "generator_names")
+    n_rank: int
+    q_rank: int
+    action: tuple[BitMatrix, ...]
+    generator_names: tuple[tuple[str, tuple[BitVector, BitVector]], ...]
 
     def __init__(
         self,
@@ -162,18 +191,24 @@ class GroupSpec(_Frozen):
         if len(action) != q_rank:
             raise GroupSpecError(f"expected {q_rank} action matrices, got {len(action)}")
         k = n_rank
-        mats, cols = [], []
+        # Only the first copy of each matrix is checked: a later copy fails a
+        # check only after an earlier index has failed it, so each refusal
+        # names the index it would name if every copy were checked.
+        mats, firsts = [], {}
         for j, mat in enumerate(action):
             what = f"action matrix {j}"
             rows = [_sequence(row, f"{what} row") for row in _sequence(mat, what)]
             if len(rows) != k or any(len(row) != k for row in rows):
                 raise GroupSpecError(f"{what} is not {k}x{k}")
             mats.append(tuple(_as_bits(row, k, f"{what} row") for row in rows))
-            cols.append(_columns(mats[j]))
-            if any(_apply(cols[j], x) != 1 << (k - 1 - c) for c, x in enumerate(cols[j])):
-                raise GroupSpecError(f"{what} is not an involution")
-        for i, a in enumerate(cols):
-            for j, b in enumerate(cols[i + 1 :], i + 1):
+            cols = _columns(mats[j])
+            if cols not in firsts:
+                if any(_apply(cols, x) != 1 << (k - 1 - c) for c, x in enumerate(cols)):
+                    raise GroupSpecError(f"{what} is not an involution")
+                firsts[cols] = j
+        distinct = list(firsts.items())
+        for p, (a, i) in enumerate(distinct):
+            for b, j in distinct[p + 1 :]:
                 if [_apply(a, x) for x in b] != [_apply(b, x) for x in a]:
                     raise GroupSpecError(f"action matrices {i} and {j} do not commute")
         seen: dict[str, tuple[BitVector, BitVector]] = {}
@@ -192,10 +227,7 @@ class GroupSpec(_Frozen):
                 _as_bits(nvec, n_rank, f"generator {name} n-part"),
                 _as_bits(qvec, q_rank, f"generator {name} q-part"),
             )
-        names = tuple(seen.items())
-        self.__dict__.update(
-            n_rank=int(n_rank), q_rank=int(q_rank), action=tuple(mats), generator_names=names
-        )
+        super().__init__(int(n_rank), int(q_rank), tuple(mats), tuple(seen.items()))
 
     def validate(self) -> None:
         """Does nothing: a spec is checked when it is made (kept for callers of 0.8)."""
@@ -220,9 +252,14 @@ class GroupSpec(_Frozen):
 class GroupElement(_Frozen):
     """An element of ``group``, held as its index (see ``FiniteGroup``)."""
 
+    group: FiniteGroup
+    index: int
+
     def __init__(self, group: FiniteGroup, index: int):
         if not 0 <= index < group._n:
             raise IndexError(f"element index {index} is outside 0..{group._n - 1}")
+        # Stored directly: elements are made far more often than any other
+        # record, and this skips the generic binding of ``_Frozen.__init__``.
         self.__dict__.update(group=group, index=index)
 
     def __eq__(self, other: object) -> bool:
@@ -262,10 +299,9 @@ class GroupElement(_Frozen):
 class Subgroup(_Frozen):
     """A subgroup held as an index set inside its parent group."""
 
-    def __init__(
-        self, parent: FiniteGroup, indices: frozenset[int], generators: tuple[GroupElement, ...]
-    ):
-        self.__dict__.update(parent=parent, indices=indices, generators=generators)
+    parent: FiniteGroup
+    indices: frozenset[int]
+    generators: tuple[GroupElement, ...]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -299,12 +335,9 @@ class Subgroup(_Frozen):
 
 
 class ConjugacyClass(_Frozen):
-    _fields = ("index", "representative", "elements")
-
-    def __init__(
-        self, index: int, representative: GroupElement, elements: tuple[GroupElement, ...]
-    ):
-        self.__dict__.update(index=index, representative=representative, elements=elements)
+    index: int
+    representative: GroupElement
+    elements: tuple[GroupElement, ...]
 
     @property
     def size(self) -> int:
@@ -430,7 +463,7 @@ class FiniteGroup:
 
     def _conjugacy_class(self, ci: int) -> ConjugacyClass:
         elements = tuple(GroupElement(self, x) for x in self._partition[ci])
-        return ConjugacyClass(index=ci, representative=elements[0], elements=elements)
+        return ConjugacyClass(ci, elements[0], elements)
 
     @cached_property
     def _partition(self) -> tuple[tuple[int, ...], ...]:
@@ -494,7 +527,7 @@ class FiniteGroup:
         """Smallest subgroup containing ``gens``; empty input gives <1>."""
         gens = tuple(gens)
         idxs = self._closure(self.index(g) for g in gens)
-        return Subgroup(parent=self, indices=idxs, generators=gens)
+        return Subgroup(self, idxs, gens)
 
     def right_transversal(self, sub: Subgroup) -> tuple[GroupElement, ...]:
         """One representative per right coset H*g, identity coset first."""
@@ -543,7 +576,7 @@ class FiniteGroup:
     def center(self) -> Subgroup:
         idxs = frozenset(members[0] for members in self._partition if len(members) == 1)
         gens = tuple(GroupElement(self, x) for x in self._minimal_generators(idxs))
-        return Subgroup(parent=self, indices=idxs, generators=gens)
+        return Subgroup(self, idxs, gens)
 
     def minimal_generators(self, sub: Subgroup) -> tuple[GroupElement, ...]:
         """A generating set of minimum size, via the Frattini quotient.

@@ -35,10 +35,8 @@ class IdentityFixedPoints(ValueError):
 class SphericalSystem(_Frozen):
     # Systems compare by group and entries.  Derived data are cached
     # properties, computed on first read and kept by the system.
-    _fields = ("group", "entries")
-
-    def __init__(self, group: FiniteGroup, entries: tuple[GroupElement, ...]):
-        self.__dict__.update(group=group, entries=entries)
+    group: FiniteGroup
+    entries: tuple[GroupElement, ...]
 
     @property
     def signature(self) -> tuple[int, ...]:
@@ -102,7 +100,7 @@ def validate_spherical(group: FiniteGroup, entries) -> SphericalSystem:
         )
     if group.subgroup_closure(entries).order != group.order:
         raise SphericalSystemError("non-generating: entries span a proper subgroup")
-    return SphericalSystem(group=group, entries=entries)
+    return SphericalSystem(group, entries)
 
 
 def stabilizer_set(system: SphericalSystem) -> frozenset[GroupElement]:
@@ -280,10 +278,9 @@ class FiberOrbits(_Frozen):
     """Orbit shape of a subgroup acting on one branch fiber; ``orbits``
     holds sorted (orbit size, stabilizer order) pairs."""
 
-    _fields = ("branch_index", "fiber_size", "orbits")
-
-    def __init__(self, branch_index: int, fiber_size: int, orbits: tuple[tuple[int, int], ...]):
-        self.__dict__.update(branch_index=branch_index, fiber_size=fiber_size, orbits=orbits)
+    branch_index: int
+    fiber_size: int
+    orbits: tuple[tuple[int, int], ...]
 
     @property
     def acts_freely(self) -> bool:
@@ -330,8 +327,4 @@ def fiber_orbit_structure(
             raise RuntimeError("orbit-stabilizer mismatch on a branch fiber")
         orbits.append((len(orbit), stab))
     orbits.sort()
-    return FiberOrbits(
-        branch_index=branch_index,
-        fiber_size=len(reps),
-        orbits=tuple(orbits),
-    )
+    return FiberOrbits(branch_index, len(reps), tuple(orbits))

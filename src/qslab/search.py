@@ -36,13 +36,14 @@ from .groups import FiniteGroup, _Frozen
 class BundleCohomology(_Frozen):
     """Characters of the two cohomology spaces of a line bundle on a curve."""
 
-    _fields = ("h0", "h1")
+    h0: ClassFunction
+    h1: ClassFunction
 
     def __init__(self, h0: ClassFunction, h1: ClassFunction):
         h0._check_same_group(h1)
         _check_dimension("h0", h0.values)
         _check_dimension("h1", h1.values)
-        self.__dict__.update(h0=h0, h1=h1)
+        super().__init__(h0, h1)
 
 
 def _class_sizes(group: FiniteGroup) -> tuple[int, ...]:
@@ -138,41 +139,18 @@ def cohomology_dims(
 class PairResult(_Frozen):
     """Search outcome for one (A, B) pair of degree-2 parameters."""
 
-    _fields = ("a_index", "b_index", "admissible", "dims", "eulers", "euler_flat")
-
-    def __init__(
-        self,
-        a_index: int,
-        b_index: int,
-        admissible: tuple[int, ...],
-        dims: tuple[tuple[int, tuple[int, int, int]], ...],  # (twist row, (h0, h1, h2))
-        eulers: tuple[tuple[int, int], ...],  # (twist row, euler characteristic)
-        euler_flat: bool,  # Euler characteristic vanishes for every twist
-    ):
-        self.__dict__.update(
-            a_index=a_index,
-            b_index=b_index,
-            admissible=admissible,
-            dims=dims,
-            eulers=eulers,
-            euler_flat=euler_flat,
-        )
+    a_index: int
+    b_index: int
+    admissible: tuple[int, ...]
+    dims: tuple[tuple[int, tuple[int, int, int]], ...]  # (twist row, (h0, h1, h2))
+    eulers: tuple[tuple[int, int], ...]  # (twist row, euler characteristic)
+    euler_flat: bool  # Euler characteristic vanishes for every twist
 
 
 class SearchReport(_Frozen):
-    _fields = ("pairs", "theorem_holds", "trivial_admissible_anywhere")
-
-    def __init__(
-        self,
-        pairs: tuple[PairResult, ...],
-        theorem_holds: bool,
-        trivial_admissible_anywhere: bool,
-    ):
-        self.__dict__.update(
-            pairs=pairs,
-            theorem_holds=theorem_holds,
-            trivial_admissible_anywhere=trivial_admissible_anywhere,
-        )
+    pairs: tuple[PairResult, ...]
+    theorem_holds: bool
+    trivial_admissible_anywhere: bool
 
 
 def search_all_pairs(
@@ -236,16 +214,10 @@ def search_all_pairs(
             d1, h2s = d1s[b], h2_by_b[b]
             h1s = invariants(map(add, map(mul, c0, d1), map(mul, c1, d0)))
             eulers = tuple(zip(linear, invariants(map(mul, euler_c, map(sub, d0, d1)))))
-            results.append(
-                PairResult(
-                    a_index=a,
-                    b_index=b,
-                    admissible=tuple(t for t, x, z in zip(linear, h0s, h2s) if x == 0 and z == 0),
-                    dims=tuple(zip(linear, zip(h0s, h1s, h2s))),
-                    eulers=eulers,
-                    euler_flat=all(e == 0 for _, e in eulers),
-                )
-            )
+            admissible = tuple(t for t, x, z in zip(linear, h0s, h2s) if x == 0 and z == 0)
+            dims = tuple(zip(linear, zip(h0s, h1s, h2s)))
+            euler_flat = all(e == 0 for _, e in eulers)
+            results.append(PairResult(a, b, admissible, dims, eulers, euler_flat))
     return SearchReport(
         pairs=tuple(results),
         theorem_holds=all(r.admissible for r in results),

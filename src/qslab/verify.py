@@ -77,19 +77,15 @@ DERIVED_CHECKS = frozenset({
 class VerificationCheck(_Frozen):
     """One comparison; ``expected`` and ``computed`` hold their JSON form."""
 
-    _fields = ("name", "anchor", "expected", "computed", "passed")
-
-    def __init__(self, name: str, anchor: str, expected: object, computed: object, passed: bool):
-        self.__dict__.update(
-            name=name, anchor=anchor, expected=expected, computed=computed, passed=passed
-        )
+    name: str
+    anchor: str
+    expected: object
+    computed: object
+    passed: bool
 
 
 class VerificationReport(_Frozen):
-    _fields = ("checks",)
-
-    def __init__(self, checks: tuple[VerificationCheck, ...]):
-        self.__dict__.update(checks=checks)
+    checks: tuple[VerificationCheck, ...]
 
     @property
     def passed(self) -> bool:
@@ -125,7 +121,7 @@ def _run_checks(pending, expected: dict | str) -> VerificationReport:
         value = expected if failed else expected[name]
         passed = not failed and _same(value, computed)
         checks.append(VerificationCheck(name, anchor, value, computed, passed))
-    return VerificationReport(checks=tuple(checks))
+    return VerificationReport(tuple(checks))
 
 
 def _same(a, b) -> bool:

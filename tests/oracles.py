@@ -51,6 +51,21 @@ def tuple_oracle(group):
     return coords, index, phi
 
 
+def first_spec_refusal(action):
+    """The refusal a spec with these bit-tuple action matrices must raise,
+    or None: the first matrix that is not an involution, else the first pair
+    (i, j), i < j in row-major order, whose matrix products differ."""
+    k = len(action[0])
+    for j, mat in enumerate(action):
+        if _mat_mul(mat, mat) != _mat_identity(k):
+            return f"action matrix {j} is not an involution"
+    for i, a in enumerate(action):
+        for j in range(i + 1, len(action)):
+            if _mat_mul(a, action[j]) != _mat_mul(action[j], a):
+                return f"action matrices {i} and {j} do not commute"
+    return None
+
+
 def index_bits_word(group, i):
     """The word of index i built from its bits: the names of the basis
     elements (the later of two names wins), or (n-bits|q-bits) when one of
@@ -147,6 +162,15 @@ def gram_oracle(vectors, weights, diagonal):
         sum(map(lambda w, a, b: w * a * b, weights, u, v)) == (d if i == j else 0)
         for i, (u, d) in enumerate(zip(vectors, diagonal))
         for j, v in enumerate(vectors)
+    )
+
+
+def orthogonality_oracle(rows, sizes, order):
+    """Reference: both orthogonality relations of a table with a row per
+    character and a column per class, each Gram entry summed on its own."""
+    columns = [[row[c] for row in rows] for c in range(len(sizes))]
+    return gram_oracle(rows, sizes, [order] * len(rows)) and gram_oracle(
+        columns, [1] * len(rows), [order // s for s in sizes]
     )
 
 

@@ -25,7 +25,13 @@ from qslab.characters import (
 )
 
 from members import bidiagonal_basis, d4, elementary_abelian, twisted_member
-from oracles import _mat_identity, _mat_mul, abelianization_order, gram_oracle
+from oracles import (
+    _mat_identity,
+    _mat_mul,
+    abelianization_order,
+    gram_oracle,
+    orthogonality_oracle,
+)
 
 
 # -- scalars ------------------------------------------------------------
@@ -246,6 +252,49 @@ def test_packed_gram_matches_oracle_on_random_matrices():
         )
 
 
+def seeded_grid(rng, grid):
+    """An edited, shuffled, truncated, padded or random integer table with
+    as many columns as ``grid``: square or not, rows in any order."""
+    grid = [list(row) for row in grid]
+    k = len(grid[0])
+    kind = rng.randrange(6)
+    if kind == 0:  # one entry edited
+        grid[rng.randrange(len(grid))][rng.randrange(k)] += rng.choice([-2, -1, 1, 2])
+    elif kind == 1:  # rows shuffled: still a table
+        rng.shuffle(grid)
+    elif kind == 2:  # rows dropped, the rest still orthonormal
+        del grid[rng.randrange(len(grid)) :]
+    elif kind == 3:  # a row added: a copy, a zero row or noise
+        grid.insert(
+            rng.randrange(len(grid) + 1),
+            rng.choice([list(rng.choice(grid)), [0] * k, [rng.randint(-2, 2) for _ in range(k)]]),
+        )
+    elif kind == 4:  # random, square or one row short or long
+        size = k + rng.choice([-1, 0, 0, 1])
+        grid = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(size)]
+    return grid  # kind 5: unchanged
+
+
+@pytest.mark.parametrize(
+    "make",
+    [d4, build_g32_27, lambda: twisted_member(4, 2), lambda: twisted_member(5, 1)],
+    ids=["d4", "g32-27", "n4q2", "n5q1"],
+)
+def test_orthogonality_matches_the_two_relation_oracle(make):
+    table = compute_character_table(make())
+    group = table.group
+    sizes = [cls.size for cls in group.conjugacy_classes()]
+    rng = random.Random(f"orthogonality:{group.order}:{len(sizes)}")
+    grid = [list(row.values) for row in table.rows]
+    outcomes = set()
+    for _ in range(80):
+        case = seeded_grid(rng, grid)
+        want = orthogonality_oracle(case, sizes, group.order)
+        assert integer_table(table, case).verify_orthogonality() == want, case
+        outcomes.add((len(case) == len(sizes), want))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
 def hadamard(size):
     h = [[1]]
     while len(h) < size:
@@ -435,7 +484,6 @@ def test_alignment_failure_is_detected(table, ref):
     bad_matrix = [list(row) for row in ref.matrix]
     bad_matrix[5][3] = 7
     bad = ReferenceTable(
-        ref.group_name,
         ref.class_reps,
         ref.class_members,
         ref.class_sizes,

@@ -1,10 +1,12 @@
 import json
 import random
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+import qslab.groups
 from qslab.builtin import G32_27_SPEC, SUBGROUP_WORDS, build_g32_27, named_subgroup
 from qslab.groups import (
     FiniteGroup,
@@ -40,6 +42,7 @@ from oracles import (
     _mat_mul,
     conjugacy_partition,
     coset_marking_walk,
+    first_spec_refusal,
     index_bits_word,
     squaring_closure,
     squaring_walk,
@@ -338,6 +341,44 @@ def test_involution_and_commutation_refusals_match_matrix_products():
                     assert (refusal(a, b) == "action matrices 0 and 1 do not commute") == differ
                     seen.add(("commute", differ))
     assert len(seen) == 4
+
+
+def test_refusals_name_the_first_failing_matrix_or_pair():
+    # lists drawn from the 22 involutions of F2^3 (the identity among them),
+    # with repeats, and now and then any 3x3 matrix
+    every = [tuple(zip(*[iter(bits)] * 3)) for bits in product((0, 1), repeat=9)]
+    involutions = [mat for mat in every if _mat_mul(mat, mat) == _mat_identity(3)]
+    assert len(involutions) == 22
+    rng = random.Random("f2-first-pair")
+    outcomes = set()
+    for _ in range(3000):
+        action = [rng.choice(involutions) for _ in range(rng.randint(1, 8))]
+        if rng.randrange(8) == 0:
+            action[rng.randrange(len(action))] = rng.choice(every)
+        want = first_spec_refusal(action)
+        assert refusal(*action) == want, action
+        outcomes.add(want.split()[1] if want else None)
+    assert outcomes == {None, "matrix", "matrices"}
+
+
+def test_copies_of_one_matrix_are_checked_once(monkeypatch):
+    # 2000 copies of the swap matrix: one involution check of two columns
+    # and no commutation check (each pair once would be about 8 million)
+    calls = []
+
+    def counted(cols, vec):
+        calls.append(vec)
+        return _apply(cols, vec)
+
+    monkeypatch.setattr(qslab.groups, "_apply", counted)
+    swap, shear = ((0, 1), (1, 0)), ((1, 0), (1, 1))
+    spec = GroupSpec(2, 2000, [swap] * 2000, ())
+    assert spec.action == (swap,) * 2000
+    assert len(calls) <= 2
+    calls.clear()
+    assert refusal(*[swap] * 2000, shear) == "action matrices 0 and 2000 do not commute"
+    # two involution checks, then the one distinct pair, both ways round
+    assert len(calls) <= 2 + 2 + 2 * 2
 
 
 def test_build_rejects_huge_groups():
